@@ -106,7 +106,10 @@ class kernel_bench final : public sharded_stepper {
     return alpha_buf_;
   }
 
-  void real_load_extrema(node_id, node_id, real_t&, real_t&) const override {}
+  [[nodiscard]] load_extrema real_load_extrema(node_id,
+                                               node_id) const override {
+    return {};
+  }
 
  protected:
   [[nodiscard]] const graph& shard_topology() const override { return *g_; }

@@ -16,14 +16,6 @@
 //                 parallel-efficiency regression gate compares
 //                 (bench/check_regression.py). Incompatible with
 //                 --checkpoint/--resume
-//   --shard-balance  what the shard plan's node cut balances: nodes
-//                 (default) or edges (incident-edge work, for skewed degree
-//                 distributions) — byte-identical either way
-//   --shard-runner   how sharded phases distribute their ranges: steal
-//                 (default — fixed-size chunks claimed from a shared
-//                 cursor, so irregular shard cost doesn't park fast shards
-//                 at the barrier) or static (one plan slice per shard) —
-//                 byte-identical either way
 //   --cost-baseline  JSON rows file (e.g. bench/baselines/
 //                 perf_baseline.json) whose measured per-cell wall_ns seed
 //                 the scheduler's cost estimates; unknown cells keep the
@@ -71,9 +63,8 @@
 //   --resume      load a --checkpoint file before running (missing file =
 //                 cold start). The file's settings fingerprint must match
 //                 this invocation's row-affecting flags; execution-only
-//                 knobs (--threads, --shard-threads, --shard-balance,
-//                 --shard-runner, --format) may differ freely. Incompatible
-//                 with --stream
+//                 knobs (--threads, --shard-threads, --format) may differ
+//                 freely. Incompatible with --stream
 //   --format      stdout/--out serialization: json (default) or csv —
 //                 same row schema, same determinism guarantees
 //   --out         also write results (with real wall_ns timing) to this file
@@ -158,8 +149,6 @@ int main(int argc, char** argv) {
       shard_thread_list.push_back(static_cast<unsigned>(k));
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
-    opts.shard_cut = parse_shard_balance(args.get("shard-balance", "nodes"));
-    opts.shard_runner = parse_shard_exec(args.get("shard-runner", "steal"));
     const std::string cost_baseline = args.get("cost-baseline", "");
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
@@ -270,8 +259,7 @@ int main(int argc, char** argv) {
 
     // Checkpoint fingerprint: every flag that affects row bytes, and none
     // that are pure execution strategy (--threads, --shard-threads,
-    // --shard-balance, --shard-runner, --format) — resuming across those is
-    // the point.
+    // --format) — resuming across those is the point.
     std::optional<runtime::grid_checkpoint> ckpt;
     if (!ckpt_path.empty()) {
       std::ostringstream fp;

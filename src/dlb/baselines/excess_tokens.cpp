@@ -27,9 +27,9 @@ excess_token_process::excess_token_process(std::shared_ptr<const graph> g,
   in_flight_.assign(static_cast<size_t>(g_->num_edges()), edge_tokens{});
 }
 
-void excess_token_process::real_load_extrema(node_id begin, node_id end,
-                                             real_t& lo, real_t& hi) const {
-  per_speed_extrema(loads_, s_, begin, end, lo, hi);
+load_extrema excess_token_process::real_load_extrema(node_id begin,
+                                                     node_id end) const {
+  return per_speed_extrema(loads_, s_, begin, end);
 }
 
 // Phase 0 (per edge): reset the in-flight slots (a zero-load node writes

@@ -54,8 +54,8 @@ class excess_token_process final : public discrete_process,
   }
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
   // checkpointable: loads and the round counter — the in-flight slots are
   // per-round scratch (cleared before every send phase), and the excess

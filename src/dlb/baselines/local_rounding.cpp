@@ -43,9 +43,9 @@ std::string local_rounding_process::name() const {
   return "baseline-" + to_string(policy_) + "(" + schedule_->name() + ")";
 }
 
-void local_rounding_process::real_load_extrema(node_id begin, node_id end,
-                                               real_t& lo, real_t& hi) const {
-  per_speed_extrema(loads_, s_, begin, end, lo, hi);
+load_extrema local_rounding_process::real_load_extrema(node_id begin,
+                                                       node_id end) const {
+  return per_speed_extrema(loads_, s_, begin, end);
 }
 
 // Phase 1 (per edge): the rounding decision. The prescription reads only

@@ -105,8 +105,8 @@ class local_rounding_process final : public discrete_process,
   }
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
   // checkpointable: loads, the quasirandom accumulated error Δ̂ (genuine
   // state for that policy), negativity counters, round counter.

@@ -48,9 +48,9 @@ weight_t random_walk_balancer::negative_tokens() const {
   return k;
 }
 
-void random_walk_balancer::real_load_extrema(node_id begin, node_id end,
-                                             real_t& lo, real_t& hi) const {
-  per_speed_extrema(loads_, s_, begin, end, lo, hi);
+load_extrema random_walk_balancer::real_load_extrema(node_id begin,
+                                                     node_id end) const {
+  return per_speed_extrema(loads_, s_, begin, end);
 }
 
 // Coarse phase 1 (per edge): the round-down FOS prescription, signed u→v —

@@ -88,8 +88,8 @@ class random_walk_balancer final : public discrete_process,
   }
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
   // checkpointable: loads, walker counters (positive/negative residency),
   // the fine-phase threshold and marked flag, round counter.

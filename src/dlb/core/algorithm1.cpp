@@ -226,10 +226,8 @@ void algorithm1::restore_state(snapshot::reader& r) {
       .restore_state(r);
 }
 
-void algorithm1::real_load_extrema(node_id begin, node_id end, real_t& lo,
-                                   real_t& hi) const {
-  const speed_vector& s = process_->speeds();
-  tasks_.real_load_extrema(begin, end, s, lo, hi);
+load_extrema algorithm1::real_load_extrema(node_id begin, node_id end) const {
+  return tasks_.real_load_extrema(begin, end, process_->speeds());
 }
 
 }  // namespace dlb

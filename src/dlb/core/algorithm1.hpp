@@ -118,8 +118,8 @@ class algorithm1 final : public discrete_process,
   [[nodiscard]] const task_assignment& tasks() const { return tasks_; }
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
   // checkpointable: task pools (in LIFO storage order), ledger, loads,
   // dummy counter, round counter, and the embedded continuous process.

@@ -71,16 +71,15 @@ weight_t algorithm2::drain_tokens(node_id i, weight_t count) {
   return drained;
 }
 
-void algorithm2::real_load_extrema(node_id begin, node_id end, real_t& lo,
-                                   real_t& hi) const {
+load_extrema algorithm2::real_load_extrema(node_id begin, node_id end) const {
   const speed_vector& s = process_->speeds();
+  load_extrema e;
   for (node_id i = begin; i < end; ++i) {
     const std::size_t idx = static_cast<size_t>(i);
-    const real_t per_speed = static_cast<real_t>(loads_[idx] - dummies_[idx]) /
-                             static_cast<real_t>(s[idx]);
-    lo = std::min(lo, per_speed);
-    hi = std::max(hi, per_speed);
+    e.add(static_cast<real_t>(loads_[idx] - dummies_[idx]) /
+          static_cast<real_t>(s[idx]));
   }
+  return e;
 }
 
 void algorithm2::on_sharding_enabled(

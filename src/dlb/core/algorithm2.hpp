@@ -91,8 +91,8 @@ class algorithm2 final : public discrete_process,
   }
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
   // checkpointable: token counts, dummy residency, ledger, round counter,
   // and the embedded continuous process. The rounding coins are counter-based

@@ -12,11 +12,17 @@
 namespace dlb {
 
 real_t round_discrepancy(const discrete_process& d) {
-  if (const auto* sh = dynamic_cast<const shardable*>(&d);
-      sh != nullptr && sh->sharding() != nullptr) {
-    return sharded_max_min_discrepancy(*sh);
-  }
-  return max_min_discrepancy(d.real_loads(), d.speeds());
+  const auto* sh = dynamic_cast<const shardable*>(&d);
+  if (sh == nullptr) return max_min_discrepancy(d.real_loads(), d.speeds());
+  const std::shared_ptr<const shard_context> ctx = sh->sharding();
+  const load_extrema e = chunked_reduce(
+      ctx.get(), d.speeds().size(), phase_chunk_items, load_extrema{},
+      [sh](std::size_t lo, std::size_t hi) {
+        return sh->real_load_extrema(static_cast<node_id>(lo),
+                                     static_cast<node_id>(hi));
+      },
+      load_extrema::merge);
+  return e.hi - e.lo;
 }
 
 namespace {
@@ -27,63 +33,42 @@ std::shared_ptr<const shard_context> sharding_of(
   return sh != nullptr ? sh->sharding() : nullptr;
 }
 
-// Total speed — an integer sum, so any grouping (sequential or per shard)
-// is exact. Invariant across a run; measure_balancing_time computes it once
-// instead of per probe round.
+// Total speed — an integer sum, so any grouping is exact. Invariant across a
+// run; measure_balancing_time computes it once instead of per probe round.
 weight_t total_speed_of(const speed_vector& s, const shard_context* ctx) {
-  if (ctx == nullptr) {
-    weight_t total = 0;
-    for (const weight_t si : s) total += si;
-    return total;
-  }
-  const shard_plan& plan = ctx->plan;
-  std::vector<weight_t> part(plan.num_shards(), 0);
-  ctx->for_each_shard([&](std::size_t sh_i) {
-    weight_t acc = 0;
-    for (node_id i = plan.node_begin(sh_i); i < plan.node_end(sh_i); ++i) {
-      acc += s[static_cast<size_t>(i)];
-    }
-    part[sh_i] = acc;
-  });
-  weight_t total = 0;
-  for (const weight_t p : part) total += p;
-  return total;
+  return chunked_reduce(
+      ctx, s.size(), phase_chunk_items, weight_t{0},
+      [&s](std::size_t lo, std::size_t hi) {
+        weight_t acc = 0;
+        for (std::size_t i = lo; i < hi; ++i) acc += s[i];
+        return acc;
+      },
+      [](weight_t a, weight_t b) { return a + b; });
 }
 
 // The T^A membership test, shard-parallel when a context is given — what
 // makes million-node *static* probes feasible: the O(n) load sum and the
-// O(n) per-node check both spread over the shard pool. Bit-equal to the
-// sequential path by construction: the sum goes through blocked_sum (whose
-// grouping depends only on n, never the shard count) and the check folds
-// with boolean AND — both order-independent.
+// O(n) per-node check both spread over the shard pool. Identical bits with
+// or without a context: the sum goes through blocked_sum (whose grouping
+// depends only on n) and the check folds with boolean AND.
 bool balanced_against(const continuous_process& a, weight_t total_speed,
                       real_t tol, const shard_context* ctx) {
   const std::vector<real_t>& x = a.loads();
   const speed_vector& s = a.speeds();
-  const real_t w = ctx == nullptr ? blocked_sum(x) : blocked_sum(x, *ctx);
-  const real_t per_speed = w / static_cast<real_t>(total_speed);
-
-  const auto within = [&](node_id i0, node_id i1) {
-    for (node_id i = i0; i < i1; ++i) {
-      const std::size_t idx = static_cast<size_t>(i);
-      if (std::abs(x[idx] - per_speed * static_cast<real_t>(s[idx])) > tol) {
-        return 0;
-      }
-    }
-    return 1;
-  };
-  if (ctx == nullptr) {
-    return within(0, static_cast<node_id>(x.size())) != 0;
-  }
-  const shard_plan& plan = ctx->plan;
-  std::vector<int> ok(plan.num_shards(), 0);
-  ctx->for_each_shard([&](std::size_t sh_i) {
-    ok[sh_i] = within(plan.node_begin(sh_i), plan.node_end(sh_i));
-  });
-  for (const int flag : ok) {
-    if (flag == 0) return false;
-  }
-  return true;
+  const real_t per_speed =
+      blocked_sum(x, ctx) / static_cast<real_t>(total_speed);
+  const int all_within = chunked_reduce(
+      ctx, x.size(), phase_chunk_items, 1,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (std::abs(x[i] - per_speed * static_cast<real_t>(s[i])) > tol) {
+            return 0;
+          }
+        }
+        return 1;
+      },
+      [](int a_ok, int b_ok) { return a_ok & b_ok; });
+  return all_within != 0;
 }
 
 }  // namespace
@@ -209,10 +194,6 @@ dynamic_result run_dynamic(discrete_process& d,
     }
   }
   r.mean_max_min = samples > 0 ? sum / static_cast<real_t>(samples) : 0;
-  // round_discrepancy equals the real_loads() scan exactly and skips the
-  // O(n) vector materialization when the process steps sharded — the same
-  // path the per-round samples above take (uniform across run_dynamic,
-  // run_async, and run_experiment's probe).
   r.final_max_min = round_discrepancy(d);
   return r;
 }

@@ -42,11 +42,14 @@ inline constexpr real_t balanced_tolerance = 1.0;
 [[nodiscard]] bool is_balanced(const continuous_process& a,
                                real_t tol = balanced_tolerance);
 
-/// Max-min discrepancy of `d`'s current real loads. Uses the parallel
-/// per-shard min/max reduction when `d` steps sharded (the sequential
-/// real_loads() path materializes an O(n) vector per round); the two paths
-/// are exactly equal — min/max folds are associative. Both run_dynamic and
-/// the event-driven run_async sample their per-round metrics through this.
+/// Max-min discrepancy of `d`'s current real loads — the one discrepancy
+/// entry point of the engine drivers. Shardable processes fold their
+/// real_load_extrema through chunked_reduce (on the shards when `d` steps
+/// sharded, on the caller otherwise) without materializing real_loads();
+/// min/max folds are exact, so the value equals
+/// max_min_discrepancy(d.real_loads(), d.speeds()) bit for bit. run_dynamic
+/// and the event-driven run_async sample their per-round metrics through
+/// this.
 [[nodiscard]] real_t round_discrepancy(const discrete_process& d);
 
 /// Per-round observation hook; `d` has just completed round `t` (1-based

@@ -243,14 +243,14 @@ void linear_process::step() {
   ++t_;
 }
 
-void linear_process::real_load_extrema(node_id begin, node_id end, real_t& lo,
-                                       real_t& hi) const {
+load_extrema linear_process::real_load_extrema(node_id begin,
+                                               node_id end) const {
+  load_extrema e;
   for (node_id i = begin; i < end; ++i) {
-    const real_t per_speed =
-        x_[static_cast<size_t>(i)] / static_cast<real_t>(s_[static_cast<size_t>(i)]);
-    lo = std::min(lo, per_speed);
-    hi = std::max(hi, per_speed);
+    e.add(x_[static_cast<size_t>(i)] /
+          static_cast<real_t>(s_[static_cast<size_t>(i)]));
   }
+  return e;
 }
 
 real_t linear_process::cumulative_flow(edge_id e) const {

@@ -159,8 +159,8 @@ class linear_process final : public continuous_process,
   void restore_state(snapshot::reader& r) override;
 
   // shardable:
-  void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                         real_t& hi) const override;
+  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
+                                               node_id end) const override;
 
  protected:
   [[nodiscard]] const graph& shard_topology() const override { return *g_; }

@@ -1,8 +1,6 @@
 #include "dlb/core/sharding.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <string>
 #include <utility>
 
 #include "dlb/common/contracts.hpp"
@@ -18,13 +16,6 @@ namespace {
 // fold overhead vanishes; vectors up to this length sum strictly
 // left-to-right, so every pre-existing small-grid result is bit-unchanged.
 constexpr std::size_t sum_block = 4096;
-
-real_t sum_range(const std::vector<real_t>& x, std::size_t lo,
-                 std::size_t hi) {
-  real_t acc = 0;
-  for (std::size_t i = lo; i < hi; ++i) acc += x[i];
-  return acc;
-}
 
 // Node-block width of the edge-locality layout: edges are grouped by
 // (u/block, v/block), stably by edge id within a group, so one chunk's
@@ -62,89 +53,86 @@ std::vector<edge_id> blocked_edge_order(const graph& g) {
   return order;
 }
 
-// Chunk count of a work-stealing phase over `total` items. At least one
-// chunk even for an empty range, so every phase still runs its barrier (and
-// reduce folds still see one part from body(0, 0), exactly like the static
-// path's empty slices).
-std::size_t chunk_count(std::size_t total) {
-  return std::max<std::size_t>(
-      1, (total + phase_chunk_items - 1) / phase_chunk_items);
+using claim_body =
+    std::function<void(std::size_t, const std::function<std::size_t()>&)>;
+
+// The serial claim loop: group bodies run in order on the caller and one
+// plain counter hands out the claims, so group 0 drains every chunk.
+template <typename Body>
+void serial_claims(std::size_t groups, const Body& body) {
+  std::size_t next = 0;
+  const std::function<std::size_t()> claim = [&next] { return next++; };
+  for (std::size_t g = 0; g < groups; ++g) body(g, claim);
 }
 
 }  // namespace
 
-shard_plan::shard_plan(const graph& g, std::size_t num_shards,
-                       shard_balance balance)
-    : n_(g.num_nodes()), m_(g.num_edges()), balance_(balance) {
+shard_plan::shard_plan(const graph& g, std::size_t num_shards)
+    : n_(g.num_nodes()), m_(g.num_edges()) {
   DLB_EXPECTS(num_shards >= 1);
   edge_order_ = blocked_edge_order(g);
-  // No node-empty shards: the metric reduction folds one extremum per shard,
-  // and an empty range would contribute its sentinel. Edgeless graphs and
-  // num_shards > m are fine — edge ranges may be empty, the barrier still
-  // covers every shard — but the shard count itself is clamped to n (and
-  // stays >= 1 so a plan always has at least one shard to run phases on).
   const std::size_t shards = std::max<std::size_t>(
       1, std::min<std::size_t>(num_shards, static_cast<std::size_t>(n_)));
-  node_cut_.resize(shards + 1);
   edge_cut_.resize(shards + 1);
   for (std::size_t s = 0; s <= shards; ++s) {
     edge_cut_[s] = static_cast<edge_id>(
         static_cast<std::size_t>(m_) * s / shards);
   }
-  if (balance == shard_balance::node_count || m_ == 0) {
-    for (std::size_t s = 0; s <= shards; ++s) {
-      node_cut_[s] = static_cast<node_id>(
-          static_cast<std::size_t>(n_) * s / shards);
+}
+
+steal_runner serial_steal_runner() {
+  return [](std::size_t groups, std::size_t, const claim_body& body) {
+    serial_claims(groups, body);
+  };
+}
+
+std::shared_ptr<const shard_context> serial_shard_context(const graph& g,
+                                                          std::size_t shards) {
+  return std::make_shared<const shard_context>(shard_context{
+      shard_plan(g, shards),
+      [](std::size_t count, const std::function<void(std::size_t)>& body) {
+        for (std::size_t i = 0; i < count; ++i) body(i);
+      },
+      shard_exec::work_stealing, serial_steal_runner()});
+}
+
+void run_chunks(
+    const shard_context* ctx, std::size_t count, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
+    const group_hook& hook) {
+  // Chunk boundaries are a pure function of (count, grain), so which group
+  // claims a chunk can vary run to run while the computed bits cannot.
+  const std::size_t chunks = chunk_count(count, grain);
+  const auto group = [&](std::size_t g,
+                         const std::function<std::size_t()>& claim) {
+    const auto drain = [&]() -> std::size_t {
+      std::size_t items = 0;
+      for (std::size_t c = claim(); c < chunks; c = claim()) {
+        const std::size_t lo = c * grain;
+        const std::size_t hi = std::min(count, lo + grain);
+        fn(c, lo, hi);
+        items += hi - lo;
+      }
+      return items;
+    };
+    if (hook != nullptr) {
+      hook(g, drain);
+    } else {
+      drain();
     }
+  };
+  if (ctx == nullptr) {
+    serial_claims(1, group);
     return;
   }
-  // Degree-weighted cut: place boundary s at the first node whose incident-
-  // degree prefix reaches s/shards of the total (2m), clamped so every shard
-  // keeps at least one node and enough nodes remain for the shards after it.
-  // Each boundary is a binary search over the prefix-degree array — plan
-  // build sits on every cell's setup path and the old linear scan showed up
-  // in --obs-profile on multi-million-node graphs. The clamp makes this
-  // exactly equivalent to that scan: the scan resumed from the previous
-  // *clamped* cut, and whenever the global search lands before it, both
-  // answers collapse to the same lower clamp bound.
-  std::vector<std::size_t> prefix(static_cast<std::size_t>(n_) + 1, 0);
-  for (node_id i = 0; i < n_; ++i) {
-    prefix[static_cast<std::size_t>(i) + 1] =
-        prefix[static_cast<std::size_t>(i)] +
-        static_cast<std::size_t>(g.degree(i));
-  }
-  const std::size_t total_degree = 2 * static_cast<std::size_t>(m_);
-  node_cut_[0] = 0;
-  node_cut_[shards] = n_;
-  for (std::size_t s = 1; s < shards; ++s) {
-    const std::size_t target = total_degree * s / shards;
-    const auto j = static_cast<node_id>(
-        std::lower_bound(prefix.begin(), prefix.end(), target) -
-        prefix.begin());
-    const node_id lo = node_cut_[s - 1] + 1;
-    const node_id hi =
-        n_ - static_cast<node_id>(shards - s);  // leave 1 node per later shard
-    node_cut_[s] = std::clamp(j, lo, hi);
-  }
-}
-
-shard_balance parse_shard_balance(const std::string& name) {
-  if (name == "nodes") return shard_balance::node_count;
-  if (name == "edges") return shard_balance::incident_edges;
-  throw contract_violation("unknown shard balance: " + name +
-                           " (expected nodes or edges)");
-}
-
-shard_exec parse_shard_exec(const std::string& name) {
-  if (name == "static") return shard_exec::static_slices;
-  if (name == "steal") return shard_exec::work_stealing;
-  throw contract_violation("unknown shard runner: " + name +
-                           " (expected static or steal)");
+  DLB_EXPECTS(ctx->steal != nullptr);
+  ctx->steal(ctx->plan.num_shards(), chunks, group);
 }
 
 void sharded_stepper::enable_sharded_stepping(
     std::shared_ptr<const shard_context> ctx) {
   DLB_EXPECTS(ctx != nullptr);
+  DLB_EXPECTS(ctx->steal != nullptr);
   DLB_EXPECTS(ctx->plan.num_nodes() == shard_topology().num_nodes());
   DLB_EXPECTS(ctx->plan.num_edges() == shard_topology().num_edges());
   shard_ = ctx;
@@ -158,7 +146,7 @@ namespace {
 struct phase_labels {
   const char* span;
   const char* barrier;
-  bool edge_items;  ///< ranges (and the touched counter) cut edges, not nodes
+  bool edge_items;  ///< the phase's items (and touched counter) are edges
 };
 
 const phase_labels& labels_of(int kind) {
@@ -172,150 +160,66 @@ const phase_labels& labels_of(int kind) {
 
 }  // namespace
 
-std::size_t sharded_stepper::reduce_slots() const {
-  const shard_plan& plan = shard_->plan;
-  if (shard_->exec != shard_exec::work_stealing) return plan.num_shards();
-  return chunk_count(static_cast<std::size_t>(plan.num_nodes()));
+sharded_stepper::phase_probe::phase_probe(const sharded_stepper& st,
+                                          phase_kind kind, std::size_t items)
+    : st_(st), kind_(kind), items_(items) {
+  if (st_.probe_.rec != nullptr) {
+    end_ns_.assign(st_.shard_ != nullptr ? st_.shard_->plan.num_shards() : 1,
+                   0);
+  }
 }
 
-void sharded_stepper::for_each_slice(
-    phase_kind kind,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& slice)
-    const {
-  const phase_labels& labels = labels_of(static_cast<int>(kind));
-  const shard_plan& plan = shard_->plan;
-  const std::size_t shards = plan.num_shards();
-  const std::size_t total = labels.edge_items
-                                ? static_cast<std::size_t>(plan.num_edges())
-                                : static_cast<std::size_t>(plan.num_nodes());
-
-  obs::recorder* rec = probe_.rec;
-  obs::metrics* met = probe_.met;
-  obs::prof::profiler* prf = probe_.prf;
-
-  // Per-group instrumentation shared by both modes: one phase span per
-  // shard (static) or claim-loop group (stealing) — the span's shard slot
-  // carries the group index either way, so barrier share and skew analysis
-  // keep working unchanged. `work` runs the group's slices and returns the
-  // item count it processed; each group records its own end time, and once
-  // the runner returns (the barrier) everything after a group's finish is
-  // wait — synthesized below without any cross-thread signalling on the
-  // hot path.
-  std::vector<std::int64_t> end_ns(rec != nullptr ? shards : 0, 0);
-  const auto run_body = [&](std::size_t gidx,
-                            const std::function<std::size_t()>& work) {
-    // The counter read brackets exactly the group's slices, on the thread
+group_hook sharded_stepper::phase_probe::hook() {
+  if (st_.probe_.rec == nullptr && st_.probe_.prf == nullptr) return nullptr;
+  return [this](std::size_t g, const std::function<std::size_t()>& drain) {
+    const obs::probe& pb = st_.probe_;
+    const char* span = labels_of(static_cast<int>(kind_)).span;
+    const auto shard = static_cast<std::int32_t>(g);
+    // The counter read brackets exactly the group's chunks, on the thread
     // that runs them — perf fds measure the calling thread, so the deltas
     // are this group's own cycles/misses, not the pool's.
     const obs::prof::hw_reading p0 =
-        prf != nullptr ? prf->begin() : obs::prof::hw_reading{};
-    if (rec == nullptr) {
-      work();
-      if (prf != nullptr) {
-        prf->complete(labels.span, static_cast<std::int32_t>(gidx),
-                      probe_.cell, p0);
-      }
-      return;
+        pb.prf != nullptr ? pb.prf->begin() : obs::prof::hw_reading{};
+    const std::int64_t t0 = pb.rec != nullptr ? pb.rec->now() : 0;
+    const std::size_t items = drain();
+    if (pb.rec != nullptr) end_ns_[g] = pb.rec->now();
+    if (pb.prf != nullptr) pb.prf->complete(span, shard, pb.cell, p0);
+    if (pb.rec != nullptr) {
+      pb.rec->complete(span, t0, end_ns_[g] - t0, shard, pb.cell,
+                       static_cast<std::int64_t>(items));
     }
-    const std::int64_t t0 = rec->now();
-    const std::size_t items = work();
-    const std::int64_t t1 = rec->now();
-    if (prf != nullptr) {
-      prf->complete(labels.span, static_cast<std::int32_t>(gidx), probe_.cell,
-                    p0);
-    }
-    rec->complete(labels.span, t0, t1 - t0, static_cast<std::int32_t>(gidx),
-                  probe_.cell, static_cast<std::int64_t>(items));
-    end_ns[gidx] = t1;
   };
+}
 
-  if (shard_->exec == shard_exec::work_stealing) {
-    // Chunked dynamic execution: boundaries are a pure function of `total`
-    // (never the shard count), so which group claims a chunk can vary run
-    // to run while the computed bits cannot. The reduce slot is the chunk
-    // index — each chunk is claimed exactly once, so parts have a single
-    // writer and fold in a fixed ascending order.
-    const std::size_t chunks = chunk_count(total);
-    const auto group = [&](std::size_t g,
-                           const std::function<std::size_t()>& claim) {
-      run_body(g, [&]() -> std::size_t {
-        std::size_t items = 0;
-        for (;;) {
-          const std::size_t c = claim();
-          if (c >= chunks) break;
-          const std::size_t lo = c * phase_chunk_items;
-          const std::size_t hi = std::min(total, lo + phase_chunk_items);
-          slice(c, lo, hi);
-          items += hi - lo;
-        }
-        return items;
-      });
-    };
-    if (shard_->steal != nullptr) {
-      shard_->steal(shards, chunks, group);
-    } else {
-      // No pool-side steal primitive (serial test contexts): synthesize the
-      // claim loop over the plain runner. This cursor and its thread_pool
-      // twin are the blessed atomic work-distribution points
-      // (tools/dlb_lint.py, "atomic-claim").
-      std::atomic<std::size_t> cursor{0};
-      const std::function<std::size_t()> claim = [&cursor] {
-        return cursor.fetch_add(1, std::memory_order_relaxed);
-      };
-      shard_->for_each_shard([&](std::size_t g) { group(g, claim); });
-    }
-  } else {
-    shard_->for_each_shard([&](std::size_t s) {
-      run_body(s, [&]() -> std::size_t {
-        const auto [lo, hi] =
-            labels.edge_items
-                ? std::pair<std::size_t, std::size_t>(
-                      static_cast<std::size_t>(plan.edge_begin(s)),
-                      static_cast<std::size_t>(plan.edge_end(s)))
-                : std::pair<std::size_t, std::size_t>(
-                      static_cast<std::size_t>(plan.node_begin(s)),
-                      static_cast<std::size_t>(plan.node_end(s)));
-        slice(s, lo, hi);
-        return hi - lo;
-      });
-    });
-  }
-
-  if (rec != nullptr) {
-    const std::int64_t barrier_done = rec->now();
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::int64_t wait = barrier_done - end_ns[s];
-      rec->complete(labels.barrier, end_ns[s], wait,
-                    static_cast<std::int32_t>(s), probe_.cell);
-      if (met != nullptr) {
-        met->add_barrier_wait(static_cast<std::uint64_t>(wait));
+void sharded_stepper::phase_probe::done() const {
+  const obs::probe& pb = st_.probe_;
+  const phase_labels& labels = labels_of(static_cast<int>(kind_));
+  // Each group recorded its own end time; once the runner has returned (the
+  // barrier) everything after a group's finish is wait — synthesized here
+  // without any cross-thread signalling on the hot path.
+  if (pb.rec != nullptr && st_.shard_ != nullptr) {
+    const std::int64_t barrier_done = pb.rec->now();
+    for (std::size_t g = 0; g < end_ns_.size(); ++g) {
+      const std::int64_t wait = barrier_done - end_ns_[g];
+      pb.rec->complete(labels.barrier, end_ns_[g], wait,
+                       static_cast<std::int32_t>(g), pb.cell);
+      if (pb.met != nullptr) {
+        pb.met->add_barrier_wait(static_cast<std::uint64_t>(wait));
       }
     }
   }
-  if (met != nullptr) met->count_phase(labels.edge_items, total);
+  if (pb.met != nullptr) pb.met->count_phase(labels.edge_items, items_);
 }
 
-sharded_stepper::phase_span::phase_span(const sharded_stepper& st,
-                                        phase_kind kind,
-                                        std::size_t items) noexcept
-    : st_(st), kind_(kind), items_(items) {
-  if (st_.probe_.prf != nullptr) prof_start_ = st_.probe_.prf->begin();
-  if (st_.probe_.rec != nullptr) start_ns_ = st_.probe_.rec->now();
-}
-
-sharded_stepper::phase_span::~phase_span() {
-  const phase_labels& labels = labels_of(static_cast<int>(kind_));
-  if (obs::recorder* rec = st_.probe_.rec; rec != nullptr) {
-    rec->complete(labels.span, start_ns_, rec->now() - start_ns_,
-                  /*shard=*/0, st_.probe_.cell,
-                  static_cast<std::int64_t>(items_));
-  }
-  if (obs::prof::profiler* prf = st_.probe_.prf; prf != nullptr) {
-    prf->complete(labels.span, /*shard=*/0, st_.probe_.cell, prof_start_);
-  }
-  if (obs::metrics* met = st_.probe_.met; met != nullptr) {
-    met->count_phase(labels.edge_items, items_);
-  }
+void sharded_stepper::run_phase(
+    phase_kind kind, std::size_t items,
+    const std::function<void(std::size_t, std::size_t)>& body) const {
+  phase_probe pp(*this, kind, items);
+  run_chunks(
+      shard_.get(), items, phase_chunk_items,
+      [&](std::size_t, std::size_t lo, std::size_t hi) { body(lo, hi); },
+      pp.hook());
+  pp.done();
 }
 
 void sharded_stepper::add_tokens_moved(std::uint64_t n) const noexcept {
@@ -324,65 +228,34 @@ void sharded_stepper::add_tokens_moved(std::uint64_t n) const noexcept {
 
 void sharded_stepper::edge_phase(
     const std::function<void(const edge_slice&)>& body) const {
-  if (shard_ == nullptr) {
-    const edge_id m = shard_topology().num_edges();
-    const phase_span span(*this, phase_kind::edge,
-                          static_cast<std::size_t>(m));
-    body(edge_slice(0, m, nullptr));
-    return;
-  }
-  const edge_id* order = shard_->plan.edge_order();
-  for_each_slice(phase_kind::edge,
-                 [&](std::size_t, std::size_t lo, std::size_t hi) {
-                   body(edge_slice(static_cast<edge_id>(lo),
-                                   static_cast<edge_id>(hi), order));
-                 });
+  const edge_id* order =
+      shard_ != nullptr ? shard_->plan.edge_order() : nullptr;
+  run_phase(phase_kind::edge,
+            static_cast<std::size_t>(shard_topology().num_edges()),
+            [&](std::size_t lo, std::size_t hi) {
+              body(edge_slice(static_cast<edge_id>(lo),
+                              static_cast<edge_id>(hi), order));
+            });
 }
 
 void sharded_stepper::node_phase(
     const std::function<void(node_id, node_id)>& body) const {
-  if (shard_ == nullptr) {
-    const node_id n = shard_topology().num_nodes();
-    const phase_span span(*this, phase_kind::node,
-                          static_cast<std::size_t>(n));
-    body(0, n);
-    return;
-  }
-  for_each_slice(phase_kind::node,
-                 [&](std::size_t, std::size_t lo, std::size_t hi) {
-                   body(static_cast<node_id>(lo), static_cast<node_id>(hi));
-                 });
+  run_phase(phase_kind::node,
+            static_cast<std::size_t>(shard_topology().num_nodes()),
+            [&](std::size_t lo, std::size_t hi) {
+              body(static_cast<node_id>(lo), static_cast<node_id>(hi));
+            });
 }
 
-real_t sharded_max_min_discrepancy(const shardable& sh) {
-  const std::shared_ptr<const shard_context> ctx = sh.sharding();
-  DLB_EXPECTS(ctx != nullptr);
-  const std::size_t shards = ctx->plan.num_shards();
-  std::vector<real_t> lo(shards, 1e300);
-  std::vector<real_t> hi(shards, -1e300);
-  ctx->for_each_shard([&](std::size_t s) {
-    sh.real_load_extrema(ctx->plan.node_begin(s), ctx->plan.node_end(s),
-                         lo[s], hi[s]);
-  });
-  real_t min_span = 1e300;
-  real_t max_span = -1e300;
-  for (std::size_t s = 0; s < shards; ++s) {
-    min_span = std::min(min_span, lo[s]);
-    max_span = std::max(max_span, hi[s]);
-  }
-  return max_span - min_span;
-}
-
-void per_speed_extrema(const std::vector<weight_t>& loads,
-                       const std::vector<weight_t>& speeds, node_id begin,
-                       node_id end, real_t& lo, real_t& hi) {
+load_extrema per_speed_extrema(const std::vector<weight_t>& loads,
+                               const std::vector<weight_t>& speeds,
+                               node_id begin, node_id end) {
+  load_extrema e;
   for (node_id i = begin; i < end; ++i) {
     const std::size_t idx = static_cast<std::size_t>(i);
-    const real_t per_speed =
-        static_cast<real_t>(loads[idx]) / static_cast<real_t>(speeds[idx]);
-    lo = std::min(lo, per_speed);
-    hi = std::max(hi, per_speed);
+    e.add(static_cast<real_t>(loads[idx]) / static_cast<real_t>(speeds[idx]));
   }
+  return e;
 }
 
 weight_t signed_edge_inflow(const graph& g,
@@ -396,34 +269,15 @@ weight_t signed_edge_inflow(const graph& g,
   return delta;
 }
 
-real_t blocked_sum(const std::vector<real_t>& x) {
-  const std::size_t blocks = (x.size() + sum_block - 1) / sum_block;
-  real_t acc = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    acc += sum_range(x, b * sum_block,
-                     std::min(x.size(), (b + 1) * sum_block));
-  }
-  return acc;
-}
-
-real_t blocked_sum(const std::vector<real_t>& x, const shard_context& ctx) {
-  const std::size_t blocks = (x.size() + sum_block - 1) / sum_block;
-  if (blocks <= 1) return blocked_sum(x);
-  // Shards own contiguous *block* ranges (not plan node ranges — block
-  // boundaries must be independent of the cut so the grouping never moves).
-  const std::size_t shards = ctx.plan.num_shards();
-  std::vector<real_t> partial(blocks, 0);
-  ctx.for_each_shard([&](std::size_t s) {
-    const std::size_t b0 = blocks * s / shards;
-    const std::size_t b1 = blocks * (s + 1) / shards;
-    for (std::size_t b = b0; b < b1; ++b) {
-      partial[b] = sum_range(x, b * sum_block,
-                             std::min(x.size(), (b + 1) * sum_block));
-    }
-  });
-  real_t acc = 0;
-  for (const real_t p : partial) acc += p;
-  return acc;
+real_t blocked_sum(const std::vector<real_t>& x, const shard_context* ctx) {
+  return chunked_reduce(
+      ctx, x.size(), sum_block, real_t{0},
+      [&x](std::size_t lo, std::size_t hi) {
+        real_t acc = 0;
+        for (std::size_t i = lo; i < hi; ++i) acc += x[i];
+        return acc;
+      },
+      [](real_t a, real_t b) { return a + b; });
 }
 
 }  // namespace dlb

@@ -3,40 +3,35 @@
 // The paper's processes are synchronous per-round maps over all nodes, so one
 // round decomposes into embarrassingly parallel per-edge and per-node phases
 // separated by barriers (compute flows → apply flows; allocate send sets →
-// deliver).  A `shard_plan` partitions the nodes and edges of one graph into
-// contiguous ranges; a `shard_context` couples the plan with a `shard_runner`
-// (typically a dlb::runtime::thread_pool) that executes one body per shard
-// and blocks until all shards finish — the barrier.
+// deliver). A `shard_context` couples a `shard_plan` (the shard count and the
+// cache-locality edge layout of one graph) with a `steal_runner` (typically
+// dlb::runtime::thread_pool::steal_loop) that runs one claim loop per shard
+// and returns only when all of them finished — the barrier.
+//
+// One execution path serves every sharded loop. `run_chunks` cuts a range of
+// items into fixed-size chunks — boundaries a pure function of (item count,
+// grain), NEVER of the shard count — and the shards' claim loops pull chunk
+// indices until the range drains, so irregular per-item cost never parks a
+// fast shard at the barrier: it claims the remaining chunks instead. Values
+// cross shards only through `chunked_reduce`: each chunk returns its value
+// into its own slot, and the caller folds the slots in ascending chunk
+// order. With no context the same chunks run on the caller.
 //
 // `sharded_stepper` is the shared protocol every process in the repo steps
 // through: derived classes express their round as edge_phase()/node_phase()
-// calls (plus node_phase_reduce for order-independent per-slot folds), and
-// the base runs them over the full range when sequential or slice-by-slice
+// calls (plus node_phase_reduce for order-independent folds), and the base
+// runs them chunk by chunk — on the caller when sequential, on the shards
 // when a context is installed — same bits either way.
-//
-// Two execution modes (shard_exec) share that protocol:
-//  * static_slices — one contiguous slice per shard, the plan's cuts. Cost
-//    skew shows up as barrier wait: every fast shard idles until the slowest
-//    finishes.
-//  * work_stealing — each phase's range is split into fixed-size chunks
-//    (phase_chunk_items each; boundaries a pure function of the item count,
-//    NEVER of the shard count) and `num_shards` claim-loop groups pull chunk
-//    indices from one shared atomic cursor until the range drains. Irregular
-//    per-item cost no longer parks fast shards at the barrier — they steal
-//    the remaining chunks instead. The cursor lives in this translation unit
-//    (or in thread_pool::steal_loop, its runner-side twin); it is the one
-//    blessed fetch-based work-distribution point in the tree (tools/
-//    dlb_lint.py, rule "atomic-claim").
 //
 // Determinism contract (docs/ARCHITECTURE.md, "Sharded stepping" and "Round
 // kernels & chunked execution"): a sharded step must be *bit-identical* to
-// the sequential step for any shard count, either balance cut, and either
-// execution mode. The phase decomposition guarantees this because
+// the sequential step for any shard count. The phase decomposition
+// guarantees this because
 //  * per-edge quantities (flows, cumulative-flow updates, deficits) are pure
-//    functions of the pre-round state — so both the partition into slices or
-//    chunks and the *visit order within* a slice are free, which is what
-//    lets a shard_plan install a cache-locality edge permutation
-//    (edge_order(), traversed through core/phase_slice.hpp),
+//    functions of the pre-round state — so both the partition into chunks
+//    and the *visit order within* a chunk are free, which is what lets a
+//    shard_plan install a cache-locality edge permutation (edge_order(),
+//    traversed through core/phase_slice.hpp),
 //  * per-node accumulators (load updates, outgoing sums, task pools) receive
 //    their contributions in ascending incident-edge order — exactly the order
 //    the sequential edge loop applies them, because graph adjacency lists are
@@ -44,13 +39,15 @@
 //  * randomized per-entity decisions draw from counter-based RNG streams
 //    (common/rng.hpp counter_rng), pure functions of (seed, entity, round),
 //    never from a shared sequential engine.
-// No floating-point sum is ever regrouped across shards; integer reductions
-// (dummy counters) and min/max reductions (discrepancy extrema) are
-// order-independent by construction, and the one floating-point total the
-// engine needs (the is_balanced load sum) goes through `blocked_sum`, whose
-// grouping is a pure function of the vector length — never the shard count.
+// Cross-shard folds see the same chunk values in the same order at any shard
+// count. Integer folds (dummy counters), min/max (discrepancy extrema) and
+// boolean folds are exact under any grouping; the one floating-point total
+// the engine needs (the is_balanced load sum) goes through `blocked_sum`,
+// whose 4096-element grain is part of the bit contract — unlike the phase
+// grain, which is an execution knob.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -67,57 +64,52 @@
 namespace dlb {
 
 /// Executes body(i) for every i in [0, count) — possibly in parallel — and
-/// returns only when all invocations finished (the phase barrier). The serial
-/// fallback is simply a for loop; dlb::runtime adapts thread_pool to this.
+/// returns only when all invocations finished. dlb::runtime adapts
+/// thread_pool::parallel_for_each to this.
 using shard_runner = std::function<void(
     std::size_t count, const std::function<void(std::size_t)>& body)>;
 
 /// Executes `groups` claim-loop bodies — possibly in parallel — and returns
-/// only when all finished. Each body repeatedly invokes its `claim` callable;
-/// claims across all groups return every index in [0, chunks) exactly once
-/// and then values >= chunks forever (the drain signal). The serial fallback
-/// hands every chunk to group 0; dlb::runtime adapts
-/// thread_pool::steal_loop to this.
+/// only when all finished (the phase barrier). Each body repeatedly invokes
+/// its `claim` callable; claims across all groups return every index in
+/// [0, chunks) exactly once and then values >= chunks forever (the drain
+/// signal). dlb::runtime adapts thread_pool::steal_loop to this;
+/// serial_steal_runner() is the single-threaded one.
 using steal_runner = std::function<void(
     std::size_t groups, std::size_t chunks,
     const std::function<void(std::size_t group,
                              const std::function<std::size_t()>& claim)>&
         body)>;
 
-/// What a shard_plan balances when cutting the node ranges.
-enum class shard_balance {
-  node_count,      ///< equal node counts per shard (the default)
-  incident_edges,  ///< equal incident-edge work per shard — the right cut
-                   ///< for skewed degree distributions (stars, rings of
-                   ///< cliques), where a count-balanced cut leaves one shard
-                   ///< holding most of the per-node edge folds
-};
-
-/// How a sharded phase distributes its range over the shards.
+/// Execution mode of a shard_context. Chunked work stealing is the only
+/// mode; the enumerator exists so contexts keep their aggregate shape
+/// `{plan, run, shard_exec::work_stealing, steal}`, and nothing reads it.
 enum class shard_exec {
-  static_slices,  ///< one plan slice per shard, no stealing
-  work_stealing,  ///< fixed-size chunks claimed from a shared cursor
+  work_stealing,  ///< fixed-size chunks claimed through the steal_runner
 };
 
-/// Number of items (edges or nodes) per work-stealing chunk. A pure
-/// constant: chunk boundaries depend on the phase's item count only, so the
-/// partition — and therefore every output bit — is identical at any shard
-/// count. Small enough that a 1M-item phase exposes ~64 chunks to 8 shards
-/// (fine-grained enough to absorb a 10x per-item skew), large enough that
-/// one claim amortizes over thousands of items.
+/// Number of items (edges or nodes) per chunk of a sharded phase. Small
+/// enough that a 1M-item phase exposes ~64 chunks to 8 shards (fine-grained
+/// enough to absorb a 10x per-item skew), large enough that one claim
+/// amortizes over thousands of items. An execution knob: phase outputs do
+/// not depend on it.
 inline constexpr std::size_t phase_chunk_items = 16384;
 
-/// Contiguous partition of one graph's nodes and edges into shards. Node and
-/// edge ranges are cut independently (per-edge phases are pure, so edge work
-/// need not align with node ownership); edge ranges are always balanced by
-/// count (per-edge work is uniform), node ranges by `balance` — the
-/// degree-weighted cut binary-searches a prefix-degree array, so plan build
-/// stays O(n + s·log n) even on multi-million-node graphs. The requested
-/// shard count is clamped so no shard is node-empty; edge ranges may be
-/// empty (a graph can have fewer edges than shards, or none at all) — empty
-/// ranges still participate in every phase barrier, they just do no work.
+/// Number of `grain`-sized chunks covering [0, count) — at least one, so an
+/// empty range still runs (and folds) one empty chunk.
+[[nodiscard]] constexpr std::size_t chunk_count(std::size_t count,
+                                                std::size_t grain) noexcept {
+  return count == 0 ? 1 : (count + grain - 1) / grain;
+}
+
+/// The shard count and edge layout of one graph. The requested shard count
+/// is clamped to [1, n], so a plan never runs more claim groups than the
+/// graph has nodes. The edge set is also cut into num_shards() contiguous,
+/// count-balanced position ranges (edge_begin/edge_end) for callers that
+/// hand one range to each shard; ranges may be empty (a graph can have fewer
+/// edges than shards, or none at all).
 ///
-/// The plan also owns the cache-locality edge layout: a one-time pass blocks
+/// The plan owns the cache-locality edge layout: a one-time pass blocks
 /// the edge ids by (u/B, v/B) so an edge phase streaming positions touches
 /// node slices a block at a time instead of scattering across the whole load
 /// vector. The permutation is stable by edge id within a block and is kept
@@ -127,20 +119,14 @@ inline constexpr std::size_t phase_chunk_items = 16384;
 class shard_plan {
  public:
   shard_plan() = default;
-  shard_plan(const graph& g, std::size_t num_shards,
-             shard_balance balance = shard_balance::node_count);
+  shard_plan(const graph& g, std::size_t num_shards);
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
-    return node_cut_.empty() ? 0 : node_cut_.size() - 1;
+    return edge_cut_.empty() ? 0 : edge_cut_.size() - 1;
   }
   [[nodiscard]] node_id num_nodes() const noexcept { return n_; }
   [[nodiscard]] edge_id num_edges() const noexcept { return m_; }
-  [[nodiscard]] shard_balance balance() const noexcept { return balance_; }
 
-  [[nodiscard]] node_id node_begin(std::size_t s) const { return node_cut_[s]; }
-  [[nodiscard]] node_id node_end(std::size_t s) const {
-    return node_cut_[s + 1];
-  }
   [[nodiscard]] edge_id edge_begin(std::size_t s) const { return edge_cut_[s]; }
   [[nodiscard]] edge_id edge_end(std::size_t s) const {
     return edge_cut_[s + 1];
@@ -157,34 +143,19 @@ class shard_plan {
  private:
   node_id n_ = 0;
   edge_id m_ = 0;
-  shard_balance balance_ = shard_balance::node_count;
-  std::vector<node_id> node_cut_;  // size num_shards+1, ascending
-  std::vector<edge_id> edge_cut_;  // size num_shards+1, ascending
+  std::vector<edge_id> edge_cut_;    // size num_shards+1, ascending
   std::vector<edge_id> edge_order_;  // empty = identity layout
 };
 
-/// Parses "nodes" / "edges" (the `--shard-balance` CLI values); throws
-/// contract_violation on anything else.
-[[nodiscard]] shard_balance parse_shard_balance(const std::string& name);
-
-/// Parses "static" / "steal" (the `--shard-runner` CLI values); throws
-/// contract_violation on anything else.
-[[nodiscard]] shard_exec parse_shard_exec(const std::string& name);
-
-/// A plan plus the runner that executes its shards. One context is built per
+/// A plan plus the runners that execute its shards. One context is built per
 /// experiment cell (outside the timed engine call) and shared by the discrete
 /// process and its internal continuous reference.
 struct shard_context {
   shard_plan plan;
   shard_runner run;
-  /// Execution mode of the phases stepped under this context. A pure
-  /// execution knob: rows are byte-identical in either mode.
-  shard_exec exec = shard_exec::work_stealing;
-  /// The work-stealing claim loop. Optional: when null, work_stealing
-  /// phases synthesize the claim loop over `run` with a local cursor —
-  /// equivalent bits, just without the pool-side primitive (serial test
-  /// contexts use this path).
-  steal_runner steal = nullptr;
+  shard_exec exec = shard_exec::work_stealing;  ///< unread; see shard_exec
+  /// The claim loop every sharded phase and reduction runs on (required).
+  steal_runner steal;
 
   /// Runs fn(shard) for every shard and waits for all — one barrier phase.
   void for_each_shard(const std::function<void(std::size_t)>& fn) const {
@@ -192,15 +163,91 @@ struct shard_context {
   }
 };
 
-/// Mixin for processes that support two-phase sharded stepping. Enabling is
-/// a pure execution-strategy switch: all observable state (loads, flows,
-/// pools, RNG streams) evolves bit-identically to the sequential path.
+/// The single-threaded claim loop: runs the group bodies one after another
+/// on the caller, handing out chunk indices from a plain counter — group 0
+/// drains every chunk, later groups see the drain signal at once.
+[[nodiscard]] steal_runner serial_steal_runner();
+
+/// A context whose shards all run on the calling thread: a `shards`-way plan
+/// of `g`, a plain-loop runner and serial_steal_runner(). The barrier
+/// semantics without threads — what equivalence tests step under.
+[[nodiscard]] std::shared_ptr<const shard_context> serial_shard_context(
+    const graph& g, std::size_t shards);
+
+/// Wraps one claim group's loop: hook(group, drain) must call drain()
+/// exactly once; drain runs the chunks the group claims and returns the
+/// number of items they covered. Phase instrumentation hangs its per-group
+/// spans here.
+using group_hook = std::function<void(
+    std::size_t group, const std::function<std::size_t()>& drain)>;
+
+/// Runs fn(chunk, lo, hi) exactly once for every `grain`-sized chunk
+/// [lo, hi) of [0, count). With a context, its plan's num_shards() claim
+/// groups pull the chunks through ctx->steal; without one, every chunk runs
+/// on the caller in ascending order, as group 0. `hook` (optional) wraps
+/// each group's claim loop.
+void run_chunks(
+    const shard_context* ctx, std::size_t count, std::size_t grain,
+    const std::function<void(std::size_t chunk, std::size_t lo,
+                             std::size_t hi)>& fn,
+    const group_hook& hook = nullptr);
+
+/// The chunked reduce — the one way values cross shards. body(lo, hi)
+/// computes one value per chunk of run_chunks(ctx, count, grain), each into
+/// its own slot, and the caller folds the slots in ascending chunk order
+/// starting from `init`. The grouping is a pure function of (count, grain),
+/// so the result is identical at any shard count and without a context.
+/// Each chunk writes its slot once, never once per item, so shards cannot
+/// false-share an accumulator. A float total is only reproducible at a
+/// fixed grain (see blocked_sum); use phase_chunk_items for exact folds
+/// only.
+template <typename T, typename Body, typename Fold>
+[[nodiscard]] T chunked_reduce(const shard_context* ctx, std::size_t count,
+                               std::size_t grain, T init, const Body& body,
+                               const Fold& fold,
+                               const group_hook& hook = nullptr) {
+  static_assert(!std::is_same_v<T, bool>,
+                "use int: vector<bool> bit-packs, and concurrent per-chunk "
+                "slot writes to one word would race");
+  std::vector<T> slots(chunk_count(count, grain), init);
+  run_chunks(
+      ctx, count, grain,
+      [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        slots[c] = body(lo, hi);
+      },
+      hook);
+  T acc = init;
+  for (const T& v : slots) acc = fold(acc, v);
+  return acc;
+}
+
+/// Min and max load-per-speed over a range of nodes; the default value is
+/// the fold identity. Both folds are exact, so any chunk grouping yields
+/// the same bits as one scan over all nodes.
+struct load_extrema {
+  real_t lo = 1e300;
+  real_t hi = -1e300;
+
+  void add(real_t per_speed) {
+    lo = std::min(lo, per_speed);
+    hi = std::max(hi, per_speed);
+  }
+  [[nodiscard]] static load_extrema merge(const load_extrema& a,
+                                          const load_extrema& b) {
+    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+  }
+};
+
+/// Mixin for processes that support sharded stepping. Enabling is a pure
+/// execution-strategy switch: all observable state (loads, flows, pools, RNG
+/// streams) evolves bit-identically to the sequential path.
 class shardable {
  public:
   virtual ~shardable() = default;
 
   /// Switches step() to sharded execution. The context's plan must describe
-  /// this process's topology (node/edge counts are checked).
+  /// this process's topology (node/edge counts are checked) and it must
+  /// carry a steal runner.
   virtual void enable_sharded_stepping(
       std::shared_ptr<const shard_context> ctx) = 0;
 
@@ -208,21 +255,20 @@ class shardable {
   [[nodiscard]] virtual std::shared_ptr<const shard_context> sharding()
       const = 0;
 
-  /// Min/max load-per-speed over nodes [begin, end), folded into lo/hi (which
-  /// the caller seeds with +/-inf sentinels). Real loads, dummies eliminated —
-  /// the quantity the engine's per-round discrepancy metrics read.
-  virtual void real_load_extrema(node_id begin, node_id end, real_t& lo,
-                                 real_t& hi) const = 0;
+  /// Min/max load-per-speed over nodes [begin, end). Real loads, dummies
+  /// eliminated — the quantity the engine's per-round discrepancy reads.
+  [[nodiscard]] virtual load_extrema real_load_extrema(node_id begin,
+                                                       node_id end) const = 0;
 };
 
 /// The shared protocol base: implements the `shardable` plumbing once and
 /// gives derived processes the three phase primitives their step() is built
-/// from. With no context installed every phase runs over the full range on
-/// the calling thread; with one, each phase runs slice-by-slice (static
-/// plan slices or stolen chunks, per the context's exec mode) and the
-/// runner's completion is the barrier. Derived classes only have to uphold
-/// the phase purity rules in the header comment above — the "make your
-/// process shardable" guide in docs/ARCHITECTURE.md walks through a port.
+/// from. Every phase runs chunk by chunk through run_chunks — on the calling
+/// thread with no context installed, on the context's shards otherwise, the
+/// steal runner's return being the barrier. Derived classes only have to
+/// uphold the phase purity rules in the header comment above — the "make
+/// your process shardable" guide in docs/ARCHITECTURE.md walks through a
+/// port.
 class sharded_stepper : public shardable {
  public:
   void enable_sharded_stepping(
@@ -233,11 +279,11 @@ class sharded_stepper : public shardable {
   }
 
   /// Attaches an observability probe: every phase then emits one span per
-  /// shard (or per claim-loop group under work stealing — the span's shard
-  /// slot carries the group index, so barrier-wait share and skew stay
-  /// attributable) plus a barrier-wait span each, and bumps the probe's
-  /// metrics counters. Pure observation — stepping stays bit-identical
-  /// (obs/probe.hpp). A default probe detaches.
+  /// claim-loop group (the span's shard slot carries the group index, so
+  /// barrier-wait share and skew stay attributable), plus one barrier-wait
+  /// span per group when sharded, and bumps the probe's metrics counters.
+  /// Pure observation — stepping stays bit-identical (obs/probe.hpp). A
+  /// default probe detaches.
   void set_probe(const obs::probe& pb) {
     probe_ = pb;
     on_probe_attached(probe_);
@@ -278,77 +324,59 @@ class sharded_stepper : public shardable {
   /// fold incident edges in ascending edge-id order.
   void node_phase(const std::function<void(node_id, node_id)>& body) const;
 
-  /// Node phase folding one value per slice (shard or chunk) into an
-  /// order-independent reduction (integer sums, min/max, boolean OR — never
-  /// a float sum). `init` is the fold identity. Partial values are folded
-  /// in ascending slice order, but the grouping differs between execution
-  /// modes (per-shard slices vs per-chunk), so order independence is what
-  /// keeps static, stealing, and sequential results bit-equal.
+  /// Node phase folding one value per chunk through chunked_reduce — an
+  /// exact reduction (integer sums, min/max, boolean OR — never a float
+  /// sum: the phase grain is an execution knob, and retuning it would
+  /// regroup the sum). `init` is the fold identity.
   template <typename T, typename Fold>
   T node_phase_reduce(T init,
                       const std::function<T(node_id, node_id)>& body,
                       Fold fold) const {
-    static_assert(!std::is_same_v<T, bool>,
-                  "use int: vector<bool> bit-packs, and concurrent per-shard "
-                  "writes to one word would race");
-    if (shard_ == nullptr) {
-      const node_id n = shard_topology().num_nodes();
-      const phase_span span(*this, phase_kind::reduce,
-                            static_cast<std::size_t>(n));
-      return fold(init, body(0, n));
-    }
-    std::vector<T> parts(reduce_slots(), init);
-    for_each_slice(phase_kind::reduce,
-                   [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-                     parts[slot] = body(static_cast<node_id>(lo),
-                                        static_cast<node_id>(hi));
-                   });
-    T acc = init;
-    for (const T& part : parts) acc = fold(acc, part);
+    const auto n = static_cast<std::size_t>(shard_topology().num_nodes());
+    phase_probe pp(*this, phase_kind::reduce, n);
+    const T acc = chunked_reduce(
+        shard_.get(), n, phase_chunk_items, init,
+        [&](std::size_t lo, std::size_t hi) {
+          return body(static_cast<node_id>(lo), static_cast<node_id>(hi));
+        },
+        fold, pp.hook());
+    pp.done();
     return acc;
   }
 
  private:
-  /// Which primitive a slice run belongs to — selects the span names and
-  /// whether ranges cut edges or nodes.
+  /// Which primitive a phase is — selects the span names and whether the
+  /// phase's items are edges or nodes.
   enum class phase_kind { edge, node, reduce };
 
-  /// Shared sharded loop of the three phase primitives: runs slice(slot,
-  /// lo, hi) over the phase's range — one plan slice per shard (slot =
-  /// shard) under static_slices, one fixed-size chunk per call (slot =
-  /// chunk index) under work_stealing — emitting one phase span per shard
-  /// (or claim group) plus the per-shard barrier-wait spans and counter
-  /// bumps when a probe is attached. Requires shard_ != nullptr (the
-  /// sequential paths instrument inline via phase_span).
-  void for_each_slice(
-      phase_kind kind,
-      const std::function<void(std::size_t slot, std::size_t lo,
-                               std::size_t hi)>& slice) const;
-
-  /// Number of reduction slots the active mode produces for a node phase:
-  /// the shard count (static) or the chunk count of n (stealing) — the
-  /// latter a pure function of n, so the grouping never moves with the
-  /// shard count.
-  [[nodiscard]] std::size_t reduce_slots() const;
-
-  /// RAII instrumentation of a *sequential* full-range phase: no-op without
-  /// a probe, otherwise one span (shard 0) plus the counter bump. Lets the
-  /// node_phase_reduce template stay free of recorder details.
-  class phase_span {
+  /// Observation of one phase: hook() wraps each claim group in its span
+  /// (and counter sample); done(), called after the barrier, synthesizes
+  /// each group's barrier-wait span when sharded and bumps the phase
+  /// counters. Inert without a probe, so unobserved phases pay a few null
+  /// checks.
+  class phase_probe {
    public:
-    phase_span(const sharded_stepper& st, phase_kind kind,
-               std::size_t items) noexcept;
-    ~phase_span();
-    phase_span(const phase_span&) = delete;
-    phase_span& operator=(const phase_span&) = delete;
+    phase_probe(const sharded_stepper& st, phase_kind kind,
+                std::size_t items);
+
+    /// The group hook for run_chunks, or nullptr when nothing samples
+    /// per-group spans.
+    [[nodiscard]] group_hook hook();
+    void done() const;
 
    private:
     const sharded_stepper& st_;
     phase_kind kind_;
     std::size_t items_;
-    std::int64_t start_ns_ = 0;
-    obs::prof::hw_reading prof_start_;  // counters at phase entry (if prf)
+    // Each group's finish time, written once by the thread that ran it and
+    // read after the barrier.
+    std::vector<std::int64_t> end_ns_;
   };
+
+  /// Runs body(lo, hi) over the phase's chunks, observed by a phase_probe.
+  void run_phase(phase_kind kind, std::size_t items,
+                 const std::function<void(std::size_t, std::size_t)>& body)
+      const;
 
   std::shared_ptr<const shard_context> shard_;  // null → sequential stepping
   obs::probe probe_;  // default = observability off
@@ -379,20 +407,13 @@ bool try_attach_probe(Process& p, const obs::probe& pb) {
   return false;
 }
 
-/// Max-min discrepancy of `sh`'s real loads via a parallel per-shard min/max
-/// reduction. Exactly equal to max_min_discrepancy(real_loads, speeds):
-/// min/max folds are associative, so the shard grouping cannot change the
-/// result.
-[[nodiscard]] real_t sharded_max_min_discrepancy(const shardable& sh);
-
-/// Folds min/max load-per-speed over nodes [begin, end) into lo/hi — the
-/// shared body of the `real_load_extrema` overrides of processes whose real
-/// loads *are* their load vector (the baselines). Keeping the discrepancy
-/// convention in one place is what keeps the sharded and sequential metrics
-/// bit-equal across every process.
-void per_speed_extrema(const std::vector<weight_t>& loads,
-                       const std::vector<weight_t>& speeds, node_id begin,
-                       node_id end, real_t& lo, real_t& hi);
+/// Min/max load-per-speed over nodes [begin, end) — the shared body of the
+/// `real_load_extrema` overrides of processes whose real loads *are* their
+/// load vector (the baselines). Keeping the discrepancy convention in one
+/// place is what keeps the per-round metric bit-equal across every process.
+[[nodiscard]] load_extrema per_speed_extrema(
+    const std::vector<weight_t>& loads, const std::vector<weight_t>& speeds,
+    node_id begin, node_id end);
 
 /// Net inflow of node `i` under a per-edge signed send vector oriented u→v
 /// (+ = u sends v), folding incident edges in ascending edge-id order — the
@@ -403,15 +424,14 @@ void per_speed_extrema(const std::vector<weight_t>& loads,
 [[nodiscard]] weight_t signed_edge_inflow(
     const graph& g, const std::vector<weight_t>& edge_sent, node_id i);
 
-/// Deterministic blocked sum: partial sums over fixed-size blocks of x
-/// (left-to-right within a block), folded in block order. The grouping is a
-/// pure function of x.size() — never of the shard count — so the sequential
-/// overload and the sharded overload return *identical bits*, and vectors
-/// shorter than one block reproduce the plain left-to-right sum exactly.
-/// This is the one floating-point total the engine parallelizes (the
-/// is_balanced load sum at n ≈ 10^6 per probe round).
-[[nodiscard]] real_t blocked_sum(const std::vector<real_t>& x);
+/// Deterministic blocked sum: chunked_reduce over fixed 4096-element blocks
+/// of x (left-to-right within a block), folded in block order. The grouping
+/// is a pure function of x.size() — never of the shard count or of whether
+/// a context is given — so every call returns *identical bits*, and vectors
+/// of at most one block reproduce the plain left-to-right sum exactly. This
+/// is the one floating-point total the engine parallelizes (the is_balanced
+/// load sum at n ≈ 10^6 per probe round).
 [[nodiscard]] real_t blocked_sum(const std::vector<real_t>& x,
-                                 const shard_context& ctx);
+                                 const shard_context* ctx = nullptr);
 
 }  // namespace dlb

@@ -49,18 +49,16 @@ weight_t task_assignment::total_weight() const {
   return w;
 }
 
-void task_assignment::real_load_extrema(node_id begin, node_id end,
-                                        const std::vector<weight_t>& speeds,
-                                        real_t& lo, real_t& hi) const {
+load_extrema task_assignment::real_load_extrema(
+    node_id begin, node_id end, const std::vector<weight_t>& speeds) const {
   DLB_EXPECTS(begin >= 0 && begin <= end && end <= num_nodes());
   DLB_EXPECTS(static_cast<node_id>(speeds.size()) == num_nodes());
+  load_extrema e;
   for (node_id i = begin; i < end; ++i) {
-    const real_t per_speed =
-        static_cast<real_t>(pools_[static_cast<size_t>(i)].real_weight()) /
-        static_cast<real_t>(speeds[static_cast<size_t>(i)]);
-    lo = std::min(lo, per_speed);
-    hi = std::max(hi, per_speed);
+    e.add(static_cast<real_t>(pools_[static_cast<size_t>(i)].real_weight()) /
+          static_cast<real_t>(speeds[static_cast<size_t>(i)]));
   }
+  return e;
 }
 
 weight_t task_assignment::max_task_weight() const {

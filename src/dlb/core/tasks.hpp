@@ -10,6 +10,7 @@
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/types.hpp"
+#include "dlb/core/sharding.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
@@ -166,12 +167,11 @@ class task_assignment {
   /// assignment so that bounds like 2·d·w_max stay meaningful.
   [[nodiscard]] weight_t max_task_weight() const;
 
-  /// Folds min/max real-load-per-speed over nodes [begin, end) into lo/hi
-  /// (callers seed the sentinels). Lets sharded metric reductions scan the
-  /// pools directly instead of materializing an O(n) load vector per round.
-  void real_load_extrema(node_id begin, node_id end,
-                         const std::vector<weight_t>& speeds, real_t& lo,
-                         real_t& hi) const;
+  /// Min/max real-load-per-speed over nodes [begin, end). Lets the chunked
+  /// discrepancy reduction scan the pools directly instead of materializing
+  /// an O(n) load vector per round.
+  [[nodiscard]] load_extrema real_load_extrema(
+      node_id begin, node_id end, const std::vector<weight_t>& speeds) const;
 
   /// Checkpointing: every pool, in node order. restore_state requires the
   /// assignment to span the same node count it was saved with.

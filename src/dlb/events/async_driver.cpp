@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "dlb/common/contracts.hpp"
-#include "dlb/core/metrics.hpp"
-#include "dlb/core/sharding.hpp"
 #include "dlb/obs/metrics.hpp"
 #include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
@@ -182,17 +180,9 @@ async_result async_run::result() const {
   r.time_weighted_mean_max_min =
       weight_total_ > 0 ? weighted_sum_ / weight_total_ : 0;
 
-  // The loads vector is materialized once for the depth percentiles (which
-  // need the sorted distribution anyway); the final discrepancy reuses it
-  // when the process steps sequentially and takes the shard-exact reduction
-  // otherwise — both equal round_discrepancy's value bit-for-bit.
+  r.final_max_min = round_discrepancy(*d_);
+  // The depth percentiles need the sorted real-load distribution.
   std::vector<weight_t> loads = d_->real_loads();
-  if (const auto* sh = dynamic_cast<const shardable*>(d_);
-      sh != nullptr && sh->sharding() != nullptr) {
-    r.final_max_min = sharded_max_min_discrepancy(*sh);
-  } else {
-    r.final_max_min = max_min_discrepancy(loads, d_->speeds());
-  }
   std::sort(loads.begin(), loads.end());
   r.depth_p50 = percentile(loads, 0.50);
   r.depth_p90 = percentile(loads, 0.90);

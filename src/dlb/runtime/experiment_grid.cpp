@@ -58,7 +58,6 @@ std::unique_ptr<events::trace_source> make_cell_trace(const grid_spec& spec,
 }
 
 shard_rig make_shard_rig(const graph& g, unsigned shard_threads,
-                         shard_balance balance, shard_exec exec,
                          obs::recorder* rec, obs::prof::profiler* prf) {
   shard_rig rig;
   if (shard_threads <= 1) return rig;
@@ -70,12 +69,12 @@ shard_rig make_shard_rig(const graph& g, unsigned shard_threads,
   if (prf != nullptr) rig.pool->set_profiler(prf);
   thread_pool* pool = rig.pool.get();
   rig.ctx = std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shard_threads, balance),
+      shard_plan(g, shard_threads),
       [pool](std::size_t count,
              const std::function<void(std::size_t)>& body) {
         pool->parallel_for_each(count, body);
       },
-      exec,
+      shard_exec::work_stealing,
       [pool](std::size_t groups, std::size_t chunks,
              const std::function<void(std::size_t,
                                       const std::function<std::size_t()>&)>&
@@ -218,8 +217,7 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     return result;
   };
   const shard_rig rig =
-      make_shard_rig(*gc.g, spec.shard_threads, spec.cut_balance,
-                     spec.exec_mode, pb.rec, pb.prf);
+      make_shard_rig(*gc.g, spec.shard_threads, pb.rec, pb.prf);
   auto d = comp.build(gc.g, s, tokens, spec.comm_model, cell.seed);
   if (rig.ctx != nullptr) try_enable_sharding(*d, rig.ctx);
   if (pb.active()) try_attach_probe(*d, pb);

@@ -83,19 +83,6 @@ struct grid_spec {
   /// `--shard-threads` oversubscribes cores — pick one axis.
   unsigned shard_threads = 1;
 
-  /// What the shard plan's node cut balances (`--shard-balance`): node
-  /// counts (default) or incident-edge work — the right cut for skewed
-  /// degree distributions. Like shard_threads, a pure execution knob: rows
-  /// are byte-identical for either value.
-  shard_balance cut_balance = shard_balance::node_count;
-
-  /// How sharded phases distribute their ranges (`--shard-runner`): chunked
-  /// work stealing (default — irregular per-shard cost no longer parks fast
-  /// shards at the barrier) or the static one-slice-per-shard cut. Like the
-  /// other shard knobs, pure execution strategy: rows are byte-identical in
-  /// either mode.
-  shard_exec exec_mode = shard_exec::work_stealing;
-
   /// Observability (`--trace` / `--obs-summary`): non-owning trace recorder.
   /// When set, run_cell registers each cell with it, attaches a probe to the
   /// cell's process, shard pool, and engine drivers (per-shard phase spans,

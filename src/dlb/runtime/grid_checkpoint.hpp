@@ -9,8 +9,8 @@
 //
 // The file embeds a caller-built fingerprint of every setting that affects
 // row bytes (grids, seeds, sizes, traffic knobs — NOT --threads /
-// --shard-threads / --shard-balance / --format, which are execution
-// strategy); resuming under different settings fails with one line instead
+// --shard-threads / --format, which are execution strategy); resuming
+// under different settings fails with one line instead
 // of splicing rows from two different experiments.
 #pragma once
 

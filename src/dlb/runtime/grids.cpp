@@ -115,8 +115,6 @@ grid_spec base_spec(const grid_options& opts, std::uint64_t master_seed,
   // competitor (and the T^A probe) steps through the shared protocol, so
   // any grid can take --shard-threads with byte-identical rows.
   spec.shard_threads = opts.shard_threads;
-  spec.cut_balance = opts.shard_cut;
-  spec.exec_mode = opts.shard_runner;
   return spec;
 }
 
@@ -216,8 +214,6 @@ grid_spec scaling_n_grid(const grid_options& opts, std::uint64_t master) {
   spec.repeats = opts.repeats;
   spec.spike_per_node = opts.spike_per_node;
   spec.shard_threads = opts.shard_threads;
-  spec.cut_balance = opts.shard_cut;
-  spec.exec_mode = opts.shard_runner;
   const std::uint64_t gseed = derive_seed(master, graph_seed_stream);
   for (const char* family : {"arbitrary", "expander", "hypercube", "torus"}) {
     std::string last;
@@ -246,8 +242,6 @@ grid_spec scaling_d_grid(const grid_options& opts, std::uint64_t /*master*/) {
   spec.repeats = opts.repeats;
   spec.spike_per_node = opts.spike_per_node;
   spec.shard_threads = opts.shard_threads;
-  spec.cut_balance = opts.shard_cut;
-  spec.exec_mode = opts.shard_runner;
   const int max_dim = std::max(3, hypercube_dim(opts.target_n));
   for (int dim = 3; dim <= max_dim; ++dim) {
     spec.graphs.push_back(
@@ -816,8 +810,6 @@ grid_spec huge_uniform_grid(const grid_options& opts,
   spec.view = table_view::mean_discrepancy;
   spec.comm_model = workload::model::diffusion;
   spec.shard_threads = opts.shard_threads;
-  spec.cut_balance = opts.shard_cut;
-  spec.exec_mode = opts.shard_runner;
   spec.dynamic_rounds = opts.dynamic_rounds;
   spec.arrivals_per_round = opts.arrivals_per_round;
   spec.spike_per_node = opts.spike_per_node;
@@ -879,8 +871,6 @@ grid_spec huge_static_grid(const grid_options& opts, std::uint64_t master) {
   grid_spec spec;
   spec.comm_model = workload::model::diffusion;
   spec.shard_threads = opts.shard_threads;
-  spec.cut_balance = opts.shard_cut;
-  spec.exec_mode = opts.shard_runner;
   spec.spike_per_node = opts.spike_per_node;
   spec.repeats = opts.repeats;
   spec.processes = workload::standard_competitors(/*diffusion_model=*/true);

@@ -53,14 +53,6 @@ struct grid_options {
   /// the shared sharding protocol — and rows are byte-identical for any
   /// value. (Study grids with custom cell bodies ignore it.)
   unsigned shard_threads = 1;
-  /// Node-cut balance of the shard plan (`--shard-balance`): node counts
-  /// (default) or incident-edge work for skewed degree distributions. Rows
-  /// are byte-identical for either value.
-  shard_balance shard_cut = shard_balance::node_count;
-  /// Phase execution mode (`--shard-runner`): chunked work stealing
-  /// (default) or static one-slice-per-shard. Byte-identical rows either
-  /// way.
-  shard_exec shard_runner = shard_exec::work_stealing;
 };
 
 /// Name + one-line description of a registered grid.

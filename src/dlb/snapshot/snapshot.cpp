@@ -191,7 +191,9 @@ reader reader::from_file(const std::string& path) {
 }
 
 void reader::need(std::size_t bytes) const {
-  if (pos_ + bytes > buf_.size()) {
+  // pos_ never exceeds the payload, so the subtraction cannot wrap — unlike
+  // pos_ + bytes for a hostile length field near 2^64.
+  if (bytes > buf_.size() - pos_) {
     fail("payload exhausted (needed " + std::to_string(bytes) +
          " more bytes at offset " + std::to_string(pos_) + ")");
   }
@@ -221,6 +223,14 @@ std::uint64_t reader::raw_u64() {
 std::uint64_t reader::begin_vec(field_tag t) {
   expect_tag(t);
   const std::uint64_t count = raw_u64();
+  // Every element is 8 payload bytes: a count the rest of the payload
+  // cannot hold is corrupt, and must fail before anything is sized by it.
+  const std::size_t left = buf_.size() - pos_;
+  if (count > left / 8) {
+    fail("vector of " + std::to_string(count) + " elements at offset " +
+         std::to_string(pos_) + " exceeds the " + std::to_string(left) +
+         " payload bytes left");
+  }
   return count;
 }
 

@@ -51,6 +51,12 @@ std::shared_ptr<const shard_context> pool_context(const graph& g,
       [&pool](std::size_t count,
               const std::function<void(std::size_t)>& body) {
         pool.parallel_for_each(count, body);
+      },
+      shard_exec::work_stealing,
+      [&pool](std::size_t groups, std::size_t chunks,
+              const std::function<void(
+                  std::size_t, const std::function<std::size_t()>&)>& body) {
+        pool.steal_loop(groups, chunks, body);
       }});
 }
 
@@ -242,7 +248,7 @@ TEST(ConcurrencyStressTest, BlockedSumStableAcrossContendedShardCounts) {
     runtime::thread_pool pool(shards);
     const auto ctx = pool_context(*g, shards, pool);
     for (int r = 0; r < 10; ++r) {
-      const real_t got = blocked_sum(x, *ctx);
+      const real_t got = blocked_sum(x, ctx.get());
       ASSERT_EQ(got, want) << shards << " shards, iteration " << r;
     }
   }

@@ -480,15 +480,6 @@ void expect_same_result(const async_result& got, const async_result& want) {
   EXPECT_EQ(gs.final_max_min, ws.final_max_min);
 }
 
-std::shared_ptr<const shard_context> serial_context(const graph& g,
-                                                    std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
-}
-
 std::vector<std::unique_ptr<events::event_source>> poisson_sources() {
   std::vector<std::unique_ptr<events::event_source>> sources;
   sources.push_back(std::make_unique<events::poisson_source>(
@@ -510,7 +501,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
   for (const std::size_t shards : {1u, 8u}) {
     algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
     if (shards > 1) {
-      ASSERT_TRUE(try_enable_sharding(ref_p, serial_context(*g, shards)));
+      ASSERT_TRUE(try_enable_sharding(ref_p, serial_shard_context(*g, shards)));
     }
     async_run reference(ref_p, poisson_sources(), opts);
     reference.advance();
@@ -522,7 +513,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
       // must still produce the full run.
       algorithm1 doomed_p(fos_on(g), task_assignment::tokens(tokens));
       if (shards > 1) {
-        try_enable_sharding(doomed_p, serial_context(*g, shards));
+        try_enable_sharding(doomed_p, serial_shard_context(*g, shards));
       }
       async_run doomed(doomed_p, poisson_sources(), opts);
       if (r > 0) doomed.advance({.max_rounds = r});
@@ -534,7 +525,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
       // from the snapshot payload alone.
       algorithm1 resumed_p(fos_on(g), task_assignment::tokens(tokens));
       if (shards > 1) {
-        try_enable_sharding(resumed_p, serial_context(*g, shards));
+        try_enable_sharding(resumed_p, serial_shard_context(*g, shards));
       }
       async_run resumed(resumed_p, poisson_sources(), opts);
       snapshot::reader rd(w.payload());

@@ -1,9 +1,9 @@
 // Seeds [atomic-claim] violations.  A consumed fetch_add/fetch_sub result
 // is a hand-rolled dynamic work claim: which thread observes which value
 // depends on the schedule, so any algorithmic state derived from it is
-// nondeterministic.  Dynamic claiming must go through the two blessed claim
-// loops (core/sharding.cpp, runtime/thread_pool.cpp), which scope the value
-// to pure execution (chunk identity) and publish nothing
+// nondeterministic.  Dynamic claiming must go through the one blessed claim
+// site (runtime/thread_pool.cpp, reached via run_chunks), which scopes the
+// value to pure execution (chunk identity) and publishes nothing
 // schedule-dependent.  Statement-form fetches — counter bumps whose result
 // is discarded — stay legal everywhere, as the last function shows.
 #include <atomic>

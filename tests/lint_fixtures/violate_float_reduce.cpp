@@ -1,6 +1,7 @@
-// Seeds [float-reduce] violations: float totals folded across shards.  The
-// shard count must never regroup a floating-point sum — totals route
-// through blocked_sum (grouping a pure function of the vector length),
+// Seeds [float-reduce] violations: float totals folded at the phase grain.
+// A float total is legal only at a fixed grain — the phase grain is an
+// execution knob, and retuning it would regroup the sum — so totals route
+// through blocked_sum (its 4096-element grain is part of the bit contract),
 // extrema through real_load_extrema.
 #include <numeric>
 #include <vector>
@@ -22,8 +23,9 @@ struct stepper {
 
   std::vector<real_t> loads_ = {1.0, 2.0, 3.0, 4.0};
 
-  // Explicit float instantiation of the reduction: the per-shard partials
-  // would be regrouped by the fold, so bits depend on the shard count.
+  // Explicit float instantiation of the reduction: the per-chunk partials
+  // are grouped at the phase grain, so bits would depend on an execution
+  // knob.
   real_t total_load_direct() {
     return node_phase_reduce<real_t>(  // expect: float-reduce
         0.0,

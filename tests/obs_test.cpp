@@ -35,15 +35,6 @@ std::shared_ptr<const graph> make_g(graph g) {
   return std::make_shared<const graph>(std::move(g));
 }
 
-std::shared_ptr<const shard_context> serial_context(const graph& g,
-                                                    std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
-}
-
 runtime::grid_options tiny_options(unsigned shard_threads) {
   runtime::grid_options opts;
   opts.target_n = 24;
@@ -118,7 +109,7 @@ TEST(ObsSpanTest, ShardedPhasesEmitPerShardAndBarrierSpans) {
   const auto tokens = workload::spike_workload(*g, s, 20);
   algorithm1 p(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
                task_assignment::tokens(tokens));
-  p.enable_sharded_stepping(serial_context(*g, 4));
+  p.enable_sharded_stepping(serial_shard_context(*g, 4));
 
   obs::recorder rec;
   obs::metrics met;
@@ -154,7 +145,7 @@ TEST(ObsSpanTest, SpanNestingIsWellFormedPerThread) {
   const auto tokens = workload::spike_workload(*g, s, 15);
   algorithm1 p(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
                task_assignment::tokens(tokens));
-  p.enable_sharded_stepping(serial_context(*g, 3));
+  p.enable_sharded_stepping(serial_shard_context(*g, 3));
   obs::recorder rec;
   p.set_probe(obs::probe{&rec, nullptr, obs::no_cell});
   for (int t = 0; t < 20; ++t) p.step();
@@ -240,7 +231,7 @@ TEST(ObsCountersTest, CountersAreShardCountIndependent) {
 
   const auto run = [&](std::size_t shards) {
     algorithm1 p(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-    if (shards > 1) p.enable_sharded_stepping(serial_context(*g, shards));
+    if (shards > 1) p.enable_sharded_stepping(serial_shard_context(*g, shards));
     obs::metrics met;
     try_attach_probe(p, obs::probe{nullptr, &met, obs::no_cell});
     for (int t = 0; t < 25; ++t) p.step();

@@ -158,15 +158,6 @@ TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
 
 // ------------------------------------------------------------ skew analysis
 
-std::shared_ptr<const shard_context> serial_context(const graph& g,
-                                                    std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
-}
-
 TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
   const auto g =
       std::make_shared<const graph>(generators::ring_of_cliques(4, 5));
@@ -174,7 +165,7 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
   const auto tokens = workload::spike_workload(*g, s, 20);
   algorithm1 p(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
                task_assignment::tokens(tokens));
-  p.enable_sharded_stepping(serial_context(*g, 4));
+  p.enable_sharded_stepping(serial_shard_context(*g, 4));
 
   obs::recorder rec;
   obs::prof::profiler pf;

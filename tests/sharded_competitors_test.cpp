@@ -3,10 +3,11 @@
 // must step bit-identically at shard counts {1, 2, 8}, including pool
 // contents and RNG-driven decisions (counter-based streams make a draw a
 // pure function of (seed, entity, round), never of visit order). Plus the
-// shared-plan machinery itself: degree-weighted cuts, zero-edge/overshard
-// edge cases, the blocked load sum, and the sharded T^A probe.
+// shared-plan machinery itself: zero-edge/overshard edge cases, the blocked
+// load sum, and the sharded T^A probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,16 +32,6 @@ namespace {
 
 std::shared_ptr<const graph> make_g(graph g) {
   return std::make_shared<const graph>(std::move(g));
-}
-
-std::shared_ptr<const shard_context> serial_context(
-    const graph& g, std::size_t shards,
-    shard_balance balance = shard_balance::node_count) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards, balance),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
 }
 
 // ---------------------------------------------------------- the six rows
@@ -127,7 +118,7 @@ TEST_P(ShardedCompetitorsTest, BitIdenticalAtShardCounts128) {
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const auto sharded = GetParam().build(g, s, tokens, seed);
-    ASSERT_TRUE(try_enable_sharding(*sharded, serial_context(*g, shards)))
+    ASSERT_TRUE(try_enable_sharding(*sharded, serial_shard_context(*g, shards)))
         << GetParam().name << " is not shardable";
     std::size_t checkpoint = 0;
     for (int t = 0; t < 40; ++t) {
@@ -154,7 +145,7 @@ TEST_P(ShardedCompetitorsTest, EveryRoundMatchesAtFiveShards) {
 
   const auto reference = GetParam().build(g, s, tokens, seed);
   const auto sharded = GetParam().build(g, s, tokens, seed);
-  ASSERT_TRUE(try_enable_sharding(*sharded, serial_context(*g, 5)));
+  ASSERT_TRUE(try_enable_sharding(*sharded, serial_shard_context(*g, 5)));
   for (int t = 0; t < 30; ++t) {
     reference->step();
     sharded->step();
@@ -181,7 +172,7 @@ TEST(ShardedCompetitorsDetailTest, Algorithm2DummyResidencyMatches) {
 
   algorithm2 reference(make_fos(g, s, alpha), tokens, /*seed=*/3);
   algorithm2 sharded(make_fos(g, s, alpha), tokens, /*seed=*/3);
-  sharded.enable_sharded_stepping(serial_context(*g, 4));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 4));
   for (int t = 0; t < 60; ++t) {
     reference.step();
     sharded.step();
@@ -210,7 +201,7 @@ TEST(ShardedCompetitorsDetailTest, RandomWalkWalkersMatch) {
   random_walk_balancer sharded(g, s, alpha, tokens, /*seed=*/5,
                                {.phase1_rounds = 5, .slack = 1,
                                 .laziness = 0.5});
-  sharded.enable_sharded_stepping(serial_context(*g, 8));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 8));
   for (int t = 0; t < 80; ++t) {
     reference.step();
     sharded.step();
@@ -231,7 +222,7 @@ TEST(ShardedBalanceProbeTest, IsBalancedEqualsSequentialEveryRound) {
 
   auto sequential = make_fos(g, s, alpha);
   auto sharded = make_fos(g, s, alpha);
-  sharded->enable_sharded_stepping(serial_context(*g, 7));
+  sharded->enable_sharded_stepping(serial_shard_context(*g, 7));
   sequential->reset(x0);
   sharded->reset(x0);
   for (int t = 0; t < 400; ++t) {
@@ -255,7 +246,7 @@ TEST(ShardedBalanceProbeTest, MeasureBalancingTimeMatchesSequential) {
 
   for (const std::size_t shards : {2u, 8u}) {
     auto sharded = make_fos(g, s, alpha);
-    sharded->enable_sharded_stepping(serial_context(*g, shards));
+    sharded->enable_sharded_stepping(serial_shard_context(*g, shards));
     const auto got = measure_balancing_time(*sharded, x0, 100'000);
     EXPECT_EQ(got.rounds, expected.rounds) << "shards=" << shards;
     EXPECT_EQ(got.converged, expected.converged);
@@ -264,16 +255,30 @@ TEST(ShardedBalanceProbeTest, MeasureBalancingTimeMatchesSequential) {
 
 TEST(BlockedSumTest, ShardedGroupingMatchesSequentialExactly) {
   // Values with non-associative float structure: regrouping would move bits.
-  std::vector<real_t> x;
+  // The expected value is the 4096-element grouping spelled out — left to
+  // right inside a block, blocks folded in order — at lengths around the
+  // block edges, and blocked_sum must equal it with or without a context.
   rng_t rng = make_rng(11);
-  for (int i = 0; i < 20'000; ++i) {
-    x.push_back(uniform_real(rng, -1e6, 1e6) / 3.0);
-  }
-  const real_t sequential = blocked_sum(x);
   const auto g = generators::cycle(64);
-  for (const std::size_t shards : {2u, 3u, 8u, 64u}) {
-    const auto ctx = serial_context(g, shards);
-    EXPECT_EQ(blocked_sum(x, *ctx), sequential) << "shards=" << shards;
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4096}, std::size_t{4097},
+        std::size_t{3 * 4096 + 5}, std::size_t{20'000}}) {
+    std::vector<real_t> x;
+    for (std::size_t i = 0; i < len; ++i) {
+      x.push_back(uniform_real(rng, -1e6, 1e6) / 3.0);
+    }
+    real_t expected = 0;
+    for (std::size_t b = 0; b < len; b += 4096) {
+      real_t block = 0;
+      for (std::size_t i = b; i < std::min(len, b + 4096); ++i) block += x[i];
+      expected += block;
+    }
+    EXPECT_EQ(blocked_sum(x), expected) << "len=" << len;
+    for (const std::size_t shards : {1u, 2u, 3u, 8u, 64u}) {
+      const auto ctx = serial_shard_context(g, shards);
+      EXPECT_EQ(blocked_sum(x, ctx.get()), expected)
+          << "len=" << len << " shards=" << shards;
+    }
   }
 }
 
@@ -288,74 +293,33 @@ TEST(BlockedSumTest, ShortVectorsAreThePlainLeftToRightSum) {
   EXPECT_EQ(blocked_sum(x), plain);
 }
 
-// ------------------------------------------------- plan cuts & edge cases
+// ------------------------------------------------------ plan edge cases
 
-TEST(ShardPlanCutsTest, DegreeWeightedCutIsolatesTheHub) {
-  // star: node 0 carries half the incident degree; the edge-balanced cut
-  // must not lump it with a quarter of the leaves like the count cut does.
-  const auto g = generators::star(33);
-  const shard_plan plan(g, 4, shard_balance::incident_edges);
-  ASSERT_EQ(plan.num_shards(), 4u);
-  EXPECT_EQ(plan.node_begin(0), 0);
-  EXPECT_EQ(plan.node_end(0), 1) << "hub should fill its shard alone";
-  EXPECT_EQ(plan.node_end(plan.num_shards() - 1), g.num_nodes());
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    EXPECT_LT(plan.node_begin(s), plan.node_end(s)) << "empty node shard";
-    if (s + 1 < plan.num_shards()) {
-      EXPECT_EQ(plan.node_end(s), plan.node_begin(s + 1));
-    }
-  }
-}
-
-TEST(ShardPlanCutsTest, DegreeWeightedResultsEqualUniformResults) {
-  const auto g = make_g(generators::star(25));
-  const speed_vector s = uniform_speeds(g->num_nodes());
-  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
-  const auto tokens = workload::spike_workload(*g, s, 10);
-
-  algorithm1 reference(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  algorithm1 uniform_cut(make_fos(g, s, alpha),
-                         task_assignment::tokens(tokens));
-  algorithm1 degree_cut(make_fos(g, s, alpha),
-                        task_assignment::tokens(tokens));
-  uniform_cut.enable_sharded_stepping(
-      serial_context(*g, 4, shard_balance::node_count));
-  degree_cut.enable_sharded_stepping(
-      serial_context(*g, 4, shard_balance::incident_edges));
-  for (int t = 0; t < 30; ++t) {
-    reference.step();
-    uniform_cut.step();
-    degree_cut.step();
-    ASSERT_EQ(uniform_cut.loads(), reference.loads()) << "round " << t;
-    ASSERT_EQ(degree_cut.loads(), reference.loads()) << "round " << t;
-  }
-}
-
-TEST(ShardPlanCutsTest, ParsesBalanceNames) {
-  EXPECT_EQ(parse_shard_balance("nodes"), shard_balance::node_count);
-  EXPECT_EQ(parse_shard_balance("edges"), shard_balance::incident_edges);
-  EXPECT_THROW((void)parse_shard_balance("degree"), contract_violation);
-}
-
-TEST(ShardPlanEdgeCasesTest, ZeroEdgeGraphKeepsEveryShardInTheBarrier) {
+TEST(ShardPlanEdgeCasesTest, ZeroEdgeGraphStillRunsTheBarrier) {
   const graph g(6, {});
-  for (const shard_balance b :
-       {shard_balance::node_count, shard_balance::incident_edges}) {
-    const shard_plan plan(g, 4, b);
-    ASSERT_EQ(plan.num_shards(), 4u);
-    EXPECT_EQ(plan.node_end(3), 6);
-    std::size_t barriers = 0;
-    const shard_context ctx{
-        plan, [&](std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-          for (std::size_t i = 0; i < count; ++i) body(i);
-          ++barriers;
-        }};
-    ctx.for_each_shard([&](std::size_t s) {
-      EXPECT_EQ(plan.edge_begin(s), plan.edge_end(s));
-    });
-    EXPECT_EQ(barriers, 1u) << "the phase barrier must still run";
+  const shard_plan plan(g, 4);
+  ASSERT_EQ(plan.num_shards(), 4u);
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    EXPECT_EQ(plan.edge_begin(s), plan.edge_end(s));
   }
+  std::size_t barriers = 0;
+  const steal_runner serial = serial_steal_runner();
+  const shard_context ctx{
+      plan, nullptr, shard_exec::work_stealing,
+      [&](std::size_t groups, std::size_t chunks,
+          const std::function<void(
+              std::size_t, const std::function<std::size_t()>&)>& body) {
+        serial(groups, chunks, body);
+        ++barriers;
+      }};
+  std::size_t chunks_run = 0;
+  run_chunks(&ctx, 0, phase_chunk_items,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               EXPECT_EQ(lo, hi);
+               ++chunks_run;
+             });
+  EXPECT_EQ(barriers, 1u) << "the phase barrier must still run";
+  EXPECT_EQ(chunks_run, 1u) << "an empty range is one empty chunk";
 }
 
 TEST(ShardPlanEdgeCasesTest, MoreShardsThanEdgesIsFine) {
@@ -370,7 +334,7 @@ TEST(ShardPlanEdgeCasesTest, MoreShardsThanEdgesIsFine) {
   const auto tokens = workload::point_mass(g->num_nodes(), 0, 100);
   algorithm1 reference(make_fos(g, s, alpha), task_assignment::tokens(tokens));
   algorithm1 sharded(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  sharded.enable_sharded_stepping(serial_context(*g, 8));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 8));
   for (int t = 0; t < 20; ++t) {
     reference.step();
     sharded.step();
@@ -382,8 +346,18 @@ TEST(ShardPlanEdgeCasesTest, SingleNodeGraphClampsToOneShard) {
   const graph g(1, {});
   const shard_plan plan(g, 8);
   EXPECT_EQ(plan.num_shards(), 1u);
-  EXPECT_EQ(plan.node_begin(0), 0);
-  EXPECT_EQ(plan.node_end(0), 1);
+}
+
+TEST(ShardPlanEdgeCasesTest, ContextWithoutAStealRunnerIsRejected) {
+  const auto g = make_g(generators::path(5));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  algorithm1 p(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
+               task_assignment::tokens(workload::point_mass(5, 0, 10)));
+  EXPECT_THROW(
+      p.enable_sharded_stepping(std::make_shared<const shard_context>(
+          shard_context{shard_plan(*g, 2), nullptr, shard_exec::work_stealing,
+                        nullptr})),
+      contract_violation);
 }
 
 }  // namespace

@@ -29,34 +29,19 @@ std::shared_ptr<const graph> make_g(graph g) {
   return std::make_shared<const graph>(std::move(g));
 }
 
-/// Serial runner: the barrier semantics without threads. Determinism must
-/// not depend on the runner, so most equivalence tests use this; the
-/// grid-level test below exercises real thread pools.
-std::shared_ptr<const shard_context> serial_context(const graph& g,
-                                                    std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
-}
-
-TEST(ShardPlanTest, PartitionsNodesAndEdgesContiguously) {
+// Most equivalence tests step under serial_shard_context — the barrier
+// semantics without threads; determinism must not depend on the runner. The
+// grid-level test below exercises real thread pools.
+TEST(ShardPlanTest, PartitionsEdgesContiguously) {
   const auto g = generators::torus_2d(6);
   for (const std::size_t shards : {1u, 2u, 3u, 5u, 8u}) {
     const shard_plan plan(g, shards);
     ASSERT_GE(plan.num_shards(), 1u);
     ASSERT_LE(plan.num_shards(), shards);
-    EXPECT_EQ(plan.node_begin(0), 0);
-    EXPECT_EQ(plan.node_end(plan.num_shards() - 1), g.num_nodes());
     EXPECT_EQ(plan.edge_begin(0), 0);
     EXPECT_EQ(plan.edge_end(plan.num_shards() - 1), g.num_edges());
-    for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-      EXPECT_LT(plan.node_begin(s), plan.node_end(s)) << "empty node shard";
-      if (s + 1 < plan.num_shards()) {
-        EXPECT_EQ(plan.node_end(s), plan.node_begin(s + 1));
-        EXPECT_EQ(plan.edge_end(s), plan.edge_begin(s + 1));
-      }
+    for (std::size_t s = 0; s + 1 < plan.num_shards(); ++s) {
+      EXPECT_EQ(plan.edge_end(s), plan.edge_begin(s + 1));
     }
   }
 }
@@ -82,7 +67,7 @@ TEST(ShardedLinearProcessTest, BitIdenticalToSequentialForAnyShardCount) {
 
     for (const std::size_t shards : {2u, 3u, 8u}) {
       auto sharded = make_sos(g, s, alpha, beta);
-      sharded->enable_sharded_stepping(serial_context(*g, shards));
+      sharded->enable_sharded_stepping(serial_shard_context(*g, shards));
       sharded->reset(x0);
       for (int t = 0; t < 60; ++t) sharded->step();
 
@@ -111,7 +96,7 @@ TEST(ShardedAlgorithm1Test, BitIdenticalRoundsAndPools) {
 
   for (const std::size_t shards : {2u, 5u, 8u}) {
     algorithm1 sharded(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-    sharded.enable_sharded_stepping(serial_context(*g, shards));
+    sharded.enable_sharded_stepping(serial_shard_context(*g, shards));
     for (int t = 0; t < 40; ++t) sharded.step();
 
     EXPECT_EQ(sharded.loads(), reference.loads()) << "shards=" << shards;
@@ -147,7 +132,7 @@ TEST(ShardedAlgorithm1Test, DummyMintingMatchesSequential) {
                        task_assignment::tokens(tokens));
   algorithm1 sharded(make_sos(g, s, alpha, 1.95),
                      task_assignment::tokens(tokens));
-  sharded.enable_sharded_stepping(serial_context(*g, 4));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 4));
   for (int t = 0; t < 80; ++t) {
     reference.step();
     sharded.step();
@@ -169,7 +154,7 @@ TEST(ShardedEngineTest, RunExperimentMatchesSequential) {
       run_experiment(sequential, sequential.continuous(), /*cap=*/100'000);
 
   algorithm1 sharded(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  sharded.enable_sharded_stepping(serial_context(*g, 3));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 3));
   const auto got =
       run_experiment(sharded, sharded.continuous(), /*cap=*/100'000);
 
@@ -194,7 +179,7 @@ TEST(ShardedEngineTest, RunDynamicMetricsMatchSequential) {
   const auto expected = run_dynamic(sequential, sched, /*rounds=*/120);
 
   algorithm1 sharded(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  sharded.enable_sharded_stepping(serial_context(*g, 5));
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 5));
   const auto got = run_dynamic(sharded, sched, /*rounds=*/120);
 
   EXPECT_EQ(got.total_arrived, expected.total_arrived);
@@ -205,19 +190,16 @@ TEST(ShardedEngineTest, RunDynamicMetricsMatchSequential) {
 
 // End-to-end acceptance shape: every cell of the huge grids — the *full*
 // competitor set, including the randomized baselines and the T^A probe of
-// huge-static — serializes to the same bytes at shard_threads 1, 2, and 8,
-// for both node-count and degree-weighted cuts. Real thread pools, real
-// grid drivers, wall_ns masked.
+// huge-static — serializes to the same bytes at shard_threads 1, 2, and 8.
+// Real thread pools, real grid drivers, wall_ns masked.
 struct shard_rig_case {
   const char* grid;
   unsigned shard_threads;
-  shard_balance balance;
 };
 
 class HugeGridShardsTest : public ::testing::TestWithParam<shard_rig_case> {};
 
-std::string huge_grid_bytes(const std::string& grid, unsigned shard_threads,
-                            shard_balance balance) {
+std::string huge_grid_bytes(const std::string& grid, unsigned shard_threads) {
   runtime::grid_options opts;
   opts.target_n = 32;
   opts.dynamic_rounds = 30;
@@ -225,7 +207,6 @@ std::string huge_grid_bytes(const std::string& grid, unsigned shard_threads,
   opts.spike_per_node = 4;
   opts.repeats = 2;
   opts.shard_threads = shard_threads;
-  opts.shard_cut = balance;
   const runtime::grid_spec spec =
       runtime::make_named_grid(grid, opts, /*master_seed=*/123);
   runtime::thread_pool pool(2);
@@ -236,29 +217,21 @@ std::string huge_grid_bytes(const std::string& grid, unsigned shard_threads,
 }
 
 TEST_P(HugeGridShardsTest, RowsByteIdenticalToSequential) {
-  const std::string sequential =
-      huge_grid_bytes(GetParam().grid, 1, shard_balance::node_count);
+  const std::string sequential = huge_grid_bytes(GetParam().grid, 1);
   ASSERT_FALSE(sequential.empty());
-  EXPECT_EQ(huge_grid_bytes(GetParam().grid, GetParam().shard_threads,
-                            GetParam().balance),
+  EXPECT_EQ(huge_grid_bytes(GetParam().grid, GetParam().shard_threads),
             sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ShardRigs, HugeGridShardsTest,
-    ::testing::Values(
-        shard_rig_case{"huge-uniform", 2, shard_balance::node_count},
-        shard_rig_case{"huge-uniform", 8, shard_balance::node_count},
-        shard_rig_case{"huge-uniform", 8, shard_balance::incident_edges},
-        shard_rig_case{"huge-static", 2, shard_balance::node_count},
-        shard_rig_case{"huge-static", 8, shard_balance::node_count},
-        shard_rig_case{"huge-static", 8, shard_balance::incident_edges}),
+    ::testing::Values(shard_rig_case{"huge-uniform", 2},
+                      shard_rig_case{"huge-uniform", 8},
+                      shard_rig_case{"huge-static", 2},
+                      shard_rig_case{"huge-static", 8}),
     [](const ::testing::TestParamInfo<shard_rig_case>& tpi) {
       std::string name = tpi.param.grid;
       name += "_threads_" + std::to_string(tpi.param.shard_threads);
-      if (tpi.param.balance == shard_balance::incident_edges) {
-        name += "_degree_cut";
-      }
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

@@ -1,6 +1,7 @@
 // dlb::snapshot — the byte-exactness contract, attacked from every angle:
-// the wire format (golden header bytes, truncation, bit flips, a committed
-// golden fixture), the engine's file-level checkpoint entry points, and the
+// the wire format (golden header bytes, truncation, bit flips, hostile
+// length fields under a valid checksum, a committed golden fixture), the
+// engine's file-level checkpoint entry points, and the
 // crash-at-every-round property — every competitor, snapshotted after each
 // round r of a run with mid-stream arrivals, restored into a *fresh*
 // process, must finish with bit-identical state (loads, real loads, dummy
@@ -34,15 +35,6 @@ namespace {
 
 std::shared_ptr<const graph> make_g(graph g) {
   return std::make_shared<const graph>(std::move(g));
-}
-
-std::shared_ptr<const shard_context> serial_context(const graph& g,
-                                                    std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      }});
 }
 
 /// The complete save_state payload — the strongest equality there is: two
@@ -160,6 +152,70 @@ TEST(SnapshotFormatTest, TagAndSectionMismatchesNameTheDrift) {
   snapshot::reader wrong_guard = snapshot::reader::from_bytes(w.framed());
   wrong_guard.expect_section("ledger");
   EXPECT_THROW(wrong_guard.expect_u64(4, "node count"), contract_violation);
+}
+
+/// `framed` with the u64 at payload offset `at` replaced by `v` and the
+/// checksum recomputed: a hostile length field that passes every frame
+/// check, so only the reader's own bounds can stop it.
+std::vector<std::uint8_t> with_payload_u64(std::vector<std::uint8_t> framed,
+                                           std::size_t at, std::uint64_t v) {
+  constexpr std::size_t header = 28;  // magic, version, size, checksum
+  for (std::size_t b = 0; b < 8; ++b) {
+    framed[header + at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+  }
+  const std::uint64_t sum =
+      snapshot::fnv1a(framed.data() + header, framed.size() - header);
+  for (std::size_t b = 0; b < 8; ++b) {
+    framed[20 + b] = static_cast<std::uint8_t>(sum >> (8 * b));
+  }
+  return framed;
+}
+
+void expect_one_line_violation(const std::function<void()>& read,
+                               const std::string& what) {
+  try {
+    read();
+    FAIL() << what << " must not parse";
+  } catch (const contract_violation& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    EXPECT_EQ(msg.rfind("snapshot: ", 0), 0u) << msg;
+  }
+}
+
+TEST(SnapshotFormatTest, HostileLengthFieldsFailWithOneLine) {
+  // Payload offset 1 is the length right after the first field's tag byte.
+  constexpr std::uint64_t huge_count = std::uint64_t{1} << 60;
+  constexpr std::uint64_t max_len = ~std::uint64_t{0};
+  snapshot::writer floats;
+  floats.vec_f64({1.0, 2.0});
+  const auto floats_bomb = with_payload_u64(floats.framed(), 1, huge_count);
+  expect_one_line_violation(
+      [&] { (void)snapshot::reader::from_bytes(floats_bomb).vec_f64(); },
+      "a 2^60-element vec_f64");
+
+  snapshot::writer ints;
+  ints.vec_int(std::vector<weight_t>{1, 2});
+  const auto ints_bomb = with_payload_u64(ints.framed(), 1, huge_count);
+  expect_one_line_violation(
+      [&] {
+        (void)snapshot::reader::from_bytes(ints_bomb).vec_int<weight_t>();
+      },
+      "a 2^60-element vec_i64");
+
+  snapshot::writer text;
+  text.str("abc");
+  const auto text_bomb = with_payload_u64(text.framed(), 1, max_len);
+  expect_one_line_violation(
+      [&] { (void)snapshot::reader::from_bytes(text_bomb).str(); },
+      "a (2^64-1)-byte string");
+
+  snapshot::writer sec;
+  sec.section("s");
+  const auto sec_bomb = with_payload_u64(sec.framed(), 1, max_len);
+  expect_one_line_violation(
+      [&] { snapshot::reader::from_bytes(sec_bomb).expect_section("s"); },
+      "a (2^64-1)-byte section name");
 }
 
 TEST(SnapshotFormatTest, SaveFileIsAtomicAndRoundTrips) {
@@ -304,7 +360,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
     const auto reference = GetParam().build(g, s, tokens, seed);
     if (shards > 1) {
       ASSERT_TRUE(
-          try_enable_sharding(*reference, serial_context(*g, shards)))
+          try_enable_sharding(*reference, serial_shard_context(*g, shards)))
           << GetParam().name << " is not shardable";
     }
     drive(*reference, 0, rounds);
@@ -315,7 +371,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
       // survives is the snapshot payload.
       const auto doomed = GetParam().build(g, s, tokens, seed);
       if (shards > 1) {
-        try_enable_sharding(*doomed, serial_context(*g, shards));
+        try_enable_sharding(*doomed, serial_shard_context(*g, shards));
       }
       drive(*doomed, 0, r);
       snapshot::writer w;
@@ -325,7 +381,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
       // restore, continue to the end.
       const auto resumed = GetParam().build(g, s, tokens, seed);
       if (shards > 1) {
-        try_enable_sharding(*resumed, serial_context(*g, shards));
+        try_enable_sharding(*resumed, serial_shard_context(*g, shards));
       }
       snapshot::reader rd(w.payload());
       snapshot::require_checkpointable(*resumed, "process").restore_state(rd);

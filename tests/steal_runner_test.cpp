@@ -1,11 +1,13 @@
-// The work-stealing phase runner: chunked dynamic execution must be a pure
+// The work-stealing phase runner: chunked execution must be a pure
 // execution strategy. Every competitor steps bit-identically under the steal
 // runner on a *real* thread pool at shard-threads {1, 2, 8} (with mid-run
-// arrivals), steal and static rows match each other, the sharded α-schedule
-// fill of the matching models reproduces the sequential alphas() bits, the
-// cache-locality edge layout is a key-sorted permutation (identity on
-// test-sized graphs), and — the point of stealing — a seeded-skew phase
-// leaves far less barrier wait behind than the static runner.
+// arrivals), and its per-round discrepancy — the chunked min/max reduce —
+// equals the sequential real-load scan every round on a multi-chunk graph;
+// the sharded α-schedule fill of the matching models reproduces the
+// sequential alphas() bits, the cache-locality edge layout is a key-sorted
+// permutation (identity on test-sized graphs), and — the point of stealing —
+// a seeded-skew phase leaves far less barrier wait behind than a runner that
+// replays the static one-range-per-shard plan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +24,7 @@
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
+#include "dlb/core/engine.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/generators.hpp"
@@ -42,36 +45,23 @@ std::shared_ptr<const graph> make_g(graph g) {
 }
 
 /// A context backed by a real thread pool (kept alive by the runner
-/// closures), in either execution mode — the production wiring of
-/// runtime/experiment_grid.cpp in miniature.
-std::shared_ptr<const shard_context> pool_context(
-    const graph& g, std::size_t shards, shard_exec exec,
-    shard_balance balance = shard_balance::node_count) {
+/// closures) — the production wiring of runtime/experiment_grid.cpp in
+/// miniature.
+std::shared_ptr<const shard_context> pool_context(const graph& g,
+                                                  std::size_t shards) {
   auto pool =
       std::make_shared<runtime::thread_pool>(static_cast<unsigned>(shards));
   return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards, balance),
+      shard_plan(g, shards),
       [pool](std::size_t count,
              const std::function<void(std::size_t)>& body) {
         pool->parallel_for_each(count, body);
       },
-      exec,
+      shard_exec::work_stealing,
       [pool](std::size_t groups, std::size_t chunks,
              const std::function<void(std::size_t,
                                       const std::function<std::size_t()>&)>&
                  body) { pool->steal_loop(groups, chunks, body); }});
-}
-
-/// A serial single-thread context in steal mode: exercises the synthesized
-/// claim loop (no pool-side primitive attached).
-std::shared_ptr<const shard_context> serial_steal_context(const graph& g,
-                                                          std::size_t shards) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [](std::size_t count, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-      },
-      shard_exec::work_stealing});
 }
 
 // ------------------------------------------------------- the six competitors
@@ -132,11 +122,12 @@ std::vector<competitor_case> all_competitors() {
        }});
   cases.push_back(
       {"random_walk_balancer",
-       [](std::shared_ptr<const graph> g, const speed_vector& s,
+       // The walk of [19] is defined for unit speeds only.
+       [](std::shared_ptr<const graph> g, const speed_vector& /*s*/,
           const std::vector<weight_t>& tokens, std::uint64_t seed) {
          return std::make_unique<random_walk_balancer>(
-             g, s, make_alphas(*g, alpha_scheme::half_max_degree), tokens,
-             seed,
+             g, uniform_speeds(g->num_nodes()),
+             make_alphas(*g, alpha_scheme::half_max_degree), tokens, seed,
              random_walk_config{
                  .phase1_rounds = 5, .slack = 1, .laziness = 0.5});
        }});
@@ -164,8 +155,7 @@ TEST_P(StealRunnerCompetitorsTest, BitIdenticalOnRealPoolAt128) {
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const auto stolen = GetParam().build(g, s, tokens, seed);
-    ASSERT_TRUE(try_enable_sharding(
-        *stolen, pool_context(*g, shards, shard_exec::work_stealing)))
+    ASSERT_TRUE(try_enable_sharding(*stolen, pool_context(*g, shards)))
         << GetParam().name << " is not shardable";
     std::size_t checkpoint = 0;
     for (int t = 0; t < 40; ++t) {
@@ -182,30 +172,40 @@ TEST_P(StealRunnerCompetitorsTest, BitIdenticalOnRealPoolAt128) {
   }
 }
 
-// Static and steal runners must agree with each other round for round —
-// including through the synthesized (pool-less) claim loop.
-TEST_P(StealRunnerCompetitorsTest, StaticStealAndSynthesizedRowsMatch) {
-  const auto g = make_g(generators::torus_2d(6));
-  const speed_vector s = uniform_speeds(g->num_nodes());
-  const auto tokens = workload::spike_workload(*g, s, /*spike_per_node=*/8);
-  constexpr std::uint64_t seed = 7;
+// round_discrepancy — the chunked min/max reduce over real_load_extrema —
+// must equal the sequential real-load scan every round, at shard-threads
+// {1, 2, 8}, with mid-run arrivals and non-uniform speeds, on a graph that
+// spans several 16384-node chunks (the last one partial).
+TEST_P(StealRunnerCompetitorsTest, RoundDiscrepancyEqualsRealLoadScan) {
+  const auto g = make_g(generators::cycle(3 * 16384 + 100));
+  const speed_vector s =
+      workload::random_speeds(g->num_nodes(), /*s_max=*/4, /*seed=*/21);
+  const auto tokens = workload::spike_workload(*g, s, /*spike_per_node=*/3);
+  constexpr std::uint64_t seed = 5;
 
-  const auto statics = GetParam().build(g, s, tokens, seed);
-  const auto stolen = GetParam().build(g, s, tokens, seed);
-  const auto synthesized = GetParam().build(g, s, tokens, seed);
-  ASSERT_TRUE(try_enable_sharding(
-      *statics, pool_context(*g, 4, shard_exec::static_slices)));
-  ASSERT_TRUE(try_enable_sharding(
-      *stolen, pool_context(*g, 4, shard_exec::work_stealing)));
-  ASSERT_TRUE(try_enable_sharding(*synthesized, serial_steal_context(*g, 4)));
-  for (int t = 0; t < 30; ++t) {
-    statics->step();
-    stolen->step();
-    synthesized->step();
-    ASSERT_EQ(stolen->loads(), statics->loads())
-        << GetParam().name << " diverged at round " << t;
-    ASSERT_EQ(synthesized->loads(), statics->loads())
-        << GetParam().name << " (synthesized) diverged at round " << t;
+  const std::vector<std::size_t> shard_counts = {1, 2, 8};
+  const auto reference = GetParam().build(g, s, tokens, seed);
+  std::vector<std::unique_ptr<discrete_process>> sharded;
+  for (const std::size_t shards : shard_counts) {
+    sharded.push_back(GetParam().build(g, s, tokens, seed));
+    ASSERT_TRUE(try_enable_sharding(*sharded.back(), pool_context(*g, shards)));
+  }
+  for (int t = 0; t < 8; ++t) {
+    if (t == 3) {
+      reference->inject_tokens(40'000, 500);
+      for (const auto& d : sharded) d->inject_tokens(40'000, 500);
+    }
+    reference->step();
+    const real_t want =
+        max_min_discrepancy(reference->real_loads(), reference->speeds());
+    EXPECT_EQ(round_discrepancy(*reference), want)
+        << GetParam().name << " sequential, round " << t;
+    for (std::size_t k = 0; k < sharded.size(); ++k) {
+      sharded[k]->step();
+      EXPECT_EQ(round_discrepancy(*sharded[k]), want)
+          << GetParam().name << " shards=" << shard_counts[k] << " round "
+          << t;
+    }
   }
 }
 
@@ -233,8 +233,7 @@ TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
                             const std::string& label) {
     auto sequential = build();
     auto stolen = build();
-    stolen->enable_sharded_stepping(
-        pool_context(*g, 4, shard_exec::work_stealing));
+    stolen->enable_sharded_stepping(pool_context(*g, 4));
     sequential->reset(x0);
     stolen->reset(x0);
     for (int t = 0; t < 50; ++t) {
@@ -303,19 +302,13 @@ TEST(EdgeLayoutTest, LargeGraphLayoutIsABlockSortedPermutation) {
   }
 }
 
-TEST(StealRunnerParseTest, ParsesExecNames) {
-  EXPECT_EQ(parse_shard_exec("static"), shard_exec::static_slices);
-  EXPECT_EQ(parse_shard_exec("steal"), shard_exec::work_stealing);
-  EXPECT_THROW((void)parse_shard_exec("dynamic"), contract_violation);
-}
-
 // ------------------------------------------------------- seeded-skew proof
 
 /// A stepper whose node phase is deliberately skewed: nodes in the first
-/// quarter of the range burn a spin loop, the rest are free. Under the
-/// static cut that entire cost lands on shard 0 of 4 and the other three
-/// shards wait at the barrier for it; under stealing they drain the heavy
-/// chunks instead.
+/// quarter of the range burn a spin loop, the rest are free. Under a static
+/// plan that entire cost lands on group 0 of 4 and the other three groups
+/// wait at the barrier for it; under stealing they drain the heavy chunks
+/// instead.
 class skewed_stepper final : public sharded_stepper {
  public:
   explicit skewed_stepper(std::shared_ptr<const graph> g) : g_(std::move(g)) {}
@@ -342,7 +335,10 @@ class skewed_stepper final : public sharded_stepper {
     });
   }
 
-  void real_load_extrema(node_id, node_id, real_t&, real_t&) const override {}
+  [[nodiscard]] load_extrema real_load_extrema(node_id,
+                                               node_id) const override {
+    return {};
+  }
 
  protected:
   [[nodiscard]] const graph& shard_topology() const override { return *g_; }
@@ -352,14 +348,39 @@ class skewed_stepper final : public sharded_stepper {
   std::atomic<unsigned> sink_{0};
 };
 
-std::uint64_t barrier_wait_of(shard_exec exec,
+/// The static plan written as a steal_runner: on its own pool, group g
+/// claims only the chunks in [g·C/G, (g+1)·C/G), however long they take —
+/// one contiguous range per shard, nothing stolen. The steal_runner
+/// indirection admits any claim plan, so no library mode is needed for it.
+std::shared_ptr<const shard_context> static_plan_context(const graph& g,
+                                                         std::size_t shards) {
+  auto pool =
+      std::make_shared<runtime::thread_pool>(static_cast<unsigned>(shards));
+  return std::make_shared<const shard_context>(shard_context{
+      shard_plan(g, shards), nullptr, shard_exec::work_stealing,
+      [pool](std::size_t groups, std::size_t chunks,
+             const std::function<void(std::size_t,
+                                      const std::function<std::size_t()>&)>&
+                 body) {
+        pool->parallel_for_each(groups, [&](std::size_t grp) {
+          std::size_t next = chunks * grp / groups;
+          const std::size_t end = chunks * (grp + 1) / groups;
+          const std::function<std::size_t()> claim = [&] {
+            return next < end ? next++ : chunks;
+          };
+          body(grp, claim);
+        });
+      }});
+}
+
+std::uint64_t barrier_wait_of(std::shared_ptr<const shard_context> ctx,
                               const std::shared_ptr<const graph>& g) {
   obs::recorder rec;
   obs::metrics met;
   const std::uint64_t cell =
       rec.register_cell("skew", "cycle", "skewed_stepper", 0);
   skewed_stepper st(g);
-  st.enable_sharded_stepping(pool_context(*g, 4, exec));
+  st.enable_sharded_stepping(std::move(ctx));
   st.set_probe(obs::probe{&rec, &met, cell});
   for (int t = 0; t < 10; ++t) st.run_round();
   return met.take().counter("barrier_wait_ns");
@@ -368,17 +389,17 @@ std::uint64_t barrier_wait_of(shard_exec exec,
 TEST(SeededSkewTest, StealRunnerBeatsStaticBarrierWaitShare) {
   // 400k nodes → 25 chunks; the heavy quarter (100k nodes) spans chunks
   // 0-6, so under stealing the four groups share the heavy chunks nearly
-  // evenly and the residual barrier wait is one chunk's granularity.
-  // Static parks three of four shards for the heavy shard's entire
-  // duration, so its wait is ~3x the whole heavy cost. The 2x margin
-  // absorbs scheduler noise (the structural ratio is far larger on any
-  // hardware, including a single timeshared core, because static
-  // fast-shard waits scale with the heavy shard's full duration).
+  // evenly and the residual barrier wait is one chunk's granularity. The
+  // static plan hands chunks 0-5 to group 0 and parks the other three
+  // groups for its entire duration, so its wait is ~3x the whole heavy
+  // cost. The 2x margin absorbs scheduler noise (the structural ratio is
+  // far larger on any hardware, including a single timeshared core,
+  // because static fast-group waits scale with the heavy group's full
+  // duration).
   const auto g = make_g(generators::cycle(400'000));
   const std::uint64_t wait_static =
-      barrier_wait_of(shard_exec::static_slices, g);
-  const std::uint64_t wait_steal =
-      barrier_wait_of(shard_exec::work_stealing, g);
+      barrier_wait_of(static_plan_context(*g, 4), g);
+  const std::uint64_t wait_steal = barrier_wait_of(pool_context(*g, 4), g);
   ASSERT_GT(wait_static, 0u);
   EXPECT_LT(wait_steal * 2, wait_static)
       << "steal=" << wait_steal << "ns static=" << wait_static << "ns";

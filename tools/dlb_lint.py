@@ -28,9 +28,13 @@ code shapes that *could* violate the contract, at review time:
                     static_assert from reduction types to all phase state).
   float-reduce      float-typed node_phase_reduce instantiations, and
                     std::accumulate/std::reduce inside phase bodies.  A float
-                    sum regrouped across shards changes bits; route totals
-                    through blocked_sum (core/sharding.hpp), whose grouping
-                    is a pure function of the vector length.
+                    total is legal only at a fixed grain: the chunked reduce
+                    folds per-chunk partials in ascending order, so its
+                    grouping is a pure function of (item count, grain) —
+                    but the phase grain is an execution knob, and retuning
+                    it would regroup the sum and move bits.  Route totals
+                    through blocked_sum (core/sharding.hpp), whose
+                    4096-element grain is part of the bit contract.
   prof-syscall      perf_event_open (incl. the raw SYS_/__NR_ syscall
                     numbers) and /proc/self reads anywhere outside
                     obs/prof.{hpp,cpp}.  Hardware counters and RSS sampling
@@ -40,13 +44,14 @@ code shapes that *could* violate the contract, at review time:
                     where the syscall is blocked.
   atomic-claim      consumed fetch_add/fetch_sub results — assignment,
                     return, or use inside an if/while/for condition —
-                    anywhere outside the two blessed claim loops
-                    (core/sharding.cpp, runtime/thread_pool.cpp).  A
+                    anywhere outside the thread pool
+                    (runtime/thread_pool.cpp), whose parallel_for_each and
+                    steal_loop cursors are the one blessed claim site.  A
                     consumed fetch is a hand-rolled dynamic work claim:
                     which thread observes which value depends on the
                     schedule, so any algorithmic state derived from it is
-                    nondeterministic.  The blessed loops scope the value to
-                    pure execution (chunk identity) and publish nothing
+                    nondeterministic.  The pool scopes the value to pure
+                    execution (chunk identity) and publishes nothing
                     schedule-dependent; statement-form fetches (metrics
                     counters) stay legal everywhere.
 
@@ -93,13 +98,11 @@ PROF_SYSCALL_ALLOWLIST = (
     "obs/prof.hpp",
 )
 
-# The two blessed dynamic-claim loops: the sharded stepper's synthesized
-# cursor and the thread pool's steal_loop/parallel_for_each.  Only there may
-# a fetch_add/fetch_sub *result* drive work distribution.
-ATOMIC_CLAIM_ALLOWLIST = (
-    "core/sharding.cpp",
-    "runtime/thread_pool.cpp",
-)
+# The one blessed dynamic-claim site: the thread pool's steal_loop and
+# parallel_for_each cursors.  Only there may a fetch_add/fetch_sub *result*
+# drive work distribution; every sharded phase and reduction claims its
+# chunks through steal_loop.
+ATOMIC_CLAIM_ALLOWLIST = ("runtime/thread_pool.cpp",)
 
 # The optional trailing "// expect:" branch lets the self-test fixtures mark
 # a deliberately-broken directive on its own line.
@@ -491,14 +494,15 @@ def lint_file(path: Path, display: Path, on_serial_path: bool):
     for m in FLOAT_REDUCE_RE.finditer(code):
         report(
             m.start(), "float-reduce",
-            "float-typed node_phase_reduce: regrouping a float sum across "
-            "shards changes bits — route totals through blocked_sum, "
-            "extrema through real_load_extrema")
+            "float-typed node_phase_reduce: its chunk grain is an "
+            "execution knob, and retuning it regroups a float sum — route "
+            "totals through blocked_sum (fixed grain), extrema through "
+            "real_load_extrema")
     for m in PHASE_ACCUMULATE_RE.finditer(code):
         if in_extents(extents, m.start()):
             report(
                 m.start(), "float-reduce",
-                "std::accumulate/std::reduce in a phase body: per-shard "
+                "std::accumulate/std::reduce in a phase body: per-chunk "
                 "ranges would regroup the sum — use blocked_sum for floats "
                 "or an explicit integer loop")
 
@@ -507,9 +511,9 @@ def lint_file(path: Path, display: Path, on_serial_path: bool):
             report(
                 offset, "atomic-claim",
                 "consumed fetch_add/fetch_sub result: a hand-rolled dynamic "
-                "work claim is schedule-dependent — route dynamic claiming "
-                "through the blessed claim loops (core/sharding.cpp, "
-                "runtime/thread_pool.cpp) or drop the result")
+                "work claim is schedule-dependent — claim chunks through "
+                "run_chunks/thread_pool::steal_loop "
+                "(runtime/thread_pool.cpp) or drop the result")
 
     if not any(posix.endswith(sfx) for sfx in PROF_SYSCALL_ALLOWLIST):
         # The syscall name is an identifier; the /proc/self paths it reads
