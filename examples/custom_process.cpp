@@ -3,9 +3,9 @@
 // The conversion framework applies to ANY additive terminating process.
 // Because every process of that class that we know of is a linear recurrence
 // y(t) = (β-1)·y(t-1) + β·P(t)·x(t), extending dlb means writing a new
-// alpha_schedule — the per-round α_{i,j}(t) coefficients — and handing it to
-// linear_process. Algorithm 1/2 then discretize it with the Theorem 3/8
-// guarantees.
+// alpha_schedule — the per-round α_{i,j}(t) coefficients, filled one edge
+// slice at a time — and handing it to linear_process. Algorithm 1/2 then
+// discretize it with the Theorem 3/8 guarantees.
 //
 // This example implements a "weighted-edge diffusion" schedule: each edge
 // gets a fixed random conductance, normalized so Σ_j α_{i,j} < s_i. Think of
@@ -51,8 +51,12 @@ class conductance_schedule final : public alpha_schedule {
     }
   }
 
-  void alphas(round_t /*t*/, std::vector<real_t>& out) const override {
-    out = alpha_;
+  // The conductances never change, so the stepper fills them once.
+  [[nodiscard]] bool time_invariant() const override { return true; }
+  void fill_alphas(round_t /*t*/, real_t* out,
+                   const edge_slice& es) const override {
+    es.for_each(
+        [&](edge_id e) { out[e] = alpha_[static_cast<std::size_t>(e)]; });
   }
   [[nodiscard]] std::unique_ptr<alpha_schedule> clone() const override {
     return std::make_unique<conductance_schedule>(*this);

@@ -160,22 +160,7 @@ void local_rounding_process::restore_state(snapshot::reader& r) {
 }
 
 void local_rounding_process::step() {
-  if (!alphas_cached_) {
-    if (schedule_->ranged_fill()) {
-      // Sharded α fill (see linear_process::step): sequential prologue,
-      // then per-slice writes covering every edge slot.
-      alpha_buf_.resize(static_cast<size_t>(g_->num_edges()));
-      schedule_->begin_round(t_);
-      edge_phase([&](const edge_slice& es) {
-        schedule_->fill_alphas(t_, alpha_buf_.data(), es);
-      });
-    } else {
-      schedule_->alphas(t_, alpha_buf_);
-      DLB_ASSERT(static_cast<edge_id>(alpha_buf_.size()) == g_->num_edges());
-    }
-    alphas_cached_ = schedule_->time_invariant();
-  }
-
+  fill_round_alphas(*schedule_, t_, alpha_buf_, alphas_cached_);
   edge_phase([&](const edge_slice& es) { round_phase(es); });
   const negativity neg = node_phase_reduce<negativity>(
       negativity{},

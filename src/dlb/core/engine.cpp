@@ -6,7 +6,6 @@
 #include "dlb/common/contracts.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/obs/metrics.hpp"
-#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 
 namespace dlb {
@@ -91,7 +90,6 @@ balancing_time_result measure_balancing_time(continuous_process& a,
   balancing_time_result r;
   const auto balanced = [&] {
     const obs::scoped_span span(pb.rec, "tA_check", -1, pb.cell);
-    const obs::prof::scoped_sample sample(pb.prf, "tA_check", -1, pb.cell);
     return balanced_against(a, total_speed, balanced_tolerance, ctx.get());
   };
   while (!balanced()) {
@@ -103,7 +101,6 @@ balancing_time_result measure_balancing_time(continuous_process& a,
     }
     {
       const obs::scoped_span span(pb.rec, "tA_round", -1, pb.cell);
-      const obs::prof::scoped_sample sample(pb.prf, "tA_round", -1, pb.cell);
       a.step();
     }
     if (pb.met != nullptr) pb.met->add_round();
@@ -120,7 +117,6 @@ void run_rounds(discrete_process& d, round_t rounds,
   for (round_t t = 0; t < rounds; ++t) {
     {
       const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-      const obs::prof::scoped_sample sample(pb.prf, "round", -1, pb.cell);
       d.step();
     }
     if (pb.met != nullptr) pb.met->add_round();
@@ -182,7 +178,6 @@ dynamic_result run_dynamic(discrete_process& d,
     }
     {
       const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-      const obs::prof::scoped_sample sample(pb.prf, "round", -1, pb.cell);
       d.step();
     }
     if (obs) obs(d.rounds_executed(), d);

@@ -44,16 +44,6 @@ periodic_matching_schedule::periodic_matching_schedule(
   }
 }
 
-void periodic_matching_schedule::alphas(round_t t,
-                                        std::vector<real_t>& out) const {
-  out.assign(static_cast<size_t>(num_edges_), 0.0);
-  const matching& m =
-      matchings_[static_cast<size_t>(t) % matchings_.size()];
-  for (const edge_id e : m) {
-    out[static_cast<size_t>(e)] = edge_alpha_[static_cast<size_t>(e)];
-  }
-}
-
 void periodic_matching_schedule::fill_alphas(round_t t, real_t* out,
                                              const edge_slice& es) const {
   const auto slot = static_cast<std::uint32_t>(
@@ -87,22 +77,11 @@ random_matching_schedule::random_matching_schedule(const graph& g,
   }
 }
 
-void random_matching_schedule::alphas(round_t t,
-                                      std::vector<real_t>& out) const {
-  out.assign(static_cast<size_t>(g_->num_edges()), 0.0);
-  const matching m = random_maximal_matching(
-      *g_, seed_, static_cast<std::uint64_t>(t));
-  for (const edge_id e : m) {
-    out[static_cast<size_t>(e)] = edge_alpha_[static_cast<size_t>(e)];
-  }
-}
-
 void random_matching_schedule::begin_round(round_t t) const {
   if (matched_round_ == t && !matched_.empty()) {
     return;  // same round re-entered (restart after restore re-fills)
   }
-  // The greedy maximal-matching draw is the same call the alphas() path
-  // makes — identical bits — and stays sequential by design: its result
+  // The greedy maximal-matching draw stays sequential by design: its result
   // depends on visit order. Sorting the matched set (it arrives in draw
   // order) is what lets fill slices binary-search it.
   matching m = random_maximal_matching(*g_, seed_,
@@ -213,24 +192,8 @@ bool linear_process::apply_phase(node_id i0, node_id i1) {
 
 void linear_process::step() {
   DLB_EXPECTS(started_);
-  const graph& g = *g_;
-  if (!alphas_cached_) {
-    if (schedule_->ranged_fill()) {
-      // Sharded α fill: one sequential prologue, then per-slice writes —
-      // the matching models' last O(m) piece now scales with shard threads.
-      // Every edge's slot is written every round, so no clear is needed.
-      alpha_buf_.resize(static_cast<size_t>(g.num_edges()));
-      schedule_->begin_round(t_);
-      edge_phase([&](const edge_slice& es) {
-        schedule_->fill_alphas(t_, alpha_buf_.data(), es);
-      });
-    } else {
-      schedule_->alphas(t_, alpha_buf_);
-      DLB_ASSERT(static_cast<edge_id>(alpha_buf_.size()) == g.num_edges());
-    }
-    alphas_cached_ = schedule_->time_invariant();
-  }
-  y_next_.resize(static_cast<size_t>(g.num_edges()));
+  fill_round_alphas(*schedule_, t_, alpha_buf_, alphas_cached_);
+  y_next_.resize(static_cast<size_t>(g_->num_edges()));
 
   edge_phase([&](const edge_slice& es) { flow_phase(es); });
   const int negative = node_phase_reduce<int>(

@@ -21,13 +21,7 @@ class diffusion_alpha_schedule final : public alpha_schedule {
   explicit diffusion_alpha_schedule(std::vector<real_t> alpha)
       : alpha_(std::move(alpha)) {}
 
-  void alphas(round_t /*t*/, std::vector<real_t>& out) const override {
-    out = alpha_;
-  }
-
   [[nodiscard]] bool time_invariant() const override { return true; }
-
-  [[nodiscard]] bool ranged_fill() const override { return true; }
 
   void fill_alphas(round_t /*t*/, real_t* out,
                    const edge_slice& es) const override {
@@ -53,9 +47,6 @@ class periodic_matching_schedule final : public alpha_schedule {
   periodic_matching_schedule(const graph& g, const speed_vector& s,
                              std::vector<matching> matchings);
 
-  void alphas(round_t t, std::vector<real_t>& out) const override;
-
-  [[nodiscard]] bool ranged_fill() const override { return true; }
   void fill_alphas(round_t t, real_t* out,
                    const edge_slice& es) const override;
 
@@ -71,7 +62,7 @@ class periodic_matching_schedule final : public alpha_schedule {
   edge_id num_edges_;
   std::vector<matching> matchings_;
   std::vector<real_t> edge_alpha_;  // matching α per edge, precomputed
-  // Inverted index for the sharded fill: slots_of edge e = the sorted
+  // Inverted index for the ranged fill: slots_of edge e = the sorted
   // matching indices containing e, as CSR rows [slot_offsets_[e],
   // slot_offsets_[e+1]) into slot_values_. Built once at construction so a
   // fill slice answers "is e active in round t" without scanning matchings.
@@ -86,9 +77,6 @@ class random_matching_schedule final : public alpha_schedule {
   random_matching_schedule(const graph& g, const speed_vector& s,
                            std::uint64_t seed);
 
-  void alphas(round_t t, std::vector<real_t>& out) const override;
-
-  [[nodiscard]] bool ranged_fill() const override { return true; }
   void begin_round(round_t t) const override;
   void fill_alphas(round_t t, real_t* out,
                    const edge_slice& es) const override;
@@ -103,11 +91,11 @@ class random_matching_schedule final : public alpha_schedule {
   const graph* g_;  // non-owning; the linear_process keeps the graph alive
   std::uint64_t seed_;
   std::vector<real_t> edge_alpha_;
-  // The sharded-fill round cache: begin_round(t) draws the round's matching
-  // (sequential — the greedy draw is inherently ordered and must stay
-  // byte-identical to the alphas() path) and leaves a sorted edge set for
-  // fill slices to binary-search. Mutable because drawing is caching, not
-  // observable state; written only in begin_round, before any slice runs.
+  // The round cache: begin_round(t) draws the round's matching (sequential —
+  // the greedy draw is inherently ordered, so its result depends on visit
+  // order) and leaves a sorted edge set for fill slices to binary-search.
+  // Mutable because drawing is caching, not observable state; written only
+  // in begin_round, before any slice runs.
   mutable std::vector<edge_id> matched_;
   mutable round_t matched_round_ = -1;
 };

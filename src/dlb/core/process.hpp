@@ -38,43 +38,49 @@ struct directed_flow {
 /// schedules derive per-round RNGs from (seed, t) — so that coupled process
 /// instances see identical matrices (Definition 3, footnote 6) and the
 /// discrete imitator can re-simulate the continuous process exactly.
+///
+/// Steppers compute a round's α vector as begin_round() followed by
+/// fill_alphas() over their edge_phase slices, so the O(m) fill shards and
+/// chunks like any other edge kernel.
 class alpha_schedule {
  public:
   virtual ~alpha_schedule() = default;
 
-  /// Writes α_e(t) for every edge into `out` (resized to num_edges).
-  virtual void alphas(round_t t, std::vector<real_t>& out) const = 0;
-
-  /// True when alphas(t) is the same for every t (diffusion). Lets steppers
-  /// fetch the matrix once instead of copying O(m) coefficients per round —
-  /// a real cost on million-edge graphs.
+  /// True when α(t) is the same for every t (diffusion). Lets steppers fill
+  /// the vector once instead of rewriting O(m) coefficients per round — a
+  /// real cost on million-edge graphs.
   [[nodiscard]] virtual bool time_invariant() const { return false; }
 
-  /// True when the schedule supports the sharded fill path below. Steppers
-  /// that run sharded rounds then compute the per-round α vector as
-  /// begin_round() followed by fill_alphas() over edge_phase slices, so the
-  /// last sequential O(m) piece of a round scales with shard threads.
-  /// Schedules answering false keep the plain alphas() path.
-  [[nodiscard]] virtual bool ranged_fill() const { return false; }
-
-  /// Sequential per-round prologue of the sharded fill path: anything that
-  /// must happen once per round before slices run (e.g. drawing the round's
-  /// random matching). Called on one thread, strictly before any
-  /// fill_alphas(t, ...) of the same round; must leave fill_alphas a pure
-  /// reader so concurrent slices race on nothing.
+  /// Sequential per-round prologue: anything that must happen once per round
+  /// before slices run (e.g. drawing the round's random matching). Called on
+  /// one thread, strictly before any fill_alphas(t, ...) of the same round;
+  /// must leave fill_alphas a pure reader so concurrent slices race on
+  /// nothing.
   virtual void begin_round(round_t t) const { (void)t; }
 
   /// Writes α_e(t) into out[e] for every edge the slice visits. `out` has
   /// num_edges slots; each edge's slot is written by exactly one slice per
-  /// round. Only called when ranged_fill() is true — the default is a
-  /// contract violation, defined out of line to keep contracts.hpp out of
-  /// this header's dependents.
-  virtual void fill_alphas(round_t t, real_t* out, const edge_slice& es) const;
+  /// round.
+  virtual void fill_alphas(round_t t, real_t* out,
+                           const edge_slice& es) const = 0;
 
   /// Deep copy (schedules are immutable; copies are interchangeable).
   [[nodiscard]] virtual std::unique_ptr<alpha_schedule> clone() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Always true: every schedule fills by range. Kept for the frozen scale
+  /// benchmark (perfbench/), which still asks.
+  [[nodiscard]] bool ranged_fill() const { return true; }
+
+  /// α(t) for all out.size() edges (`out` must hold num_edges slots):
+  /// begin_round plus one full-range fill_alphas. Kept for the frozen scale
+  /// benchmark (perfbench/).
+  void alphas(round_t t, std::vector<real_t>& out) const {
+    begin_round(t);
+    fill_alphas(t, out.data(),
+                edge_slice(0, static_cast<edge_id>(out.size()), nullptr));
+  }
 };
 
 /// A continuous neighbourhood load balancing process.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "dlb/common/contracts.hpp"
+#include "dlb/core/process.hpp"
 #include "dlb/obs/metrics.hpp"
 #include "dlb/obs/recorder.hpp"
 
@@ -170,24 +171,17 @@ sharded_stepper::phase_probe::phase_probe(const sharded_stepper& st,
 }
 
 group_hook sharded_stepper::phase_probe::hook() {
-  if (st_.probe_.rec == nullptr && st_.probe_.prf == nullptr) return nullptr;
+  if (st_.probe_.rec == nullptr) return nullptr;
   return [this](std::size_t g, const std::function<std::size_t()>& drain) {
     const obs::probe& pb = st_.probe_;
-    const char* span = labels_of(static_cast<int>(kind_)).span;
-    const auto shard = static_cast<std::int32_t>(g);
-    // The counter read brackets exactly the group's chunks, on the thread
-    // that runs them — perf fds measure the calling thread, so the deltas
-    // are this group's own cycles/misses, not the pool's.
-    const obs::prof::hw_reading p0 =
-        pb.prf != nullptr ? pb.prf->begin() : obs::prof::hw_reading{};
-    const std::int64_t t0 = pb.rec != nullptr ? pb.rec->now() : 0;
+    // The span brackets exactly the group's chunks, on the thread that runs
+    // them — perf fds measure the calling thread, so a counter payload holds
+    // this group's own cycles/misses, not the pool's.
+    const obs::span_start start = pb.rec->begin();
     const std::size_t items = drain();
-    if (pb.rec != nullptr) end_ns_[g] = pb.rec->now();
-    if (pb.prf != nullptr) pb.prf->complete(span, shard, pb.cell, p0);
-    if (pb.rec != nullptr) {
-      pb.rec->complete(span, t0, end_ns_[g] - t0, shard, pb.cell,
-                       static_cast<std::int64_t>(items));
-    }
+    end_ns_[g] = pb.rec->end(labels_of(static_cast<int>(kind_)).span, start,
+                             static_cast<std::int32_t>(g), pb.cell,
+                             static_cast<std::int64_t>(items));
   };
 }
 
@@ -220,6 +214,18 @@ void sharded_stepper::run_phase(
       [&](std::size_t, std::size_t lo, std::size_t hi) { body(lo, hi); },
       pp.hook());
   pp.done();
+}
+
+void sharded_stepper::fill_round_alphas(const alpha_schedule& schedule,
+                                        round_t t, std::vector<real_t>& alpha,
+                                        bool& cached) const {
+  if (cached) return;
+  alpha.resize(static_cast<std::size_t>(shard_topology().num_edges()));
+  schedule.begin_round(t);
+  edge_phase([&](const edge_slice& es) {
+    schedule.fill_alphas(t, alpha.data(), es);
+  });
+  cached = schedule.time_invariant();
 }
 
 void sharded_stepper::add_tokens_moved(std::uint64_t n) const noexcept {

@@ -59,9 +59,10 @@
 #include "dlb/core/phase_slice.hpp"
 #include "dlb/graph/graph.hpp"
 #include "dlb/obs/probe.hpp"
-#include "dlb/obs/prof.hpp"
 
 namespace dlb {
+
+class alpha_schedule;
 
 /// Executes body(i) for every i in [0, count) — possibly in parallel — and
 /// returns only when all invocations finished. dlb::runtime adapts
@@ -324,6 +325,14 @@ class sharded_stepper : public shardable {
   /// fold incident edges in ascending edge-id order.
   void node_phase(const std::function<void(node_id, node_id)>& body) const;
 
+  /// The per-round α fill of schedule-driven steppers: begin_round(t), then
+  /// fill_alphas over this stepper's edge phase into `alpha` (resized to m;
+  /// every slot is written, so no clear is needed). Skipped while `cached`
+  /// holds; sets it after a time-invariant schedule's fill, so diffusion
+  /// fills once. Callers clear `cached` on reset and restore.
+  void fill_round_alphas(const alpha_schedule& schedule, round_t t,
+                         std::vector<real_t>& alpha, bool& cached) const;
+
   /// Node phase folding one value per chunk through chunked_reduce — an
   /// exact reduction (integer sums, min/max, boolean OR — never a float
   /// sum: the phase grain is an execution knob, and retuning it would
@@ -350,17 +359,16 @@ class sharded_stepper : public shardable {
   enum class phase_kind { edge, node, reduce };
 
   /// Observation of one phase: hook() wraps each claim group in its span
-  /// (and counter sample); done(), called after the barrier, synthesizes
-  /// each group's barrier-wait span when sharded and bumps the phase
-  /// counters. Inert without a probe, so unobserved phases pay a few null
-  /// checks.
+  /// (with any counter payload); done(), called after the barrier,
+  /// synthesizes each group's barrier-wait span when sharded and bumps the
+  /// phase counters. Inert without a probe, so unobserved phases pay a few
+  /// null checks.
   class phase_probe {
    public:
     phase_probe(const sharded_stepper& st, phase_kind kind,
                 std::size_t items);
 
-    /// The group hook for run_chunks, or nullptr when nothing samples
-    /// per-group spans.
+    /// The group hook for run_chunks, or nullptr without a recorder.
     [[nodiscard]] group_hook hook();
     void done() const;
 

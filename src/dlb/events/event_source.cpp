@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -104,8 +105,8 @@ trace_source::trace_source(std::istream& in, std::string label)
     // slipping through (and then poisoning the ordering check for every
     // subsequent line).
     if (!std::isfinite(time) || !(time >= last) || !(time >= 0) ||
-        node < 0 || count < 1 ||
-        (!kind.empty() && kind != "a" && kind != "s")) {
+        node < 0 || node > std::numeric_limits<node_id>::max() ||
+        count < 1 || (!kind.empty() && kind != "a" && kind != "s")) {
       throw contract_violation(label_ + ":" + std::to_string(lineno) +
                                ": bad trace event (times must be finite and "
                                "nondecreasing, node >= 0, count >= 1)");

@@ -24,8 +24,9 @@ graph read_edge_list(std::istream& is) {
   if (n <= 0 || m < 0) {
     throw contract_violation("read_edge_list: invalid node/edge counts");
   }
+  // No reserve: m is an unvalidated header field, and a huge one must fail
+  // as a truncated body below, not as an allocation.
   std::vector<edge> edges;
-  edges.reserve(static_cast<size_t>(m));
   for (edge_id e = 0; e < m; ++e) {
     node_id u = 0, v = 0;
     if (!(is >> u >> v)) {

@@ -1,5 +1,7 @@
 // The observability attachment point: a probe bundles the (optional) trace
 // recorder and the (optional) per-cell metrics a component should report to.
+// Hardware counters need no handle of their own: they ride as payload on the
+// spans of a recorder constructed with a counter source (obs/prof.hpp).
 //
 // Everything in dlb::obs is strictly opt-in and must never perturb results:
 // instrumented code branches on the null pointers below and otherwise reads
@@ -16,26 +18,19 @@ namespace dlb::obs {
 class recorder;
 class metrics;
 
-namespace prof {
-class profiler;
-}
-
 /// Sentinel for spans not attributed to any experiment cell.
 inline constexpr std::uint64_t no_cell = ~std::uint64_t{0};
 
-/// Non-owning handles to the active recorder/metrics/profiler plus the cell
-/// id the spans should be attributed to. Default-constructed =
-/// observability off. `prf` sits after `cell` so the pre-profiler aggregate
-/// initializations ({rec, met, cell}) keep their meaning.
+/// Non-owning handles to the active recorder/metrics plus the cell id the
+/// spans should be attributed to. Default-constructed = observability off.
 struct probe {
   recorder* rec = nullptr;  ///< span sink, or nullptr (no tracing)
   metrics* met = nullptr;   ///< counter sink, or nullptr (no counting)
   std::uint64_t cell = no_cell;  ///< recorder cell id (recorder::register_cell)
-  prof::profiler* prf = nullptr;  ///< hw-counter sink, or nullptr (no prof)
 
   /// True when any sink is attached — the single branch disabled paths take.
   [[nodiscard]] bool active() const noexcept {
-    return rec != nullptr || met != nullptr || prf != nullptr;
+    return rec != nullptr || met != nullptr;
   }
 };
 

@@ -1,9 +1,7 @@
 #include "dlb/obs/prof.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,30 +29,6 @@ namespace dlb::obs::prof {
 
 namespace {
 
-// The profiler reads its own steady clock so samples are self-contained —
-// a sample's wall_ns never depends on which recorder (if any) is attached.
-// (This file is on dlb_lint's wall-clock and prof-syscall allowlists: it IS
-// the timing/counter instrument the rules fence everything else away from.)
-std::int64_t steady_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t next_profiler_id() noexcept {
-  static std::atomic<std::uint64_t> counter{1};
-  // dlb-lint: allow(atomic-claim): process-lifetime profiler-id allocation; ids never reach rows
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Per-thread cache of "my buffer in profiler X" — same idiom (and same
-/// reasoning: keyed by id, not address) as the recorder's cache.
-struct tl_cache {
-  std::uint64_t profiler_id = 0;
-  void* buffer = nullptr;
-};
-thread_local tl_cache tls;
-
 constexpr const char* kHwNames[num_hw] = {
     "cycles", "instructions", "cache_references", "cache_misses",
     "branch_misses",
@@ -72,7 +46,7 @@ constexpr std::uint64_t kHwConfigs[num_hw] = {
 /// first hardware read and closed when the thread exits (thread_local
 /// destructor) — so per-cell shard pools that come and go never accumulate
 /// open fds for dead threads. The group is profiler-independent: the
-/// counters measure the thread, any hardware-backend profiler may read them.
+/// counters measure the thread, any hardware-backend source may read them.
 struct perf_group {
   int fds[num_hw] = {-1, -1, -1, -1, -1};
   bool tried = false;
@@ -93,7 +67,7 @@ struct perf_group {
   /// failing counter + errno in `reason`, and never retries on this thread.
   bool ensure_open(std::string* reason) {
     if (tried) {
-      // A later profiler on this thread must still learn why the first
+      // A later source on this thread must still learn why the first
       // attempt failed (the syscall is never retried).
       if (!ok && reason != nullptr) *reason = fail_reason;
       return ok;
@@ -198,7 +172,7 @@ std::string format_ms(std::int64_t ns) {
 
 const char* hw_name(std::size_t i) noexcept { return kHwNames[i]; }
 
-profiler::profiler() : id_(next_profiler_id()) {
+profiler::profiler() {
   if (force_fallback_env()) {
     fallback_reason_ = "forced by DLB_PROF_FORCE_FALLBACK=1";
   } else {
@@ -217,7 +191,7 @@ profiler::profiler() : id_(next_profiler_id()) {
 #endif
   }
   if (!hardware_) {
-    // Reported once per profiler (dlb_run builds exactly one), never fatal:
+    // Reported once per source (dlb_run builds exactly one), never fatal:
     // wall-clock skew attribution still works without hardware counters.
     std::fprintf(stderr,
                  "dlb prof: hardware counters unavailable (%s); continuing "
@@ -226,83 +200,36 @@ profiler::profiler() : id_(next_profiler_id()) {
   }
 }
 
-profiler::~profiler() = default;
-
 bool profiler::hardware_available() const noexcept { return hardware_; }
 
 const std::string& profiler::fallback_reason() const noexcept {
   return fallback_reason_;
 }
 
-profiler::buffer& profiler::local() {
-  if (tls.profiler_id == id_) {
-    return *static_cast<buffer*>(tls.buffer);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  buffers_.push_back(std::make_unique<buffer>());
-  buffer& buf = *buffers_.back();
-  buf.tid = static_cast<std::uint32_t>(buffers_.size() - 1);
-  buf.samples.reserve(1024);
-  tls = {id_, &buf};
-  return buf;
-}
-
-hw_reading profiler::begin() {
-  hw_reading r;
+hw_counts profiler::read() const {
+  hw_counts r;
 #if defined(__linux__)
   if (hardware_ && tl_group.ensure_open(nullptr)) {
     r.available = tl_group.read_values(r.value);
   }
 #endif
-  r.wall_ns = steady_ns();
   return r;
 }
 
-void profiler::complete(const char* name, std::int32_t shard,
-                        std::uint64_t cell, const hw_reading& start) {
-  sample_record s;
-  s.name = name;
-  s.cell = cell;
-  s.shard = shard;
-  s.wall_ns = steady_ns() - start.wall_ns;
-#if defined(__linux__)
-  if (start.available) {
-    std::array<std::uint64_t, num_hw> end{};
-    if (tl_group.read_values(end)) {
-      for (std::size_t i = 0; i < num_hw; ++i) {
-        // Counters are monotonic per thread; a migrating task never reads
-        // backwards, but clamp anyway so a kernel quirk cannot wrap.
-        s.delta[i] = end[i] >= start.value[i] ? end[i] - start.value[i] : 0;
-      }
-      s.available = true;
-    }
+hw_counts profiler::since(const hw_counts& start) const {
+  hw_counts d;
+  if (!start.available) return d;
+  const hw_counts end = read();
+  if (!end.available) return d;
+  for (std::size_t i = 0; i < num_hw; ++i) {
+    // Counters are monotonic per thread; a migrating task never reads
+    // backwards, but clamp anyway so a kernel quirk cannot wrap.
+    d.value[i] = end.value[i] >= start.value[i]
+                     ? end.value[i] - start.value[i]
+                     : 0;
   }
-#else
-  (void)start;
-#endif
-  buffer& buf = local();
-  s.tid = buf.tid;
-  buf.samples.push_back(s);
-}
-
-std::vector<sample_record> profiler::samples() const {
-  std::vector<sample_record> out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buf : buffers_) {
-    out.insert(out.end(), buf->samples.begin(), buf->samples.end());
-  }
-  return out;
-}
-
-buffer_footprint profiler::footprint() const {
-  buffer_footprint fp;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fp.threads = buffers_.size();
-  for (const auto& buf : buffers_) {
-    fp.records += buf->samples.size();
-    fp.bytes += buf->samples.capacity() * sizeof(sample_record);
-  }
-  return fp;
+  d.available = true;
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +250,7 @@ double shard_stat::cache_miss_rate() const noexcept {
                       hw::cache_references)]));
 }
 
-memory_profile sample_memory(const recorder* rec, const profiler* pf) {
+memory_profile sample_memory(const recorder* rec, std::nullptr_t) {
   memory_profile mem;
 #if defined(__unix__) || defined(__APPLE__) || defined(__linux__)
   struct rusage usage;
@@ -351,10 +278,9 @@ memory_profile sample_memory(const recorder* rec, const profiler* pf) {
   }
 #endif
   if (rec != nullptr) {
-    const recorder_footprint fp = rec->footprint();
-    mem.recorder = {fp.threads, fp.spans, fp.bytes};
+    mem.recorder = rec->footprint();
+    mem.profiler = rec->payload_footprint();
   }
-  if (pf != nullptr) mem.profiler = pf->footprint();
   return mem;
 }
 
@@ -374,11 +300,13 @@ std::int64_t nearest_rank_p99(std::vector<std::int64_t> values) {
 
 }  // namespace
 
-profile_report analyze_profile(const recorder& rec, const profiler& pf) {
+profile_report analyze_profile(const recorder& rec) {
   profile_report report;
-  report.hardware_available = pf.hardware_available();
-  report.fallback_reason = pf.fallback_reason();
-  report.memory = sample_memory(&rec, &pf);
+  if (const profiler* source = rec.counter_source(); source != nullptr) {
+    report.hardware_available = source->hardware_available();
+    report.fallback_reason = source->fallback_reason();
+  }
+  report.memory = sample_memory(&rec);
 
   struct cell_accum {
     std::uint64_t rounds = 0;
@@ -391,31 +319,29 @@ profile_report analyze_profile(const recorder& rec, const profiler& pf) {
   };
   std::map<std::uint64_t, cell_accum> accums;
 
-  for (const sample_record& s : pf.samples()) {
-    if (s.cell == no_cell) continue;  // pool warmup etc. — not attributable
-    cell_accum& acc = accums[s.cell];
-    shard_stat& st = acc.phases[s.name][s.shard];
-    if (st.calls == 0) {
-      st.shard = s.shard;
-      st.hw_available = s.available;
-    }
-    st.calls += 1;
-    st.wall_ns += s.wall_ns;
-    st.hw_available = st.hw_available && s.available;
-    for (std::size_t i = 0; i < num_hw; ++i) st.hw[i] += s.delta[i];
-    acc.max_shard = std::max(acc.max_shard, s.shard);
-  }
-
   for (const span_record& span : rec.events()) {
+    // Spans outside any cell (pool warmup etc.) are not attributable.
     if (span.cell == no_cell || span.name == nullptr) continue;
     cell_accum& acc = accums[span.cell];
+    if (const hw_counts* hw = rec.payload(span); hw != nullptr) {
+      shard_stat& st = acc.phases[span.name][span.shard];
+      if (st.calls == 0) {
+        st.shard = span.shard;
+        st.hw_available = hw->available;
+      }
+      st.calls += 1;
+      st.wall_ns += span.dur_ns;
+      st.hw_available = st.hw_available && hw->available;
+      for (std::size_t i = 0; i < num_hw; ++i) st.hw[i] += hw->value[i];
+      acc.max_shard = std::max(acc.max_shard, span.shard);
+    }
     if (is_round_span(span.name)) {
       acc.rounds += 1;
       acc.round_wall_ns += span.dur_ns;
     } else if (std::strncmp(span.name, "barrier:", 8) == 0) {
       acc.barrier_wait_ns += span.dur_ns;
       // Credit the wait to the phase it guards so per-shard barrier columns
-      // line up with the matching profiler samples.
+      // line up with the matching phase spans.
       shard_stat& st = acc.phases[span.name + 8][span.shard];
       if (st.calls == 0) st.shard = span.shard;
       st.barrier_wait_ns += span.dur_ns;
@@ -566,8 +492,8 @@ void write_profile_table(std::ostream& os, const profile_report& report) {
   const memory_profile& mem = report.memory;
   os << "memory: max_rss=" << mem.max_rss_kb << "kB vm_hwm=" << mem.vm_hwm_kb
      << "kB recorder=" << mem.recorder.records << " spans/"
-     << mem.recorder.bytes / 1024 << "kB profiler=" << mem.profiler.records
-     << " samples/" << mem.profiler.bytes / 1024 << "kB\n";
+     << mem.recorder.bytes / 1024 << "kB counters=" << mem.profiler.records
+     << " payloads/" << mem.profiler.bytes / 1024 << "kB\n";
   for (const cell_profile& cp : report.cells) {
     char share[32];
     std::snprintf(share, sizeof(share), "%.1f%%",

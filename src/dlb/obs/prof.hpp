@@ -1,24 +1,27 @@
 // Hardware-counter & shard-skew profiling on top of the trace recorder.
 //
-// A `prof::profiler` samples five hardware counters (cycles, instructions,
-// cache-references, cache-misses, branch-misses) around every instrumented
-// phase slice via one perf_event_open(2) fd group per participating thread.
-// Where the syscall is unavailable — containers with seccomp filters,
-// macOS, restrictive perf_event_paranoid, or the DLB_PROF_FORCE_FALLBACK=1
-// test knob — the profiler degrades to a wall-clock-only backend: exactly
-// one stderr notice, never a failure, and the sidecar keeps its full schema
-// with every counter marked unavailable.
+// A `prof::profiler` is the recorder's counter source: it probes once for
+// five hardware counters (cycles, instructions, cache-references,
+// cache-misses, branch-misses) and reads them through one perf_event_open(2)
+// fd group per participating thread. A recorder constructed with a source
+// reads the counters next to the two clock reads that time each span and
+// stores the deltas as that span's optional payload — one buffer, one clock,
+// one registration path. Where the syscall is unavailable — containers with
+// seccomp filters, macOS, restrictive perf_event_paranoid, or the
+// DLB_PROF_FORCE_FALLBACK=1 test knob — the source degrades to a
+// wall-clock-only backend: exactly one stderr notice, never a failure, and
+// the sidecar keeps its full schema with every counter marked unavailable.
 //
-// Like the recorder, the profiler is strictly opt-in observation: sampling
-// reads clocks and counter fds and appends to thread-private buffers. It
-// never touches RNG streams, floating-point order, or serialized row bytes
+// Like the recorder, profiling is strictly opt-in observation: it reads
+// clocks and counter fds and appends to thread-private buffers. It never
+// touches RNG streams, floating-point order, or serialized row bytes
 // (tests/prof_test.cpp pins rows byte-identical with profiling on or off at
 // shard-threads 1 and 8).
 //
-// Post-run, `analyze_profile` folds the profiler's samples together with the
-// recorder's per-shard phase spans (barrier:<phase> waits, round spans) into
-// per-cell per-phase skew statistics — slowest/mean/p99 shard, barrier-wait
-// share of round time, IPC and cache-miss rate per shard — emitted as the
+// Post-run, `analyze_profile` folds the recorder's one span stream —
+// payload-carrying spans, barrier:<phase> waits, round spans — into per-cell
+// per-phase skew statistics (slowest/mean/p99 shard, barrier-wait share of
+// round time, IPC and cache-miss rate per shard), emitted as the
 // deterministic-schema "dlb-profile-v1" JSON sidecar and a human table
 // (dlb_run --obs-profile).
 #pragma once
@@ -27,12 +30,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "dlb/obs/probe.hpp"
 
 namespace dlb::obs {
 class recorder;
@@ -53,42 +52,30 @@ enum class hw : std::size_t {
 /// Sidecar key for counter slot `i` (i < num_hw).
 [[nodiscard]] const char* hw_name(std::size_t i) noexcept;
 
-/// Counter values captured at one instant on the calling thread, plus the
-/// profiler's own steady-clock reading. `available` is false on the
-/// fallback backend (wall_ns is still valid there).
-struct hw_reading {
-  std::int64_t wall_ns = 0;
+/// The five counters, either read at one instant on the calling thread or
+/// as the deltas over one span (the span payload). `available` is false on
+/// the fallback backend and whenever a read failed.
+struct hw_counts {
   std::array<std::uint64_t, num_hw> value{};
   bool available = false;
 };
 
-/// One completed slice: counter deltas attributed to (name, shard, cell).
-/// `name` must be a string literal, same contract as span_record.
-struct sample_record {
-  const char* name = nullptr;
-  std::uint64_t cell = no_cell;
-  std::int64_t wall_ns = 0;  ///< slice duration
-  std::array<std::uint64_t, num_hw> delta{};
-  std::int32_t shard = -1;
-  std::uint32_t tid = 0;
-  bool available = false;  ///< counters valid (hardware backend, same thread)
-};
-
-/// Buffer footprint of an observability sink — the "per-recorder allocation
-/// counters" surfaced in the profile sidecar's memory section.
+/// Footprint of one kind of record (spans or counter payloads) across a
+/// recorder's per-thread buffers — surfaced in the profile sidecar's memory
+/// section.
 struct buffer_footprint {
   std::uint64_t threads = 0;  ///< per-thread buffers registered
-  std::uint64_t records = 0;  ///< spans / samples held
+  std::uint64_t records = 0;  ///< spans / payloads held
   std::uint64_t bytes = 0;    ///< capacity actually reserved
 };
 
+/// The counter source a recorder reads span payloads from.
 class profiler {
  public:
   /// Probes backend availability once: DLB_PROF_FORCE_FALLBACK=1 or a failed
   /// trial perf_event_open selects the wall-clock-only fallback and prints a
   /// single stderr notice. Construction never throws for backend reasons.
   profiler();
-  ~profiler();
 
   profiler(const profiler&) = delete;
   profiler& operator=(const profiler&) = delete;
@@ -100,59 +87,16 @@ class profiler {
   [[nodiscard]] const std::string& fallback_reason() const noexcept;
 
   /// Reads the calling thread's counter group (opening it on first use).
-  /// On the fallback backend only the wall clock is read.
-  [[nodiscard]] hw_reading begin();
+  /// Unavailable on the fallback backend.
+  [[nodiscard]] hw_counts read() const;
 
-  /// Closes the slice opened by begin() on the same thread and appends one
-  /// sample to the calling thread's buffer. Lock-free after the thread's
-  /// first sample.
-  void complete(const char* name, std::int32_t shard, std::uint64_t cell,
-                const hw_reading& start);
-
-  /// All samples, merged across threads. Only valid when no instrumented
-  /// work is in flight (same quiescence contract as recorder::events()).
-  [[nodiscard]] std::vector<sample_record> samples() const;
-
-  /// Sample-buffer footprint. Same quiescence contract.
-  [[nodiscard]] buffer_footprint footprint() const;
+  /// Counter deltas from `start` (a read() on this thread) to now; available
+  /// only when both reads succeeded.
+  [[nodiscard]] hw_counts since(const hw_counts& start) const;
 
  private:
-  struct buffer {
-    std::uint32_t tid = 0;
-    std::vector<sample_record> samples;
-  };
-
-  buffer& local();
-
-  const std::uint64_t id_;  ///< distinguishes profilers in thread_local caches
   bool hardware_ = false;
   std::string fallback_reason_;
-
-  mutable std::mutex mutex_;  // guards the registry, not the buffers' samples
-  std::vector<std::unique_ptr<buffer>> buffers_;
-};
-
-/// RAII sample: begin() at construction, complete() at destruction. A null
-/// profiler makes both ends a no-op.
-class scoped_sample {
- public:
-  scoped_sample(profiler* pf, const char* name, std::int32_t shard = -1,
-                std::uint64_t cell = no_cell)
-      : pf_(pf), name_(name), shard_(shard), cell_(cell) {
-    if (pf_ != nullptr) start_ = pf_->begin();
-  }
-  ~scoped_sample() {
-    if (pf_ != nullptr) pf_->complete(name_, shard_, cell_, start_);
-  }
-  scoped_sample(const scoped_sample&) = delete;
-  scoped_sample& operator=(const scoped_sample&) = delete;
-
- private:
-  profiler* pf_;
-  const char* name_;
-  hw_reading start_;
-  std::int32_t shard_;
-  std::uint64_t cell_;
 };
 
 // ---------------------------------------------------------------------------
@@ -204,8 +148,8 @@ struct memory_profile {
   std::uint64_t max_rss_kb = 0;  ///< getrusage ru_maxrss (0 if unavailable)
   std::uint64_t vm_hwm_kb = 0;   ///< /proc/self/status VmHWM (0 if absent)
   std::uint64_t vm_rss_kb = 0;   ///< /proc/self/status VmRSS (0 if absent)
-  buffer_footprint recorder;
-  buffer_footprint profiler;
+  buffer_footprint recorder;  ///< span buffers
+  buffer_footprint profiler;  ///< counter payloads riding on those spans
 };
 
 struct profile_report {
@@ -215,15 +159,18 @@ struct profile_report {
   std::vector<cell_profile> cells;  ///< recorder cell-registration order
 };
 
-/// Process-wide memory high-water marks plus sink footprints. Reads
-/// getrusage and /proc/self/status; fields that cannot be read stay 0.
+/// Process-wide memory high-water marks plus the recorder's span and payload
+/// footprints (left 0 without one). Reads getrusage and /proc/self/status;
+/// fields that cannot be read stay 0. The second parameter carries nothing:
+/// it keeps the frozen scale benchmark's two-argument call compiling.
 [[nodiscard]] memory_profile sample_memory(const recorder* rec,
-                                           const profiler* pf);
+                                           std::nullptr_t = nullptr);
 
-/// Joins the profiler's samples with the recorder's spans into per-cell
-/// per-phase skew statistics. Both must be quiescent.
-[[nodiscard]] profile_report analyze_profile(const recorder& rec,
-                                             const profiler& pf);
+/// Folds the recorder's spans into per-cell per-phase skew statistics:
+/// payload-carrying spans give per-(phase, shard) wall time and counters,
+/// barrier:* spans give waits, round/tA_round spans give round totals. The
+/// recorder must be quiescent.
+[[nodiscard]] profile_report analyze_profile(const recorder& rec);
 
 /// The "dlb-profile-v1" sidecar: fixed key set and order, so downstream
 /// tooling (tools/check_profile.py) can validate the schema byte-for-byte.

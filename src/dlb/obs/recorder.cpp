@@ -29,9 +29,24 @@ struct tl_cache {
 };
 thread_local tl_cache tls;
 
+/// Footprint of one record vector (`records`, a member pointer) summed over
+/// all thread buffers.
+template <typename Buffers, typename Records>
+prof::buffer_footprint footprint_of(const Buffers& buffers, Records records) {
+  prof::buffer_footprint fp;
+  fp.threads = buffers.size();
+  for (const auto& buf : buffers) {
+    const auto& held = (*buf).*records;
+    fp.records += held.size();
+    fp.bytes += held.capacity() * sizeof(*held.data());
+  }
+  return fp;
+}
+
 }  // namespace
 
-recorder::recorder() : id_(next_recorder_id()), epoch_ns_(steady_ns()) {}
+recorder::recorder(const prof::profiler* counters)
+    : id_(next_recorder_id()), epoch_ns_(steady_ns()), counters_(counters) {}
 
 recorder::~recorder() = default;
 
@@ -48,8 +63,31 @@ recorder::buffer& recorder::local() {
   buffer& buf = *buffers_.back();
   buf.tid = static_cast<std::uint32_t>(buffers_.size() - 1);
   buf.spans.reserve(1024);
+  if (counters_ != nullptr) buf.payloads.reserve(1024);
   tls = {id_, &buf};
   return buf;
+}
+
+span_start recorder::begin() const {
+  span_start start;
+  if (counters_ != nullptr) start.hw = counters_->read();
+  start.ts_ns = now();
+  return start;
+}
+
+std::int64_t recorder::end(const char* name, const span_start& start,
+                           std::int32_t shard, std::uint64_t cell,
+                           std::int64_t arg) {
+  const std::int64_t end_ns = now();
+  buffer& buf = local();
+  std::uint32_t slot = no_payload;
+  if (counters_ != nullptr) {
+    slot = static_cast<std::uint32_t>(buf.payloads.size());
+    buf.payloads.push_back(counters_->since(start.hw));
+  }
+  buf.spans.push_back({name, start.ts_ns, end_ns - start.ts_ns, arg, cell,
+                       buf.tid, shard, slot});
+  return end_ns;
 }
 
 void recorder::complete(const char* name, std::int64_t ts_ns,
@@ -99,15 +137,20 @@ std::vector<cell_record> recorder::cells() const {
   return cells_;
 }
 
-recorder_footprint recorder::footprint() const {
-  recorder_footprint fp;
+const prof::hw_counts* recorder::payload(const span_record& span) const {
+  if (span.payload == no_payload) return nullptr;
   const std::lock_guard<std::mutex> lock(mutex_);
-  fp.threads = buffers_.size();
-  for (const auto& buf : buffers_) {
-    fp.spans += buf->spans.size();
-    fp.bytes += buf->spans.capacity() * sizeof(span_record);
-  }
-  return fp;
+  return &buffers_[span.tid]->payloads[span.payload];
+}
+
+prof::buffer_footprint recorder::footprint() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return footprint_of(buffers_, &buffer::spans);
+}
+
+prof::buffer_footprint recorder::payload_footprint() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return footprint_of(buffers_, &buffer::payloads);
 }
 
 }  // namespace dlb::obs

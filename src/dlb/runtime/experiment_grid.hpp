@@ -83,22 +83,15 @@ struct grid_spec {
   /// `--shard-threads` oversubscribes cores — pick one axis.
   unsigned shard_threads = 1;
 
-  /// Observability (`--trace` / `--obs-summary`): non-owning trace recorder.
-  /// When set, run_cell registers each cell with it, attaches a probe to the
-  /// cell's process, shard pool, and engine drivers (per-shard phase spans,
-  /// barrier waits, rounds, event dispatches), and hands the recorder the
-  /// cell's metrics snapshot at the end. Pure observation — rows stay
-  /// byte-identical with or without it (tests/obs_test.cpp).
+  /// Observability (`--trace` / `--obs-summary` / `--obs-profile`):
+  /// non-owning trace recorder. When set, run_cell registers each cell with
+  /// it, attaches a probe to the cell's process, shard pool, and engine
+  /// drivers (per-shard phase spans, barrier waits, rounds, event
+  /// dispatches), and hands the recorder the cell's metrics snapshot at the
+  /// end. A recorder built with a counter source profiles the same spans.
+  /// Pure observation — rows stay byte-identical with or without it
+  /// (tests/obs_test.cpp, tests/prof_test.cpp).
   obs::recorder* recorder = nullptr;
-
-  /// Profiling (`--obs-profile`): non-owning hardware-counter profiler.
-  /// When set (always alongside `recorder`, which supplies the cell
-  /// registry and barrier spans the skew analyzer joins against), run_cell
-  /// threads it through the same probe as the recorder: per-shard phase
-  /// slices, pool tasks, rounds, and event dispatches each sample the five
-  /// counters. Pure observation — rows stay byte-identical with it on or
-  /// off (tests/prof_test.cpp).
-  obs::prof::profiler* profiler = nullptr;
 
   /// Opt-in (`--obs-extras`): append the deterministic obs counters
   /// (obs_tokens_moved, obs_edges_touched, obs_nodes_touched, obs_phases,

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "dlb/common/contracts.hpp"
-#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 
 namespace dlb::runtime {
@@ -84,16 +83,15 @@ void thread_pool::parallel_for_each(
   state->pending_jobs = jobs;
 
   // Per-slice tracing: one "pool_task" span from first index pulled to
-  // slice exit, carrying the enqueue→start latency. The recorder read and
-  // the clock reads are the only additions — index distribution, locking,
-  // and error handling are byte-for-byte the untraced protocol.
+  // slice exit, carrying the enqueue→start latency. The recorder's clock
+  // (and, when profiling, counter) reads are the only additions — index
+  // distribution, locking, and error handling are byte-for-byte the
+  // untraced protocol.
   obs::recorder* const rec = recorder_;
-  obs::prof::profiler* const prf = profiler_;
   const std::int64_t enqueue_ns = rec != nullptr ? rec->now() : 0;
-  const auto run_slice = [state, &body, rec, prf, enqueue_ns] {
-    const obs::prof::hw_reading p0 =
-        prf != nullptr ? prf->begin() : obs::prof::hw_reading{};
-    const std::int64_t start_ns = rec != nullptr ? rec->now() : 0;
+  const auto run_slice = [state, &body, rec, enqueue_ns] {
+    const obs::span_start start =
+        rec != nullptr ? rec->begin() : obs::span_start{};
     std::exception_ptr local_error;
     for (;;) {
       const std::size_t i =
@@ -107,13 +105,9 @@ void thread_pool::parallel_for_each(
         break;
       }
     }
-    if (prf != nullptr) {
-      prf->complete("pool_task", /*shard=*/-1, obs::no_cell, p0);
-    }
     if (rec != nullptr) {
-      rec->complete("pool_task", start_ns, rec->now() - start_ns,
-                    /*shard=*/-1, obs::no_cell,
-                    /*arg=*/start_ns - enqueue_ns);
+      rec->end("pool_task", start, /*shard=*/-1, obs::no_cell,
+               /*arg=*/start.ts_ns - enqueue_ns);
     }
     {
       const std::lock_guard<std::mutex> lock(state->done_mutex);

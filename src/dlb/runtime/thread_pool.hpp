@@ -22,9 +22,6 @@
 
 namespace dlb::obs {
 class recorder;
-namespace prof {
-class profiler;
-}
 }  // namespace dlb::obs
 
 namespace dlb::runtime {
@@ -75,17 +72,13 @@ class thread_pool {
                                const std::function<std::size_t()>&)>& body);
 
   /// Attaches a trace recorder: every parallel_for_each slice then records a
-  /// "pool_task" span carrying its enqueue→start latency, which the
+  /// "pool_task" span carrying its enqueue→start latency (and, when the
+  /// recorder has a counter source, the slice's counter deltas), which the
   /// --obs-summary exporter turns into per-worker utilization and queue-wait
   /// stats. Set it before work is submitted (not thread-safe to flip while
   /// slices run); nullptr detaches. Pure observation — scheduling and the
   /// index distribution are untouched.
   void set_recorder(obs::recorder* rec) noexcept { recorder_ = rec; }
-
-  /// Attaches a profiler: every slice then samples the hardware-counter
-  /// deltas it consumed (name "pool_task", shard -1). Same contract as
-  /// set_recorder: set while idle, nullptr detaches, pure observation.
-  void set_profiler(obs::prof::profiler* prf) noexcept { profiler_ = prf; }
 
  private:
   void worker_loop();
@@ -94,8 +87,7 @@ class thread_pool {
   /// parallel_for_each detect re-entrant use.
   static thread_local const thread_pool* worker_of_;
 
-  obs::recorder* recorder_ = nullptr;         // null = no tracing
-  obs::prof::profiler* profiler_ = nullptr;   // null = no counter sampling
+  obs::recorder* recorder_ = nullptr;  // null = no tracing
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;

@@ -169,6 +169,11 @@ TEST(TraceSourceTest, RejectsMalformedTraces) {
   EXPECT_THROW(events::trace_source s(nan_time), contract_violation);
   std::istringstream inf_time("inf 0 1\n");
   EXPECT_THROW(events::trace_source s(inf_time), contract_violation);
+  // Node ids past node_id's range must fail, not wrap into a valid id.
+  std::istringstream wraps_to_zero("0 4294967296 1\n");
+  EXPECT_THROW(events::trace_source s(wraps_to_zero), contract_violation);
+  std::istringstream wraps_negative("0 2147483648 1\n");
+  EXPECT_THROW(events::trace_source s(wraps_negative), contract_violation);
 }
 
 TEST(TraceSourceTest, ReportsServiceEvents) {

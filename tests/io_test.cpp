@@ -48,6 +48,9 @@ TEST(IoTest, ReadRejectsMalformedHeader) {
 TEST(IoTest, ReadRejectsTruncatedBody) {
   std::istringstream is("3 2\n0 1\n");
   EXPECT_THROW((void)read_edge_list(is), contract_violation);
+  // A huge header count must not be trusted for an up-front allocation.
+  std::istringstream huge("4 2147483647\n0 1\n");
+  EXPECT_THROW((void)read_edge_list(huge), contract_violation);
 }
 
 TEST(IoTest, ReadRejectsInvalidEdges) {

@@ -1,18 +1,21 @@
-// The profiling contract (dlb::obs::prof): hardware-counter sampling is
-// pure observation — grid rows must stay byte-identical with profiling on
-// or off at any shard-thread count — and the backend degrades gracefully:
-// where perf_event_open is unavailable (or DLB_PROF_FORCE_FALLBACK=1
-// forces the issue) the profiler keeps the full sidecar schema on
-// wall-clock-only data, reports exactly one stderr notice, and never fails.
+// The profiling contract (dlb::obs::prof): hardware counters ride as a
+// payload on the recorder's own spans, so profiling is pure observation —
+// grid rows must stay byte-identical with profiling on or off at any
+// shard-thread count — and the analyzer's per-shard wall times are exactly
+// the spans' durations. The backend degrades gracefully: where
+// perf_event_open is unavailable (or DLB_PROF_FORCE_FALLBACK=1 forces the
+// issue) the counter source keeps the full sidecar schema on wall-clock-only
+// data, reports exactly one stderr notice, and never fails.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <tuple>
 
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
@@ -38,15 +41,15 @@ runtime::grid_options tiny_options(unsigned shard_threads) {
   return opts;
 }
 
-/// Canonical (timing-masked) JSON of one grid run, optionally profiled.
+/// Canonical (timing-masked) JSON of one grid run, optionally recorded (and
+/// profiled, when the recorder has a counter source).
 std::string run_json(const std::string& grid, unsigned shard_threads,
-                     obs::recorder* rec, obs::prof::profiler* pf) {
+                     obs::recorder* rec) {
   runtime::grid_spec spec =
       runtime::make_named_grid(grid, tiny_options(shard_threads), 5);
   spec.recorder = rec;
-  spec.profiler = pf;
   runtime::thread_pool pool(2);
-  if (pf != nullptr) pool.set_profiler(pf);
+  pool.set_recorder(rec);
   const auto rows = runtime::run_grid(spec, 5, pool);
   std::ostringstream os;
   runtime::write_json(os, rows, runtime::timing::exclude);
@@ -86,35 +89,34 @@ void expect_balanced_json(const std::string& text) {
 // ----------------------------------------------- rows unchanged by profiling
 
 TEST(ProfRowsTest, Table1ByteIdenticalWithProfilerOnAndOff) {
-  const std::string plain = run_json("table1", 1, nullptr, nullptr);
-  obs::recorder rec1;
-  obs::prof::profiler pf1;
-  EXPECT_EQ(plain, run_json("table1", 1, &rec1, &pf1));
-  obs::recorder rec8;
-  obs::prof::profiler pf8;
-  EXPECT_EQ(plain, run_json("table1", 8, &rec8, &pf8));
-  EXPECT_FALSE(pf1.samples().empty()) << "profiled run sampled nothing";
+  const std::string plain = run_json("table1", 1, nullptr);
+  const obs::prof::profiler pf;
+  obs::recorder rec1(&pf);
+  EXPECT_EQ(plain, run_json("table1", 1, &rec1));
+  obs::recorder rec8(&pf);
+  EXPECT_EQ(plain, run_json("table1", 8, &rec8));
+  EXPECT_GT(rec1.payload_footprint().records, 0u)
+      << "profiled run sampled nothing";
 }
 
 TEST(ProfRowsTest, HugeStaticByteIdenticalWithProfilerOnAndOff) {
-  const std::string plain = run_json("huge-static", 1, nullptr, nullptr);
-  obs::recorder rec1;
-  obs::prof::profiler pf1;
-  EXPECT_EQ(plain, run_json("huge-static", 1, &rec1, &pf1));
-  obs::recorder rec8;
-  obs::prof::profiler pf8;
-  EXPECT_EQ(plain, run_json("huge-static", 8, &rec8, &pf8));
+  const std::string plain = run_json("huge-static", 1, nullptr);
+  const obs::prof::profiler pf;
+  obs::recorder rec1(&pf);
+  EXPECT_EQ(plain, run_json("huge-static", 1, &rec1));
+  obs::recorder rec8(&pf);
+  EXPECT_EQ(plain, run_json("huge-static", 8, &rec8));
 }
 
 // ------------------------------------------------------- fallback backend
 
 TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
   ASSERT_EQ(setenv("DLB_PROF_FORCE_FALLBACK", "1", /*overwrite=*/1), 0);
-  const std::string plain = run_json("table1", 1, nullptr, nullptr);
+  const std::string plain = run_json("table1", 1, nullptr);
 
   testing::internal::CaptureStderr();
-  obs::recorder rec;
-  obs::prof::profiler pf;
+  const obs::prof::profiler pf;
+  obs::recorder rec(&pf);
   const std::string notice = testing::internal::GetCapturedStderr();
   ASSERT_EQ(unsetenv("DLB_PROF_FORCE_FALLBACK"), 0);
 
@@ -129,13 +131,13 @@ TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
 
   // Rows stay byte-identical and sampling keeps running on wall clock.
   testing::internal::CaptureStderr();  // swallow any later prints
-  const std::string profiled = run_json("table1", 4, &rec, &pf);
+  const std::string profiled = run_json("table1", 4, &rec);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "")
       << "fallback must be reported once, at construction only";
   EXPECT_EQ(plain, profiled);
 
   // Full-schema sidecar: backend marked, counters flagged unavailable.
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_FALSE(report.cells.empty());
   EXPECT_FALSE(report.hardware_available);
   EXPECT_FALSE(report.fallback_reason.empty());
@@ -167,15 +169,13 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
                task_assignment::tokens(tokens));
   p.enable_sharded_stepping(serial_shard_context(*g, 4));
 
-  obs::recorder rec;
-  obs::prof::profiler pf;
+  const obs::prof::profiler pf;
+  obs::recorder rec(&pf);
   const std::uint64_t cell = rec.register_cell("t", "ring", "algorithm1", 0);
-  obs::probe pb{&rec, nullptr, cell};
-  pb.prf = &pf;
-  ASSERT_TRUE(try_attach_probe(p, pb));
+  ASSERT_TRUE(try_attach_probe(p, obs::probe{&rec, nullptr, cell}));
   for (int t = 0; t < 10; ++t) p.step();
 
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_EQ(report.cells.size(), 1u);
   const obs::prof::cell_profile& cp = report.cells[0];
   EXPECT_EQ(cp.cell, cell);
@@ -210,19 +210,49 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
   }
   EXPECT_TRUE(saw_edge);
 
-  // Memory section: high-water marks and both sink footprints populated.
-  const obs::prof::memory_profile mem = sample_memory(&rec, &pf);
+  // Memory section: high-water marks, span and payload footprints populated.
+  const obs::prof::memory_profile mem = obs::prof::sample_memory(&rec);
   EXPECT_GT(mem.max_rss_kb + mem.vm_hwm_kb, 0u);
   EXPECT_GT(mem.recorder.records, 0u);
   EXPECT_GT(mem.profiler.records, 0u);
   EXPECT_GT(mem.profiler.bytes, 0u);
 }
 
+// One span stream, one clock: every per-shard wall total is exactly the sum
+// of the recorded spans' durations for that (cell, phase, shard).
+TEST(ProfAnalysisTest, PerShardWallEqualsSummedSpanDurations) {
+  const obs::prof::profiler pf;
+  obs::recorder rec(&pf);
+  (void)run_json("table1", 4, &rec);
+
+  std::map<std::tuple<std::uint64_t, std::string, std::int32_t>, std::int64_t>
+      summed;
+  for (const obs::span_record& span : rec.events()) {
+    if (span.cell != obs::no_cell) {
+      summed[{span.cell, span.name, span.shard}] += span.dur_ns;
+    }
+  }
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
+  std::size_t rows = 0;
+  for (const obs::prof::cell_profile& cp : report.cells) {
+    for (const obs::prof::phase_profile& phase : cp.phases) {
+      for (const obs::prof::shard_stat& st : phase.shards) {
+        const auto it = summed.find({cp.cell, phase.phase, st.shard});
+        EXPECT_EQ(st.wall_ns, it == summed.end() ? 0 : it->second)
+            << "cell " << cp.cell << " " << phase.phase << " shard "
+            << st.shard;
+        ++rows;
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
+}
+
 TEST(ProfAnalysisTest, ReportRendersAsJsonAndTable) {
-  obs::recorder rec;
-  obs::prof::profiler pf;
-  (void)run_json("table1", 2, &rec, &pf);
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  const obs::prof::profiler pf;
+  obs::recorder rec(&pf);
+  (void)run_json("table1", 2, &rec);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_FALSE(report.cells.empty());
 
   std::ostringstream sidecar;
@@ -240,16 +270,47 @@ TEST(ProfAnalysisTest, ReportRendersAsJsonAndTable) {
   EXPECT_NE(table.str().find("barrier"), std::string::npos);
 }
 
-TEST(ProfScopedSampleTest, NullProfilerIsANoOp) {
-  const obs::prof::scoped_sample sample(nullptr, "nothing");
-  obs::prof::profiler pf;
-  { const obs::prof::scoped_sample live(&pf, "slice", 3, 7); }
-  const auto samples = pf.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_STREQ(samples[0].name, "slice");
-  EXPECT_EQ(samples[0].shard, 3);
-  EXPECT_EQ(samples[0].cell, 7u);
-  EXPECT_GE(samples[0].wall_ns, 0);
+// Timed spans carry a counter payload; spans synthesized from other
+// timestamps (barrier waits, the cell span) carry none; and a recorder
+// without a counter source stores no counter bytes at all.
+TEST(ProfPayloadTest, OnlyTimedSpansOfASourcedRecorderCarryCounters) {
+  const obs::prof::profiler pf;
+  obs::recorder rec(&pf);
+  (void)run_json("table1", 2, &rec);
+  { const obs::scoped_span live(&rec, "slice", 3, 7); }
+  std::size_t timed = 0;
+  std::size_t barriers = 0;
+  std::size_t cells = 0;
+  for (const obs::span_record& span : rec.events()) {
+    const bool barrier = std::strncmp(span.name, "barrier:", 8) == 0;
+    const bool cell = std::strcmp(span.name, "cell") == 0;
+    if (barrier || cell) {
+      EXPECT_EQ(rec.payload(span), nullptr) << span.name;
+      barriers += barrier ? 1 : 0;
+      cells += cell ? 1 : 0;
+    } else {
+      EXPECT_NE(rec.payload(span), nullptr) << span.name;
+      ++timed;
+    }
+  }
+  EXPECT_GT(timed, 0u);
+  EXPECT_GT(barriers, 0u);
+  EXPECT_GT(cells, 0u);
+  EXPECT_EQ(rec.payload_footprint().records, timed);
+
+  obs::recorder plain;
+  (void)run_json("table1", 2, &plain);
+  { const obs::scoped_span live(&plain, "slice", 3, 7); }
+  ASSERT_FALSE(plain.events().empty());
+  for (const obs::span_record& span : plain.events()) {
+    EXPECT_EQ(plain.payload(span), nullptr) << span.name;
+  }
+  EXPECT_EQ(plain.payload_footprint().records, 0u);
+  EXPECT_EQ(plain.payload_footprint().bytes, 0u);
+  EXPECT_EQ(obs::prof::sample_memory(&plain).profiler.bytes, 0u);
+
+  // A null recorder makes both ends of a span a no-op.
+  { const obs::scoped_span nothing(nullptr, "nothing"); }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // arrivals), and its per-round discrepancy — the chunked min/max reduce —
 // equals the sequential real-load scan every round on a multi-chunk graph;
 // the sharded α-schedule fill of the matching models reproduces the
-// sequential alphas() bits, the cache-locality edge layout is a key-sorted
+// sequential fill's bits, the cache-locality edge layout is a key-sorted
 // permutation (identity on test-sized graphs), and — the point of stealing —
 // a seeded-skew phase leaves far less barrier wait behind than a runner that
 // replays the static one-range-per-shard plan.
@@ -218,10 +218,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- sharded α-schedule fills
 
-// The matching models' ranged fill must reproduce the alphas() bits exactly:
-// continuous processes over periodic and random matching schedules, stepped
-// sequentially (plain alphas) vs steal-sharded (begin_round + fill slices),
-// must produce identical loads and cumulative flows every round.
+// The matching models' sharded fill must reproduce the sequential bits
+// exactly: continuous processes over periodic and random matching schedules,
+// stepped sequentially (one caller-run fill) vs steal-sharded (begin_round +
+// fill slices on the pool), must produce identical loads and cumulative
+// flows every round.
 TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
   const auto g = make_g(generators::hypercube(5));
   const speed_vector s = uniform_speeds(g->num_nodes());

@@ -64,7 +64,7 @@ def check_number(obj, path, key, minimum=None, maximum=None):
 
 
 def check_shard(shard, path, backend):
-    # shard -1 = a whole-cell sample (engine-level phases like "round" are
+    # shard -1 = a whole-cell span (engine-level phases like "round" are
     # not shard-scoped); real shard ids start at 0.
     check_number(shard, path, "shard", minimum=-1)
     check_number(shard, path, "calls", minimum=1)

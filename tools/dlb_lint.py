@@ -9,9 +9,9 @@ code shapes that *could* violate the contract, at review time:
   wall-clock        std::random_device, rand()/srand(), time()/clock(),
                     gettimeofday/clock_gettime, and <chrono> clock ::now()
                     reads anywhere outside the timing allowlist
-                    (runtime/wall_timer.hpp, obs/recorder.cpp,
-                    obs/prof.cpp).  Wall-clock values must never reach
-                    algorithmic state.
+                    (runtime/wall_timer.hpp, obs/recorder.cpp).  Wall-clock
+                    values must never reach algorithmic state, and profiled
+                    spans are timed by the recorder's one clock.
   phase-rng         sequential RNG engines (rng_t/mt19937/make_rng) inside
                     edge_phase/node_phase/node_phase_reduce bodies.  Phase
                     bodies run once per shard in shard-dependent order, so a
@@ -84,7 +84,6 @@ CXX_SUFFIXES = {".cpp", ".hpp", ".cc", ".h", ".cxx", ".hxx"}
 WALL_CLOCK_ALLOWLIST = (
     "runtime/wall_timer.hpp",
     "obs/recorder.cpp",
-    "obs/prof.cpp",
 )
 
 # The serialization root: any file whose include chain reaches this header
@@ -325,7 +324,7 @@ WALL_CLOCK_PATTERNS = (
     (re.compile(
         r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now"),
      "chrono clock reads are banned outside the timing allowlist "
-     "(runtime/wall_timer.hpp, obs/recorder.cpp, obs/prof.cpp)"),
+     "(runtime/wall_timer.hpp, obs/recorder.cpp)"),
 )
 
 PHASE_RNG_PATTERNS = (
@@ -523,8 +522,8 @@ def lint_file(path: Path, display: Path, on_serial_path: bool):
             report(
                 m.start(), "prof-syscall",
                 "perf_event_open outside obs/prof: hardware counters must "
-                "go through dlb::obs::prof::profiler, which owns fd "
-                "lifetime and the graceful-fallback contract")
+                "go through the dlb::obs::prof::profiler counter source, "
+                "which owns fd lifetime and the graceful-fallback contract")
         for m in PROC_SELF_RE.finditer(strip_comments(text)):
             report(
                 m.start(), "prof-syscall",
