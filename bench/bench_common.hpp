@@ -126,7 +126,8 @@ inline int run_grid_bench(const std::string& file_tag,
   print_scaling_efficiency(rows, std::cout);
   const std::string path = "BENCH_" + file_tag + ".json";
   std::ofstream out(path);
-  runtime::write_json(out, rows, runtime::timing::include);
+  runtime::write_rows(out, rows, runtime::sink_format::json,
+                      runtime::timing::include);
   std::cout << "\nwrote " << rows.size() << " cells to " << path << "\n";
   // Also to stderr: the tables above push the artifact location off-screen,
   // and CI logs often capture only one of the two streams.

@@ -237,7 +237,8 @@ int main() {
 
   const std::string path = "BENCH_micro.json";
   std::ofstream out(path);
-  runtime::write_json(out, rows, runtime::timing::include);
+  runtime::write_rows(out, rows, runtime::sink_format::json,
+                      runtime::timing::include);
   std::cout << "\nwrote " << rows.size() << " cells to " << path << "\n";
   std::cerr << "BENCH " << path << ": " << rows.size() << " cells\n";
   return 0;

@@ -63,7 +63,8 @@ int main() {
   print_slopes(rows);
 
   std::ofstream out("BENCH_scaling_n.json");
-  runtime::write_json(out, rows, runtime::timing::include);
+  runtime::write_rows(out, rows, runtime::sink_format::json,
+                      runtime::timing::include);
   std::cout << "\nwrote " << rows.size() << " cells to BENCH_scaling_n.json\n";
   return 0;
 }

@@ -20,11 +20,9 @@
 //                 perf_baseline.json) whose measured per-cell wall_ns seed
 //                 the scheduler's cost estimates; unknown cells keep the
 //                 analytic guess. Pure scheduling — output unchanged
-//   --stream      write rows as cells finish (cell order preserved, bytes
-//                 identical to the buffered path) instead of holding the
-//                 whole grid in memory; incompatible with --table
 //   --master-seed master seed pinning topology + every cell RNG (default 1)
-//   --n           approximate node count per graph case (default 128)
+//   --n           approximate node count per graph case (default 128,
+//                 at least 16)
 //   --repeats     repetitions for randomized competitors (default 5)
 //   --spike-per-node   initial spike weight per node (default 50)
 //   --dynamic-rounds / --arrivals-per-round   dynamic grids only
@@ -64,10 +62,11 @@
 //                 cold start). The file's settings fingerprint must match
 //                 this invocation's row-affecting flags; execution-only
 //                 knobs (--threads, --shard-threads, --format) may differ
-//                 freely. Incompatible with --stream
+//                 freely
 //   --format      stdout/--out serialization: json (default) or csv —
 //                 same row schema, same determinism guarantees
-//   --out         also write results (with real wall_ns timing) to this file
+//   --out         also write results (with real wall_ns timing) to this
+//                 file; it is replaced only when the whole run succeeds
 //   --table       render each grid's ascii pivot to stderr; the shape is
 //                 per-grid (discrepancy, steady-state mean, balancing time,
 //                 or the study grids' extra-metric columns)
@@ -75,12 +74,16 @@
 // stdout carries the results (JSON array by default, CSV with --format csv)
 // with wall_ns masked to 0, so the bytes are identical for any --threads
 // value: grid cells derive their RNG streams from (master seed, cell index),
-// never from scheduling. Use --out for the timing-bearing variant.
+// never from scheduling. Use --out for the timing-bearing variant. Rows
+// stream out in cell order; after a failure (exit 1) stdout ends after the
+// rows emitted so far, without the closing `]`.
+#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,9 +109,14 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
+template <typename T>
+constexpr std::int64_t max_of = std::numeric_limits<T>::max();
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The sibling temp file --out is written to; removed if the run fails.
+  std::string out_tmp;
   try {
     const analysis::arg_map args(argc, argv);
 
@@ -121,8 +129,12 @@ int main(int argc, char** argv) {
 
     const std::string grid_arg = args.get("grid", "");
     runtime::grid_options opts;
-    opts.target_n = static_cast<node_id>(args.get_int("n", opts.target_n));
-    opts.repeats = static_cast<int>(args.get_int("repeats", opts.repeats));
+    // Counts are range-checked before they narrow, so a value that would
+    // wrap fails instead of running another experiment.
+    opts.target_n = static_cast<node_id>(
+        args.get_int("n", opts.target_n, 16, max_of<node_id>));
+    opts.repeats = static_cast<int>(
+        args.get_int("repeats", opts.repeats, 1, max_of<int>));
     opts.spike_per_node =
         args.get_int("spike-per-node", opts.spike_per_node);
     opts.dynamic_rounds =
@@ -139,30 +151,26 @@ int main(int argc, char** argv) {
     // is given (single values keep the plain name — the common case and the
     // historical output bytes).
     std::vector<unsigned> shard_thread_list;
-    for (const std::string& item :
-         split_csv(args.get("shard-threads", "1"))) {
-      const unsigned long k = std::stoul(item);
-      if (k < 1) {
-        std::cerr << "--shard-threads values must be >= 1\n";
-        return 2;
-      }
-      shard_thread_list.push_back(static_cast<unsigned>(k));
+    for (const std::string& item : split_csv(args.get("shard-threads", "1"))) {
+      shard_thread_list.push_back(static_cast<unsigned>(
+          analysis::parse_int("shard-threads", item, 1, max_of<unsigned>)));
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
     const std::string cost_baseline = args.get("cost-baseline", "");
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
-    const std::int64_t summary_top = args.get_int("obs-summary-top", 8);
+    const std::int64_t summary_top =
+        args.get_int("obs-summary-top", 8, 1, max_of<std::int64_t>);
     const bool obs_profile =
         args.has("obs-profile") || args.has("obs-profile-out");
     const std::string profile_out =
         args.get("obs-profile-out", "dlb_profile.json");
     const bool obs_extras = args.has("obs-extras");
-    const bool stream = args.has("stream");
     const auto master_seed =
         static_cast<std::uint64_t>(args.get_int("master-seed", 1));
-    const auto threads = static_cast<unsigned>(args.get_int(
-        "threads", runtime::thread_pool::default_threads()));
+    const auto threads = static_cast<unsigned>(
+        args.get_int("threads", runtime::thread_pool::default_threads(), 1,
+                     max_of<unsigned>));
     const std::string out_path = args.get("out", "");
     const runtime::sink_format format =
         runtime::parse_format(args.get("format", "json"));
@@ -170,7 +178,8 @@ int main(int argc, char** argv) {
     const std::string resume_path = args.get("resume", "");
     // --resume without --checkpoint keeps saving into the resumed file.
     const std::string ckpt_path = args.get("checkpoint", resume_path);
-    const std::int64_t ckpt_every = args.get_int("checkpoint-every", 1);
+    const std::int64_t ckpt_every =
+        args.get_int("checkpoint-every", 1, 1, max_of<std::int64_t>);
 
     for (const std::string& key : args.unused_keys()) {
       std::cerr << "unknown argument: " << key << "\n";
@@ -181,26 +190,8 @@ int main(int argc, char** argv) {
                    "`dlb_run --grid table1`\n";
       return 2;
     }
-    if (stream && want_table) {
-      std::cerr << "--stream does not hold rows, so it cannot render "
-                   "--table; drop one of the two\n";
-      return 2;
-    }
-    if (stream && !ckpt_path.empty()) {
-      std::cerr << "--checkpoint/--resume buffer rows per grid, which "
-                   "--stream exists to avoid; drop one of the two\n";
-      return 2;
-    }
-    if (ckpt_every < 1) {
-      std::cerr << "--checkpoint-every must be >= 1\n";
-      return 2;
-    }
     if (ckpt_path.empty() && args.has("checkpoint-every")) {
       std::cerr << "--checkpoint-every needs --checkpoint or --resume\n";
-      return 2;
-    }
-    if (summary_top < 1) {
-      std::cerr << "--obs-summary-top must be >= 1\n";
       return 2;
     }
     if (args.has("obs-summary-top") && !obs_summary) {
@@ -237,8 +228,7 @@ int main(int argc, char** argv) {
     }
 
     // Build every grid spec up front: an unknown grid name or bad config
-    // must fail *before* outputs are touched — opening --out truncates it,
-    // and a begun stream has already emitted its framing.
+    // must fail *before* the output framing has been emitted.
     std::vector<runtime::grid_spec> specs;
     for (const std::string& name : split_csv(grid_arg)) {
       for (const unsigned shard_threads : shard_thread_list) {
@@ -253,59 +243,41 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Checkpoint fingerprint: every flag that affects row bytes, and none
-    // that are pure execution strategy (--threads, --shard-threads,
-    // --format) — resuming across those is the point.
     std::optional<runtime::grid_checkpoint> ckpt;
     if (!ckpt_path.empty()) {
-      std::ostringstream fp;
-      fp << "grids=" << grid_arg << ";master-seed=" << master_seed
-         << ";n=" << opts.target_n << ";repeats=" << opts.repeats
-         << ";spike=" << opts.spike_per_node
-         << ";dynamic-rounds=" << opts.dynamic_rounds
-         << ";arrivals-per-round=" << opts.arrivals_per_round
-         << ";burst-size=" << opts.burst_size
-         << ";burst-period=" << opts.burst_period
-         << ";arrival-rate=" << opts.arrival_rate
-         << ";service-rate=" << opts.service_rate
-         << ";replay-trace=" << opts.trace_path
-         << ";obs-extras=" << (obs_extras ? 1 : 0);
+      const std::string fp = runtime::checkpoint_fingerprint(
+          grid_arg, master_seed, opts, obs_extras);
       ckpt = resume_path.empty()
-                 ? runtime::grid_checkpoint(fp.str())
-                 : runtime::grid_checkpoint::load_or_empty(resume_path,
-                                                           fp.str());
+                 ? runtime::grid_checkpoint(fp)
+                 : runtime::grid_checkpoint::load_or_empty(resume_path, fp);
       if (!resume_path.empty()) {
         std::cerr << "resume: " << ckpt->size() << " completed cells loaded "
                   << "from " << resume_path << "\n";
       }
+      ckpt->save_to(ckpt_path, static_cast<std::uint64_t>(ckpt_every));
     }
 
     runtime::thread_pool pool(threads);
     if (recorder != nullptr) pool.set_recorder(recorder.get());
-    // --out opens lazily: streaming must write as rows arrive, but the
-    // buffered path opens (and truncates) only after every grid succeeded,
-    // so a mid-run failure leaves a previous results file intact.
+    // --out goes to a sibling temp file that replaces the target only after
+    // every grid succeeded, so a failed run leaves a previous results file
+    // intact.
     std::ofstream out_file;
-    const auto open_out = [&]() {
-      out_file.open(out_path);
-      if (!out_file) std::cerr << "cannot open " << out_path << "\n";
-      return out_file.is_open();
-    };
+    if (!out_path.empty()) {
+      out_tmp = out_path + ".tmp";
+      out_file.open(out_tmp);
+      if (!out_file) throw std::runtime_error("cannot open " + out_tmp);
+    }
 
-    // Streaming mode: rows leave for stdout (and --out) the moment every
-    // earlier cell has finished — the grid is never materialized.
+    // Rows leave for stdout (and --out) the moment every earlier cell has
+    // finished; --table keeps only the current grid's rows.
     runtime::row_writer stdout_writer(std::cout, format,
                                       runtime::timing::exclude);
     runtime::row_writer file_writer(out_file, format,
                                     runtime::timing::include);
-    std::uint64_t streamed = 0;
-    if (stream) {
-      if (!out_path.empty() && !open_out()) return 1;
-      stdout_writer.begin();
-      if (out_file.is_open()) file_writer.begin();
-    }
-
-    std::vector<runtime::result_row> all_rows;
+    stdout_writer.begin();
+    if (out_file.is_open()) file_writer.begin();
+    std::vector<runtime::result_row> table_rows;
     for (const runtime::grid_spec& spec : specs) {
       std::cerr << "running grid '" << spec.name << "' ("
                 << runtime::expand_grid(spec, master_seed).size()
@@ -314,91 +286,75 @@ int main(int argc, char** argv) {
         std::cerr << ", " << spec.shard_threads << " shard threads";
       }
       std::cerr << ")\n";
-      if (stream) {
-        streamed += runtime::run_grid_streaming(
-            spec, master_seed, pool, [&](const runtime::result_row& row) {
-              stdout_writer.row(row);
-              if (out_file.is_open()) file_writer.row(row);
-            });
-        continue;
-      }
-      auto rows =
-          ckpt.has_value()
-              ? runtime::run_grid_checkpointed(
-                    spec, master_seed, pool, *ckpt, ckpt_path,
-                    static_cast<std::uint64_t>(ckpt_every))
-              : runtime::run_grid(spec, master_seed, pool);
+      runtime::run_grid(
+          spec, master_seed, pool,
+          [&](const runtime::result_row& row) {
+            stdout_writer.row(row);
+            if (out_file.is_open()) file_writer.row(row);
+            if (want_table) table_rows.push_back(row);
+          },
+          ckpt.has_value() ? &*ckpt : nullptr);
       if (want_table) {
         std::cerr << "\n" << spec.description << "\n";
-        runtime::render_view(spec, rows).print(std::cerr);
+        runtime::render_view(spec, table_rows).print(std::cerr);
+        table_rows.clear();
       }
-      all_rows.insert(all_rows.end(),
-                      std::make_move_iterator(rows.begin()),
-                      std::make_move_iterator(rows.end()));
+    }
+    stdout_writer.end();
+    if (out_file.is_open()) {
+      file_writer.end();
+      out_file.close();
+      if (!out_file || std::rename(out_tmp.c_str(), out_path.c_str()) != 0) {
+        throw std::runtime_error("cannot write " + out_path);
+      }
+      out_tmp.clear();
+      std::cerr << "wrote " << file_writer.rows_written() << " rows to "
+                << out_path << "\n";
     }
 
     // Trace export + summary after every grid finished and the pools are
     // idle (the recorder's read-side contract). The rows above are already
-    // out (or about to be written from memory) — obs output goes to its own
-    // files and stderr, never into the row streams.
-    const auto export_obs = [&]() {
-      if (recorder == nullptr) return true;
-      if (!trace_out.empty()) {
-        std::ofstream trace_file(trace_out);
-        if (!trace_file) {
-          std::cerr << "cannot open " << trace_out << "\n";
-          return false;
-        }
-        obs::write_chrome_trace(trace_file, *recorder);
-        const std::string sidecar_path = trace_out + ".metrics.json";
-        std::ofstream sidecar(sidecar_path);
-        if (!sidecar) {
-          std::cerr << "cannot open " << sidecar_path << "\n";
-          return false;
-        }
-        obs::write_metrics_sidecar(sidecar, *recorder);
-        std::cerr << "wrote trace to " << trace_out << " and metrics to "
-                  << sidecar_path << "\n";
+    // out — obs output goes to its own files and stderr, never into the row
+    // streams.
+    if (recorder == nullptr) return 0;
+    if (!trace_out.empty()) {
+      std::ofstream trace_file(trace_out);
+      if (!trace_file) {
+        std::cerr << "cannot open " << trace_out << "\n";
+        return 1;
       }
-      if (obs_summary) {
-        obs::summary_options sopts;
-        sopts.top_tids = static_cast<std::size_t>(summary_top);
-        obs::write_summary(std::cerr, *recorder, sopts);
+      obs::write_chrome_trace(trace_file, *recorder);
+      const std::string sidecar_path = trace_out + ".metrics.json";
+      std::ofstream sidecar(sidecar_path);
+      if (!sidecar) {
+        std::cerr << "cannot open " << sidecar_path << "\n";
+        return 1;
       }
-      if (obs_profile) {
-        const obs::prof::profile_report report =
-            obs::prof::analyze_profile(*recorder);
-        std::ofstream profile_file(profile_out);
-        if (!profile_file) {
-          std::cerr << "cannot open " << profile_out << "\n";
-          return false;
-        }
-        obs::prof::write_profile_json(profile_file, report);
-        obs::prof::write_profile_table(std::cerr, report);
-        std::cerr << "wrote profile to " << profile_out << "\n";
-      }
-      return true;
-    };
-
-    if (stream) {
-      stdout_writer.end();
-      if (out_file.is_open()) {
-        file_writer.end();
-        std::cerr << "wrote " << streamed << " rows to " << out_path << "\n";
-      }
-      return export_obs() ? 0 : 1;
+      obs::write_metrics_sidecar(sidecar, *recorder);
+      std::cerr << "wrote trace to " << trace_out << " and metrics to "
+                << sidecar_path << "\n";
     }
-    runtime::write_rows(std::cout, all_rows, format, runtime::timing::exclude);
-    if (!out_path.empty()) {
-      if (!open_out()) return 1;
-      runtime::write_rows(out_file, all_rows, format,
-                          runtime::timing::include);
-      std::cerr << "wrote " << all_rows.size() << " rows to " << out_path
-                << "\n";
+    if (obs_summary) {
+      obs::summary_options sopts;
+      sopts.top_tids = static_cast<std::size_t>(summary_top);
+      obs::write_summary(std::cerr, *recorder, sopts);
     }
-    return export_obs() ? 0 : 1;
+    if (obs_profile) {
+      const obs::prof::profile_report report =
+          obs::prof::analyze_profile(*recorder);
+      std::ofstream profile_file(profile_out);
+      if (!profile_file) {
+        std::cerr << "cannot open " << profile_out << "\n";
+        return 1;
+      }
+      obs::prof::write_profile_json(profile_file, report);
+      obs::prof::write_profile_table(std::cerr, report);
+      std::cerr << "wrote profile to " << profile_out << "\n";
+    }
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
+    if (!out_tmp.empty()) std::remove(out_tmp.c_str());
     return 1;
   }
 }

@@ -26,6 +26,25 @@ bool is_dashed_key(const std::string& token) {
 
 }  // namespace
 
+std::int64_t parse_int(const std::string& key, const std::string& text,
+                       std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  try {
+    std::size_t pos = 0;
+    v = std::stoll(text, &pos);
+    DLB_EXPECTS(pos == text.size());
+  } catch (const std::logic_error&) {
+    throw contract_violation("argument '" + key +
+                             "' is not an integer: " + text);
+  }
+  if (v < lo || v > hi) {
+    throw contract_violation("argument '" + key + "' is " + text +
+                             ", outside [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 arg_map::arg_map(int argc, const char* const* argv) {
   std::vector<std::string> tokens;
   for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
@@ -80,20 +99,12 @@ std::string arg_map::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t arg_map::get_int(const std::string& key,
-                              std::int64_t fallback) const {
+std::int64_t arg_map::get_int(const std::string& key, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const {
   const auto it = values_.find(key);
   consumed_[key] = true;
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    DLB_EXPECTS(pos == it->second.size());
-    return v;
-  } catch (const std::logic_error&) {
-    throw contract_violation("argument '" + key + "' is not an integer: " +
-                             it->second);
-  }
+  return parse_int(key, it->second, lo, hi);
 }
 
 double arg_map::get_real(const std::string& key, double fallback) const {

@@ -3,6 +3,8 @@
 // enough to make simulations scriptable.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -10,6 +12,12 @@
 #include "dlb/common/types.hpp"
 
 namespace dlb::analysis {
+
+/// get_int's parser, for values that arrive inside a list: `text` as an
+/// integer in [lo, hi], else one contract_violation naming `key`.
+[[nodiscard]] std::int64_t parse_int(const std::string& key,
+                                     const std::string& text, std::int64_t lo,
+                                     std::int64_t hi);
 
 class arg_map {
  public:
@@ -30,10 +38,15 @@ class arg_map {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Value lookups with defaults; numeric getters throw on non-numeric text.
+  /// get_int also throws on a value outside [lo, hi]: pass the range of the
+  /// type the caller narrows to, so a count that would wrap fails instead of
+  /// silently running a different experiment.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] double get_real(const std::string& key,
                                 double fallback) const;
 

@@ -10,7 +10,7 @@
 // mean measured wall_ns; unknown cells keep the analytic estimate rescaled
 // by the covered cells' mean ns-per-analytic-unit, so both scales rank
 // together and a stale or partial baseline can only sharpen the ordering,
-// never break a run. Pure scheduling either way: rows re-sort into cell
+// never break a run. Pure scheduling either way: rows are emitted in cell
 // order, output bytes are unchanged.
 #pragma once
 
@@ -33,7 +33,7 @@ class cost_model {
   /// skipped.
   explicit cost_model(const std::vector<result_row>& rows);
 
-  /// Loads a JSON rows file (write_json format, e.g.
+  /// Loads a JSON rows file (write_rows JSON format, e.g.
   /// bench/baselines/perf_baseline.json). Throws contract_violation when
   /// the file is missing or malformed.
   [[nodiscard]] static cost_model from_file(const std::string& path);

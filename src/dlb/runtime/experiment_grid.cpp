@@ -13,6 +13,7 @@
 #include "dlb/events/async_driver.hpp"
 #include "dlb/events/event_source.hpp"
 #include "dlb/graph/spectral.hpp"
+#include "dlb/runtime/grid_checkpoint.hpp"
 #include "dlb/runtime/wall_timer.hpp"
 #include "dlb/workload/arrival.hpp"
 
@@ -354,84 +355,73 @@ analysis::ascii_table render_view(const grid_spec& spec,
   return analysis::pivot("process", discrepancy_cells(rows));
 }
 
-namespace {
-
-/// Shared grid prologue: resolve the trace prototype (parse the file once —
-/// cells take O(1) copies), expand the cells, and compute the longest-first
-/// submission order. The pool hands out indices in order, so sorting by
-/// descending cost estimate keeps the most expensive cells from landing
-/// last and stretching the tail. Ties (and static grids without cost hints,
-/// whose estimate is just n) fall back to cell order; the order is pure
-/// scheduling — both drivers below restore canonical cell order in their
-/// output.
-struct grid_run_setup {
-  const grid_spec* active;
-  grid_spec with_trace;  // storage when a trace prototype had to be parsed
-  std::vector<grid_cell> cells;
-  std::vector<std::size_t> order;
-};
-
-grid_run_setup prepare_grid_run(const grid_spec& spec,
-                                std::uint64_t master_seed) {
-  grid_run_setup setup;
-  setup.active = &spec;
+void run_grid(const grid_spec& spec, std::uint64_t master_seed,
+              thread_pool& pool,
+              const std::function<void(const result_row&)>& emit,
+              grid_checkpoint* ckpt) {
+  DLB_EXPECTS(emit != nullptr);
+  // Parse a replay trace once; cells take O(1) copies of the prototype.
+  const grid_spec* active = &spec;
+  grid_spec with_trace;
   if (spec.kind == grid_kind::async_events && !spec.trace_path.empty() &&
       spec.trace_proto == nullptr) {
-    setup.with_trace = spec;
-    setup.with_trace.trace_proto =
-        std::shared_ptr<const events::trace_source>(
-            events::load_trace(spec.trace_path));
-    setup.active = &setup.with_trace;
+    with_trace = spec;
+    with_trace.trace_proto = std::shared_ptr<const events::trace_source>(
+        events::load_trace(spec.trace_path));
+    active = &with_trace;
   }
-  setup.cells = expand_grid(*setup.active, master_seed);
-  setup.order.resize(setup.cells.size());
-  for (std::size_t i = 0; i < setup.order.size(); ++i) setup.order[i] = i;
-  std::stable_sort(setup.order.begin(), setup.order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return setup.cells[a].cost_estimate >
-                            setup.cells[b].cost_estimate;
-                   });
-  return setup;
-}
+  const std::vector<grid_cell> cells = expand_grid(*active, master_seed);
 
-}  // namespace
-
-std::vector<result_row> run_grid(const grid_spec& spec,
-                                 std::uint64_t master_seed,
-                                 thread_pool& pool) {
-  const grid_run_setup setup = prepare_grid_run(spec, master_seed);
-  result_sink sink;
-  pool.parallel_for_each(setup.cells.size(), [&](std::size_t i) {
-    sink.add(run_cell(*setup.active, setup.cells[setup.order[i]]));
-  });
-  DLB_ENSURES(sink.size() == setup.cells.size());
-  return sink.take_rows();
-}
-
-std::uint64_t run_grid_streaming(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    const std::function<void(const result_row&)>& emit) {
-  DLB_EXPECTS(emit != nullptr);
-  const grid_run_setup setup = prepare_grid_run(spec, master_seed);
   // Reorder buffer: cells finish in scheduler order, rows leave in cell
-  // order. A finished cell parks its row until every earlier cell has been
-  // emitted, so memory holds only the out-of-order window — not the grid.
-  std::mutex mutex;
+  // order. Checkpointed rows enter it up front; a finished cell parks its
+  // row until every earlier cell has been emitted.
   std::map<std::uint64_t, result_row> pending;
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string* json =
+        ckpt != nullptr ? ckpt->find(spec.name, cells[i].index) : nullptr;
+    if (json != nullptr) {
+      pending.emplace(cells[i].index, parse_row(*json));
+    } else {
+      todo.push_back(i);
+    }
+  }
   std::uint64_t next = 0;
-  pool.parallel_for_each(setup.cells.size(), [&](std::size_t i) {
-    result_row row = run_cell(*setup.active, setup.cells[setup.order[i]]);
-    const std::lock_guard<std::mutex> lock(mutex);
-    pending.emplace(row.cell, std::move(row));
+  const auto emit_ready = [&]() {
     for (auto it = pending.find(next); it != pending.end();
          it = pending.find(next)) {
       emit(it->second);
       pending.erase(it);
       ++next;
     }
+  };
+  emit_ready();
+
+  // Longest-first: the pool hands out indices in order, so the most
+  // expensive cells do not land last and stretch the tail. Ties (and static
+  // grids without cost hints, whose estimate is just n) keep cell order.
+  std::stable_sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    return cells[a].cost_estimate > cells[b].cost_estimate;
   });
-  DLB_ENSURES(pending.empty() && next == setup.cells.size());
-  return next;
+  std::mutex mutex;
+  pool.parallel_for_each(todo.size(), [&](std::size_t k) {
+    result_row row = run_cell(*active, cells[todo[k]]);
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (ckpt != nullptr) ckpt->record(spec.name, row);
+    pending.emplace(row.cell, std::move(row));
+    emit_ready();
+  });
+  if (ckpt != nullptr) ckpt->flush();
+  DLB_ENSURES(pending.empty() && next == cells.size());
+}
+
+std::vector<result_row> run_grid(const grid_spec& spec,
+                                 std::uint64_t master_seed,
+                                 thread_pool& pool) {
+  std::vector<result_row> rows;
+  run_grid(spec, master_seed, pool,
+           [&rows](const result_row& row) { rows.push_back(row); });
+  return rows;
 }
 
 }  // namespace dlb::runtime

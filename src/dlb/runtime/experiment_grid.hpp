@@ -184,26 +184,26 @@ struct grid_cell {
 [[nodiscard]] result_row run_cell(const grid_spec& spec,
                                   const grid_cell& cell);
 
-/// Expands and executes a whole grid on `pool`, returning rows in canonical
-/// cell order. Cells are submitted longest-first by `cost_estimate` (cutting
-/// tail latency on wide pools); the submission order is pure scheduling —
-/// rows are re-sorted into cell order, so output stays bit-identical for any
-/// pool size given the same (spec, master_seed) — apart from wall_ns.
+class grid_checkpoint;
+
+/// The grid driver: expands `spec` once, runs its cells on `pool`
+/// longest-first by `cost_estimate`, and calls `emit` with every row in
+/// canonical cell order — bit-identical for any pool size apart from
+/// wall_ns. Finished rows wait in a reorder buffer for every earlier cell;
+/// `emit` runs on pool workers under the reorder lock, one call at a time.
+/// With `ckpt`, stored cells are emitted without running, and each fresh
+/// row is recorded when its cell finishes (not when it is emitted), so a
+/// kill loses no row waiting behind a slower cell; the checkpoint saves on
+/// its own cadence and at the end of the grid.
+void run_grid(const grid_spec& spec, std::uint64_t master_seed,
+              thread_pool& pool,
+              const std::function<void(const result_row&)>& emit,
+              grid_checkpoint* ckpt = nullptr);
+
+/// Collector form of the driver: all rows of the grid, in cell order.
 [[nodiscard]] std::vector<result_row> run_grid(const grid_spec& spec,
                                                std::uint64_t master_seed,
                                                thread_pool& pool);
-
-/// Streaming variant: executes the grid without materializing it — `emit`
-/// receives each row in canonical cell order as soon as every earlier cell
-/// has finished (out-of-order completions wait in a bounded reorder buffer).
-/// The emitted sequence is exactly run_grid's returned vector, so feeding
-/// `emit` into a row_writer reproduces the buffered output byte-for-byte
-/// while holding only the out-of-order window in memory. Returns the number
-/// of rows emitted. `emit` is called from worker threads, one call at a
-/// time (serialized by the reorder lock).
-std::uint64_t run_grid_streaming(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    const std::function<void(const result_row&)>& emit);
 
 /// Pivots rows into the grid's declared table shape (spec.view) — the table
 /// `dlb_run --table` and the bench wrappers print.

@@ -1,11 +1,10 @@
 #include "dlb/runtime/grid_checkpoint.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <mutex>
+#include <system_error>
 
 #include "dlb/common/contracts.hpp"
-#include "dlb/events/event_source.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb::runtime {
@@ -14,21 +13,26 @@ namespace {
 constexpr std::string_view grid_section = "dlb-grid-checkpoint";
 }  // namespace
 
-bool grid_checkpoint::has(const std::string& grid, std::uint64_t cell) const {
-  return rows_.find({grid, cell}) != rows_.end();
-}
-
 const std::string* grid_checkpoint::find(const std::string& grid,
                                          std::uint64_t cell) const {
   const auto it = rows_.find({grid, cell});
   return it != rows_.end() ? &it->second : nullptr;
 }
 
-void grid_checkpoint::put(const std::string& grid, const result_row& row) {
-  rows_[{grid, row.cell}] = to_json(row, timing::include);
+void grid_checkpoint::save_to(std::string path, std::uint64_t every) {
+  DLB_EXPECTS(!path.empty() && every >= 1);
+  path_ = std::move(path);
+  every_ = every;
 }
 
-void grid_checkpoint::save(const std::string& path) const {
+void grid_checkpoint::record(const std::string& grid, const result_row& row) {
+  rows_[{grid, row.cell}] = to_json(row, timing::include);
+  if (path_.empty()) return;
+  if (++unsaved_ == every_) flush();
+}
+
+void grid_checkpoint::flush() {
+  if (path_.empty() || unsaved_ == 0) return;
   snapshot::writer w;
   w.section(grid_section);
   w.str(fingerprint_);
@@ -38,7 +42,8 @@ void grid_checkpoint::save(const std::string& path) const {
     w.u64(key.second);
     w.str(json);
   }
-  w.save_file(path);
+  w.save_file(path_);
+  unsaved_ = 0;
 }
 
 grid_checkpoint grid_checkpoint::load(const std::string& path,
@@ -74,57 +79,28 @@ grid_checkpoint grid_checkpoint::load_or_empty(const std::string& path,
   return load(path, expected);
 }
 
-std::vector<result_row> run_grid_checkpointed(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    grid_checkpoint& ckpt, const std::string& path, std::uint64_t every) {
-  DLB_EXPECTS(!path.empty() && every >= 1);
-  // Same prologue as run_grid: resolve the trace prototype once, expand.
-  const grid_spec* active = &spec;
-  grid_spec with_trace;
-  if (spec.kind == grid_kind::async_events && !spec.trace_path.empty() &&
-      spec.trace_proto == nullptr) {
-    with_trace = spec;
-    with_trace.trace_proto = std::shared_ptr<const events::trace_source>(
-        events::load_trace(spec.trace_path));
-    active = &with_trace;
-  }
-  const std::vector<grid_cell> cells = expand_grid(*active, master_seed);
-
-  // Restore cached cells; collect the rest for execution.
-  std::vector<result_row> rows(cells.size());
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (const std::string* json = ckpt.find(spec.name, cells[i].index)) {
-      rows[i] = parse_row(*json);
-    } else {
-      todo.push_back(i);
-    }
-  }
-  // Longest-first among the remaining cells (run_grid's tail-latency
-  // scheduling); pure scheduling — rows land back in cell order below.
-  std::stable_sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
-    return cells[a].cost_estimate > cells[b].cost_estimate;
-  });
-
-  std::mutex mutex;
-  std::uint64_t fresh = 0;
-  pool.parallel_for_each(todo.size(), [&](std::size_t k) {
-    const std::size_t i = todo[k];
-    result_row row = run_cell(*active, cells[i]);
-    const std::lock_guard<std::mutex> lock(mutex);
-    ckpt.put(spec.name, row);
-    rows[i] = std::move(row);
-    // Periodic saves are atomic (tmp + rename): a kill between or during
-    // saves costs at most the unsaved cells, never the file.
-    if (++fresh % every == 0) ckpt.save(path);
-  });
-  if (!todo.empty() && fresh % every != 0) ckpt.save(path);
-
-  std::sort(rows.begin(), rows.end(),
-            [](const result_row& a, const result_row& b) {
-              return a.cell < b.cell;
-            });
-  return rows;
+std::string checkpoint_fingerprint(const std::string& grids,
+                                   std::uint64_t master_seed,
+                                   const grid_options& opts,
+                                   bool obs_extras) {
+  const auto real = [](real_t v) {
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    DLB_ASSERT(res.ec == std::errc());
+    return std::string(buf, res.ptr);
+  };
+  return "grids=" + grids + ";master-seed=" + std::to_string(master_seed) +
+         ";n=" + std::to_string(opts.target_n) +
+         ";repeats=" + std::to_string(opts.repeats) +
+         ";spike=" + std::to_string(opts.spike_per_node) +
+         ";dynamic-rounds=" + std::to_string(opts.dynamic_rounds) +
+         ";arrivals-per-round=" + std::to_string(opts.arrivals_per_round) +
+         ";burst-size=" + std::to_string(opts.burst_size) +
+         ";burst-period=" + std::to_string(opts.burst_period) +
+         ";arrival-rate=" + real(opts.arrival_rate) +
+         ";service-rate=" + real(opts.service_rate) +
+         ";replay-trace=" + opts.trace_path +
+         ";obs-extras=" + (obs_extras ? "1" : "0");
 }
 
 }  // namespace dlb::runtime

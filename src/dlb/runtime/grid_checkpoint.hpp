@@ -7,51 +7,51 @@
 // --checkpoint` relaunched with `--resume` recomputes only the cells that
 // had not finished and emits byte-identical output to an uninterrupted run.
 //
-// The file embeds a caller-built fingerprint of every setting that affects
-// row bytes (grids, seeds, sizes, traffic knobs — NOT --threads /
-// --shard-threads / --format, which are execution strategy); resuming
-// under different settings fails with one line instead
-// of splicing rows from two different experiments.
+// The file embeds a fingerprint of every setting that affects row bytes
+// (checkpoint_fingerprint: grids, seeds, sizes, traffic knobs — NOT
+// --threads / --shard-threads / --format, which are execution strategy);
+// resuming under different settings fails with one line instead of splicing
+// rows from two different experiments.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "dlb/runtime/experiment_grid.hpp"
+#include "dlb/runtime/grids.hpp"
 
 namespace dlb::runtime {
 
 /// A set of completed rows keyed by (grid name, cell index), plus the
-/// configuration fingerprint they were produced under. Not thread-safe —
-/// the checkpointed grid driver serializes access.
+/// configuration fingerprint they were produced under and the save cadence.
+/// Not thread-safe — the grid driver serializes access.
 class grid_checkpoint {
  public:
   explicit grid_checkpoint(std::string fingerprint)
       : fingerprint_(std::move(fingerprint)) {}
 
-  [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
-
-  /// True when (grid, cell) already has a completed row.
-  [[nodiscard]] bool has(const std::string& grid, std::uint64_t cell) const;
 
   /// The stored JSON line for (grid, cell), or nullptr.
   [[nodiscard]] const std::string* find(const std::string& grid,
                                         std::uint64_t cell) const;
 
-  /// Records a completed row (stored as to_json(row, timing::include), so a
-  /// resumed --out file keeps its real wall-clock numbers).
-  void put(const std::string& grid, const result_row& row);
+  /// Saves to `path` after every `every` recorded rows and at each flush()
+  /// with unsaved rows; saves are atomic (tmp + rename). Without a path the
+  /// checkpoint only collects rows in memory.
+  void save_to(std::string path, std::uint64_t every = 1);
 
-  /// Writes the checkpoint to `path` atomically (tmp + rename — a SIGKILL
-  /// mid-save leaves the previous checkpoint intact).
-  void save(const std::string& path) const;
+  /// Records a finished cell's row (as to_json(row, timing::include), so a
+  /// resumed --out file keeps real wall_ns); saves when the cadence is due.
+  void record(const std::string& grid, const result_row& row);
+
+  /// Saves if any recorded row is not on disk yet — the end-of-grid save.
+  void flush();
 
   /// Loads `path`, requiring its fingerprint to equal `expected`; throws
-  /// contract_violation (one line) on mismatch or a corrupt file.
+  /// contract_violation (one line) on mismatch or a corrupt file, including
+  /// a stored row that does not parse.
   [[nodiscard]] static grid_checkpoint load(const std::string& path,
                                             const std::string& expected);
 
@@ -64,16 +64,17 @@ class grid_checkpoint {
  private:
   std::string fingerprint_;
   std::map<std::pair<std::string, std::uint64_t>, std::string> rows_;
+  std::string path_;           // empty = never save
+  std::uint64_t every_ = 1;    // save after this many records
+  std::uint64_t unsaved_ = 0;  // records since the last save
 };
 
-/// run_grid with cell-granularity checkpointing: rows already present in
-/// `ckpt` are restored (parse_row) without executing their cells; the rest
-/// run on `pool` longest-first, and after every `every` freshly completed
-/// cells the checkpoint is rewritten to `path`. Returns rows in canonical
-/// cell order — byte-identical to run_grid's, whatever mix of cached and
-/// fresh cells produced them.
-[[nodiscard]] std::vector<result_row> run_grid_checkpointed(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    grid_checkpoint& ckpt, const std::string& path, std::uint64_t every = 1);
+/// The fingerprint `dlb_run` stores in its checkpoints: the `--grid`
+/// argument, the master seed and every grid_options field that changes row
+/// bytes (never shard_threads), with reals in shortest round-trip form.
+[[nodiscard]] std::string checkpoint_fingerprint(const std::string& grids,
+                                                 std::uint64_t master_seed,
+                                                 const grid_options& opts,
+                                                 bool obs_extras);
 
 }  // namespace dlb::runtime

@@ -1,12 +1,10 @@
 #include "dlb/runtime/result_sink.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <system_error>
 
 #include "dlb/common/contracts.hpp"
@@ -271,17 +269,6 @@ result_row parse_row(std::string_view json) {
   return row;
 }
 
-void write_json(std::ostream& os, const std::vector<result_row>& rows,
-                timing t) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    os << "  " << to_json(rows[i], t);
-    if (i + 1 < rows.size()) os << ',';
-    os << '\n';
-  }
-  os << "]\n";
-}
-
 std::vector<result_row> parse_json(std::string_view json) {
   cursor c{json};
   std::vector<result_row> rows;
@@ -473,14 +460,6 @@ sink_format parse_format(const std::string& name) {
                            " (expected json or csv)");
 }
 
-void write_csv(std::ostream& os, const std::vector<result_row>& rows,
-               timing t) {
-  os << csv_header << '\n';
-  for (const result_row& row : rows) {
-    os << csv_line(row, t) << '\n';
-  }
-}
-
 std::vector<result_row> parse_csv(std::string_view text) {
   std::size_t pos = 0;
   const std::vector<std::string> header = next_csv_record(text, pos);
@@ -517,16 +496,7 @@ std::vector<result_row> parse_csv(std::string_view text) {
   return rows;
 }
 
-void write_rows(std::ostream& os, const std::vector<result_row>& rows,
-                sink_format f, timing t) {
-  if (f == sink_format::csv) {
-    write_csv(os, rows, t);
-  } else {
-    write_json(os, rows, t);
-  }
-}
-
-// ------------------------------------------------------- streaming writer
+// ------------------------------------------------------------ row framing
 
 row_writer::row_writer(std::ostream& os, sink_format f, timing t)
     : os_(os), format_(f), timing_(t) {}
@@ -547,7 +517,7 @@ void row_writer::row(const result_row& r) {
     os_ << csv_line(r, timing_) << '\n';
   } else {
     // Comma *before* each subsequent row: the total count need not be known
-    // when streaming, and the concatenation equals write_json's bytes.
+    // while the grid is still running.
     if (rows_ > 0) os_ << ",\n";
     os_ << "  " << to_json(r, timing_);
   }
@@ -562,25 +532,12 @@ void row_writer::end() {
   os_ << "]\n";
 }
 
-void result_sink::add(result_row row) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  rows_.push_back(std::move(row));
-}
-
-std::size_t result_sink::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return rows_.size();
-}
-
-std::vector<result_row> result_sink::take_rows() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<result_row> out = std::move(rows_);
-  rows_.clear();
-  std::sort(out.begin(), out.end(),
-            [](const result_row& a, const result_row& b) {
-              return a.cell < b.cell;
-            });
-  return out;
+void write_rows(std::ostream& os, const std::vector<result_row>& rows,
+                sink_format f, timing t) {
+  row_writer writer(os, f, t);
+  writer.begin();
+  for (const result_row& row : rows) writer.row(row);
+  writer.end();
 }
 
 }  // namespace dlb::runtime

@@ -1,16 +1,16 @@
-// Thread-safe collection of experiment results and their JSON wire format.
+// Experiment result rows and their wire formats.
 //
-// Every grid cell produces one `result_row`. Workers add rows concurrently;
-// `take_rows` restores the deterministic cell order so that downstream output
-// (JSON files, rendered tables) is bit-identical regardless of how many
-// threads executed the grid. Timing is the one nondeterministic field, so the
+// Every grid cell produces one `result_row`; the grid driver (run_grid)
+// hands them out in canonical cell order, so downstream output (JSON/CSV
+// files, rendered tables) is bit-identical regardless of how many threads
+// executed the grid. Timing is the one nondeterministic field, so the
 // serializer can mask it (`timing::exclude`) — that is what `dlb_run` prints
-// to stdout, while `BENCH_*.json` files keep real wall-clock numbers.
+// to stdout, while `--out` and `BENCH_*.json` files keep real wall-clock
+// numbers.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +33,7 @@ struct extra_metric {
 
 /// One executed grid cell. `cell` is the deterministic enumeration index the
 /// grid assigned; it doubles as the RNG stream id (seed = derive_seed(master,
-/// cell)) and as the canonical sort key.
+/// cell)) and as the canonical emission order.
 struct result_row {
   std::uint64_t cell = 0;
   std::string grid;      ///< grid name, e.g. "table1"
@@ -72,46 +72,28 @@ enum class timing { include, exclude };
 /// malformed input throws contract_violation.
 [[nodiscard]] result_row parse_row(std::string_view json);
 
-/// Writes rows as a JSON array, one object per line.
-void write_json(std::ostream& os, const std::vector<result_row>& rows,
-                timing t = timing::include);
-
-/// Parses a JSON array written by write_json.
-[[nodiscard]] std::vector<result_row> parse_json(std::string_view json);
-
-/// Serialization backends of the result sink. All backends carry the same
-/// row schema; JSON is the default wire format, CSV the spreadsheet-facing
-/// one (`dlb_run --format csv`).
+/// Serialization backends under one row schema: JSON (default; an array,
+/// one to_json object per line) and RFC-4180-style CSV (`--format csv`; one
+/// header line, then the fixed columns plus an `extra` column of ordered
+/// `key=value` pairs joined by `;` — keys may contain `=`, parsing splits at
+/// the last one, but not `;`). Both write reals in shortest round-trip form,
+/// so parse_json / parse_csv invert write_rows exactly, masking included.
 enum class sink_format { json, csv };
 
 /// Parses "json" / "csv"; throws contract_violation on anything else.
 [[nodiscard]] sink_format parse_format(const std::string& name);
 
-/// Writes rows as RFC-4180-style CSV under the same row schema as JSON: one
-/// header line with the fixed columns plus an `extra` column holding the
-/// ordered metrics as `key=value` pairs joined by `;` (keys may contain `=`
-/// — parsing splits at the last one — but not `;`). Reals use the same
-/// shortest-round-trip formatting as JSON, so parse_csv(write_csv(rows))
-/// == rows exactly, timing masking included.
-void write_csv(std::ostream& os, const std::vector<result_row>& rows,
-               timing t = timing::include);
+/// Parses a JSON array written by write_rows(sink_format::json).
+[[nodiscard]] std::vector<result_row> parse_json(std::string_view json);
 
-/// Parses a CSV document written by write_csv (quoted fields may span
-/// lines). Throws contract_violation on malformed input or a header that
-/// does not match the schema.
+/// Parses a CSV document written by write_rows(sink_format::csv) (quoted
+/// fields may span lines). Throws contract_violation on malformed input or a
+/// header that does not match the schema.
 [[nodiscard]] std::vector<result_row> parse_csv(std::string_view text);
 
-/// Dispatches write_json / write_csv on `f`.
-void write_rows(std::ostream& os, const std::vector<result_row>& rows,
-                sink_format f, timing t = timing::include);
-
-/// Incremental serializer for streaming grids: begin() → row(r) for every
-/// row in final order → end(). The concatenated bytes equal
-/// write_rows(all rows) exactly — for JSON the separating comma is written
-/// *before* each subsequent row, so the writer never needs to know the
-/// total count up front; for CSV begin() emits the header and each row is
-/// one line. One writer per output stream; rows must arrive in their final
-/// order (run_grid's streaming overload guarantees cell order).
+/// The one row framing: begin() → row(r) for every row in final order →
+/// end(). JSON writes each separating comma *before* the next row, so rows
+/// can leave as the grid driver emits them without a known total.
 class row_writer {
  public:
   row_writer(std::ostream& os, sink_format f, timing t);
@@ -130,6 +112,10 @@ class row_writer {
   bool open_ = false;
 };
 
+/// Writes a whole row vector through one row_writer.
+void write_rows(std::ostream& os, const std::vector<result_row>& rows,
+                sink_format f, timing t = timing::include);
+
 /// Projects rows into the standard table shape (process × scenario →
 /// final max-min discrepancy), ready for analysis::pivot.
 [[nodiscard]] std::vector<analysis::pivot_cell> discrepancy_cells(
@@ -147,22 +133,5 @@ class row_writer {
 /// case × metric table.
 [[nodiscard]] std::vector<analysis::pivot_cell> extras_cells(
     const std::vector<result_row>& rows);
-
-/// Thread-safe collector used while a grid is in flight.
-class result_sink {
- public:
-  /// Adds one row (callable from any pool worker).
-  void add(result_row row);
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// Returns all rows sorted by cell index and clears the sink. The sort
-  /// erases the thread-interleaving of add() calls, restoring determinism.
-  [[nodiscard]] std::vector<result_row> take_rows();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<result_row> rows_;
-};
 
 }  // namespace dlb::runtime

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "dlb/common/contracts.hpp"
 
 namespace dlb::analysis {
@@ -98,6 +101,30 @@ TEST(ArgsTest, DashedFlagDoesNotSwallowKeyValueTokens) {
   const arg_map args({"--table", "master-seed=9"});
   EXPECT_EQ(args.get("table", ""), "true");
   EXPECT_EQ(args.get_int("master-seed", 1), 9);
+}
+
+// Counts that narrow to a smaller type must fail instead of wrapping into
+// a different experiment: --n 4294967328 would run n = 32, --repeats
+// 4294967297 one repeat, and -1 threads 4294967295 threads.
+TEST(ArgsTest, RangedIntsRejectValuesThatWouldWrap) {
+  const std::int64_t u_max = std::numeric_limits<unsigned>::max();
+  const arg_map args({"--n", "4294967328", "--repeats", "4294967297",
+                      "--threads", "-1", "--ok", "16"});
+  try {
+    (void)args.get_int("n", 128, 16, 2147483647);
+    FAIL() << "out-of-range value accepted";
+  } catch (const contract_violation& e) {
+    EXPECT_STREQ(e.what(),
+                 "argument 'n' is 4294967328, outside [16, 2147483647]");
+  }
+  EXPECT_THROW((void)args.get_int("repeats", 5, 1, 2147483647),
+               contract_violation);
+  EXPECT_THROW((void)args.get_int("threads", 1, 1, u_max), contract_violation);
+  EXPECT_EQ(args.get_int("ok", 128, 16, 16), 16);  // bounds are inclusive
+  // --shard-threads items arrive in a comma list.
+  EXPECT_THROW((void)parse_int("shard-threads", "-1", 1, u_max),
+               contract_violation);
+  EXPECT_EQ(parse_int("shard-threads", "8", 1, u_max), 8);
 }
 
 TEST(ArgsTest, DashedAndPlainSpellingsCollide) {

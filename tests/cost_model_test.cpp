@@ -71,7 +71,7 @@ TEST(CostModelTest, RoundTripsThroughAJsonRowsFile) {
     const std::vector<result_row> rows = {
         timed_row("g", "s", "p", 4200),
     };
-    write_json(out, rows, timing::include);
+    write_rows(out, rows, sink_format::json, timing::include);
   }
   const cost_model model = cost_model::from_file(path);
   EXPECT_EQ(model.lookup("g", "s", "p"), 4200u);
@@ -113,8 +113,8 @@ TEST(CostModelTest, HintsRerankCellsButNeverChangeRows) {
   const auto hinted_rows = run_grid(spec, /*master=*/21, pool);
   std::ostringstream a;
   std::ostringstream b;
-  write_json(a, plain_rows, timing::exclude);
-  write_json(b, hinted_rows, timing::exclude);
+  write_rows(a, plain_rows, sink_format::json, timing::exclude);
+  write_rows(b, hinted_rows, sink_format::json, timing::exclude);
   EXPECT_EQ(a.str(), b.str());
 }
 

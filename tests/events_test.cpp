@@ -331,7 +331,8 @@ std::string serialized_grid(const std::string& name,
   runtime::thread_pool pool(threads);
   const auto rows = runtime::run_grid(spec, 77, pool);
   std::ostringstream os;
-  runtime::write_json(os, rows, runtime::timing::exclude);
+  runtime::write_rows(os, rows, runtime::sink_format::json,
+                      runtime::timing::exclude);
   return os.str();
 }
 

@@ -122,15 +122,5 @@ TEST(ExperimentGridTest, DynamicCellExercisesRunDynamic) {
   EXPECT_GT(row.wall_ns, 0);
 }
 
-TEST(ExperimentGridTest, RunGridReturnsCanonicallyOrderedRows) {
-  grid_spec spec = make_named_grid("table1", tiny_options(), 7);
-  thread_pool pool(4);
-  const auto rows = run_grid(spec, 7, pool);
-  ASSERT_EQ(rows.size(), expand_grid(spec, 7).size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].cell, i);
-  }
-}
-
 }  // namespace
 }  // namespace dlb::runtime

@@ -32,7 +32,7 @@ std::string serialized(const grid_spec& spec, unsigned threads) {
   thread_pool pool(threads);
   const auto rows = run_grid(spec, master_seed, pool);
   std::ostringstream os;
-  write_json(os, rows, timing::exclude);
+  write_rows(os, rows, sink_format::json, timing::exclude);
   return os.str();
 }
 

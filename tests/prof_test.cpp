@@ -52,7 +52,8 @@ std::string run_json(const std::string& grid, unsigned shard_threads,
   pool.set_recorder(rec);
   const auto rows = runtime::run_grid(spec, 5, pool);
   std::ostringstream os;
-  runtime::write_json(os, rows, runtime::timing::exclude);
+  runtime::write_rows(os, rows, runtime::sink_format::json,
+                      runtime::timing::exclude);
   return os.str();
 }
 

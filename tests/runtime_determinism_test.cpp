@@ -1,6 +1,6 @@
 // The runtime's headline guarantee: a grid's results are bit-identical
 // regardless of how many threads execute it, because every cell derives its
-// RNG stream from (master seed, cell index) and the sink restores canonical
+// RNG stream from (master seed, cell index) and the grid driver emits in cell
 // order. Serialized with timing masked, the outputs must match byte-for-byte.
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ std::string canonical_json(const std::string& grid, std::uint64_t master,
   thread_pool pool(threads);
   const auto rows = run_grid(spec, master, pool);
   std::ostringstream os;
-  write_json(os, rows, timing::exclude);
+  write_rows(os, rows, sink_format::json, timing::exclude);
   return os.str();
 }
 
