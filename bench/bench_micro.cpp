@@ -90,14 +90,13 @@ class kernel_bench final : public sharded_stepper {
     });
   }
 
-  /// Sharded α-schedule fill: begin_round + per-slice fill_alphas through
-  /// edge_phase — the exact path linear/local-rounding steppers take for
+  /// Sharded α-schedule fill through fill_round_alphas (begin_round — the
+  /// random schedule's matching draw — then per-slice fill_alphas over
+  /// edge_phase): the exact path linear/local-rounding steppers take for
   /// time-varying schedules.
   void alpha_fill_round(const alpha_schedule& schedule, round_t t) {
-    schedule.begin_round(t);
-    edge_phase([&](const edge_slice& es) {
-      schedule.fill_alphas(t, alpha_buf_.data(), es);
-    });
+    bool cached = false;
+    fill_round_alphas(schedule, t, alpha_buf_, cached);
   }
 
   [[nodiscard]] const std::vector<real_t>& flows() const { return flow_; }

@@ -1,6 +1,7 @@
 #include "dlb/analysis/args.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 
@@ -111,15 +112,20 @@ double arg_map::get_real(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   consumed_[key] = true;
   if (it == values_.end()) return fallback;
+  double v = 0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
+    v = std::stod(it->second, &pos);
     DLB_EXPECTS(pos == it->second.size());
-    return v;
   } catch (const std::logic_error&) {
     throw contract_violation("argument '" + key + "' is not a number: " +
                              it->second);
   }
+  if (!std::isfinite(v)) {
+    throw contract_violation("argument '" + key + "' is not finite: " +
+                             it->second);
+  }
+  return v;
 }
 
 std::vector<std::string> arg_map::unused_keys() const {

@@ -40,7 +40,8 @@ class arg_map {
   /// Value lookups with defaults; numeric getters throw on non-numeric text.
   /// get_int also throws on a value outside [lo, hi]: pass the range of the
   /// type the caller narrows to, so a count that would wrap fails instead of
-  /// silently running a different experiment.
+  /// silently running a different experiment. get_real also throws on
+  /// `inf`/`nan`, which no real-valued setting accepts.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(

@@ -9,21 +9,32 @@
 
 namespace dlb {
 
+namespace {
+
+// The α an edge gets in any round it is matched: s_u·s_v/(s_u+s_v).
+std::vector<real_t> per_edge_matching_alpha(const graph& g,
+                                            const speed_vector& s) {
+  validate_speeds(g, s);
+  std::vector<real_t> alpha(static_cast<size_t>(g.num_edges()));
+  for (edge_id e = 0; e < g.num_edges(); ++e) {
+    const edge& ed = g.endpoints(e);
+    alpha[static_cast<size_t>(e)] = matching_alpha(
+        s[static_cast<size_t>(ed.u)], s[static_cast<size_t>(ed.v)]);
+  }
+  return alpha;
+}
+
+}  // namespace
+
 // ---- periodic_matching_schedule --------------------------------------------
 
 periodic_matching_schedule::periodic_matching_schedule(
     const graph& g, const speed_vector& s, std::vector<matching> matchings)
-    : num_edges_(g.num_edges()), matchings_(std::move(matchings)) {
-  validate_speeds(g, s);
+    : num_edges_(g.num_edges()),
+      matchings_(std::move(matchings)),
+      edge_alpha_(per_edge_matching_alpha(g, s)) {
   DLB_EXPECTS(!matchings_.empty());
   for (const matching& m : matchings_) DLB_EXPECTS(is_matching(g, m));
-  edge_alpha_.assign(static_cast<size_t>(num_edges_), 0.0);
-  for (edge_id e = 0; e < num_edges_; ++e) {
-    const edge& ed = g.endpoints(e);
-    edge_alpha_[static_cast<size_t>(e)] =
-        matching_alpha(s[static_cast<size_t>(ed.u)],
-                       s[static_cast<size_t>(ed.v)]);
-  }
   // Invert matchings → per-edge slot rows (counting-sort CSR build; the
   // outer loops visit matchings in index order, so every row comes out
   // sorted without an explicit sort).
@@ -66,43 +77,34 @@ std::unique_ptr<alpha_schedule> periodic_matching_schedule::clone() const {
 random_matching_schedule::random_matching_schedule(const graph& g,
                                                    const speed_vector& s,
                                                    std::uint64_t seed)
-    : g_(&g), seed_(seed) {
-  validate_speeds(g, s);
-  edge_alpha_.assign(static_cast<size_t>(g.num_edges()), 0.0);
-  for (edge_id e = 0; e < g.num_edges(); ++e) {
-    const edge& ed = g.endpoints(e);
-    edge_alpha_[static_cast<size_t>(e)] =
-        matching_alpha(s[static_cast<size_t>(ed.u)],
-                       s[static_cast<size_t>(ed.v)]);
-  }
-}
+    : random_matching_schedule(&g, seed, per_edge_matching_alpha(g, s)) {}
+
+random_matching_schedule::random_matching_schedule(
+    const graph* g, std::uint64_t seed, std::vector<real_t> edge_alpha)
+    : g_(g), seed_(seed), edge_alpha_(std::move(edge_alpha)) {}
 
 void random_matching_schedule::begin_round(round_t t) const {
-  if (matched_round_ == t && !matched_.empty()) {
+  if (drawn_round_ == t) {
     return;  // same round re-entered (restart after restore re-fills)
   }
-  // The greedy maximal-matching draw stays sequential by design: its result
-  // depends on visit order. Sorting the matched set (it arrives in draw
-  // order) is what lets fill slices binary-search it.
-  matching m = random_maximal_matching(*g_, seed_,
-                                       static_cast<std::uint64_t>(t));
-  matched_.assign(m.begin(), m.end());
-  std::sort(matched_.begin(), matched_.end());
-  matched_round_ = t;
+  rng_t rng = make_rng(seed_, static_cast<std::uint64_t>(t));
+  draw_random_maximal_matching(*g_, rng, draw_);
+  drawn_round_ = t;
 }
 
 void random_matching_schedule::fill_alphas(round_t t, real_t* out,
                                            const edge_slice& es) const {
-  DLB_EXPECTS(matched_round_ == t);  // begin_round(t) must have run
+  DLB_EXPECTS(drawn_round_ == t);  // begin_round(t) must have run
+  const char* active = draw_.active.data();
   es.for_each([&](edge_id e) {
-    const bool active =
-        std::binary_search(matched_.begin(), matched_.end(), e);
-    out[e] = active ? edge_alpha_[static_cast<size_t>(e)] : 0.0;
+    const auto i = static_cast<size_t>(e);
+    out[e] = active[i] != 0 ? edge_alpha_[i] : 0.0;
   });
 }
 
 std::unique_ptr<alpha_schedule> random_matching_schedule::clone() const {
-  return std::unique_ptr<alpha_schedule>(new random_matching_schedule(*this));
+  return std::unique_ptr<alpha_schedule>(
+      new random_matching_schedule(g_, seed_, edge_alpha_));
 }
 
 // ---- linear_process ---------------------------------------------------------

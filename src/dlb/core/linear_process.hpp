@@ -81,6 +81,7 @@ class random_matching_schedule final : public alpha_schedule {
   void fill_alphas(round_t t, real_t* out,
                    const edge_slice& es) const override;
 
+  /// Copies the configuration only; the clone draws into its own buffers.
   [[nodiscard]] std::unique_ptr<alpha_schedule> clone() const override;
 
   [[nodiscard]] std::string name() const override {
@@ -88,16 +89,19 @@ class random_matching_schedule final : public alpha_schedule {
   }
 
  private:
+  random_matching_schedule(const graph* g, std::uint64_t seed,
+                           std::vector<real_t> edge_alpha);
+
   const graph* g_;  // non-owning; the linear_process keeps the graph alive
   std::uint64_t seed_;
   std::vector<real_t> edge_alpha_;
-  // The round cache: begin_round(t) draws the round's matching (sequential —
-  // the greedy draw is inherently ordered, so its result depends on visit
-  // order) and leaves a sorted edge set for fill slices to binary-search.
-  // Mutable because drawing is caching, not observable state; written only
-  // in begin_round, before any slice runs.
-  mutable std::vector<edge_id> matched_;
-  mutable round_t matched_round_ = -1;
+  // The round cache: begin_round(t) draws round t's matching into buffers
+  // reused across rounds (sequential — the greedy draw's result depends on
+  // visit order), leaving per-edge marks that fill slices read. Mutable
+  // because drawing is caching, not observable state; written only in
+  // begin_round, before any slice runs.
+  mutable matching_scratch draw_;
+  mutable round_t drawn_round_ = -1;
 };
 
 /// The general linear process: additive and terminating by construction

@@ -220,8 +220,14 @@ void sharded_stepper::fill_round_alphas(const alpha_schedule& schedule,
                                         round_t t, std::vector<real_t>& alpha,
                                         bool& cached) const {
   if (cached) return;
-  alpha.resize(static_cast<std::size_t>(shard_topology().num_edges()));
-  schedule.begin_round(t);
+  const edge_id m = shard_topology().num_edges();
+  alpha.resize(static_cast<std::size_t>(m));
+  {
+    // The sequential prologue (the random matching draw) gets its own span,
+    // so a trace attributes it instead of leaving it between phases.
+    const obs::scoped_span draw(probe_.rec, "alpha.draw", -1, probe_.cell, m);
+    schedule.begin_round(t);
+  }
   edge_phase([&](const edge_slice& es) {
     schedule.fill_alphas(t, alpha.data(), es);
   });

@@ -325,11 +325,12 @@ class sharded_stepper : public shardable {
   /// fold incident edges in ascending edge-id order.
   void node_phase(const std::function<void(node_id, node_id)>& body) const;
 
-  /// The per-round α fill of schedule-driven steppers: begin_round(t), then
-  /// fill_alphas over this stepper's edge phase into `alpha` (resized to m;
-  /// every slot is written, so no clear is needed). Skipped while `cached`
-  /// holds; sets it after a time-invariant schedule's fill, so diffusion
-  /// fills once. Callers clear `cached` on reset and restore.
+  /// The per-round α fill of schedule-driven steppers: begin_round(t)
+  /// (traced as one `alpha.draw` span), then fill_alphas over this
+  /// stepper's edge phase into `alpha` (resized to m; every slot is written,
+  /// so no clear is needed). Skipped while `cached` holds; sets it after a
+  /// time-invariant schedule's fill, so diffusion fills once. Callers clear
+  /// `cached` on reset and restore.
   void fill_round_alphas(const alpha_schedule& schedule, round_t t,
                          std::vector<real_t>& alpha, bool& cached) const;
 

@@ -17,7 +17,7 @@ namespace dlb::events {
 poisson_source::poisson_source(node_id n, real_t total_rate,
                                std::uint64_t seed, event_kind kind)
     : n_(n), total_rate_(total_rate), kind_(kind), seed_(seed) {
-  DLB_EXPECTS(n > 0 && total_rate > 0);
+  DLB_EXPECTS(n > 0 && total_rate > 0 && std::isfinite(total_rate));
 }
 
 poisson_source::poisson_source(std::vector<real_t> rates, std::uint64_t seed,
@@ -27,11 +27,11 @@ poisson_source::poisson_source(std::vector<real_t> rates, std::uint64_t seed,
   cumulative_.reserve(rates.size());
   real_t sum = 0;
   for (const real_t r : rates) {
-    DLB_EXPECTS(r >= 0);
+    DLB_EXPECTS(r >= 0 && std::isfinite(r));
     sum += r;
     cumulative_.push_back(sum);
   }
-  DLB_EXPECTS(sum > 0);
+  DLB_EXPECTS(sum > 0 && std::isfinite(sum));
   total_rate_ = sum;
 }
 

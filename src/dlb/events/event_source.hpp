@@ -46,12 +46,14 @@ class event_source : public snapshot::checkpointable {
 /// queue holds O(1) pending events regardless of n).
 class poisson_source final : public event_source {
  public:
-  /// Uniform rates: `total_rate` events per unit time spread uniformly over
-  /// `n` nodes. `kind` selects arrival or service semantics.
+  /// Uniform rates: `total_rate` (finite, > 0) events per unit time spread
+  /// uniformly over `n` nodes. `kind` selects arrival or service semantics.
+  /// An infinite rate would make every interarrival time 0, so simulated
+  /// time would never advance.
   poisson_source(node_id n, real_t total_rate, std::uint64_t seed,
                  event_kind kind = event_kind::arrival);
 
-  /// Per-node rates (size n, all >= 0, sum > 0).
+  /// Per-node rates (size n, all finite and >= 0, finite sum > 0).
   poisson_source(std::vector<real_t> rates, std::uint64_t seed,
                  event_kind kind = event_kind::arrival);
 

@@ -127,6 +127,29 @@ TEST(ArgsTest, RangedIntsRejectValuesThatWouldWrap) {
   EXPECT_EQ(parse_int("shard-threads", "8", 1, u_max), 8);
 }
 
+// Rates must be finite: `--arrival-rate inf` made every interarrival time 0
+// (a run that never ends), and `--service-rate nan` failed `rate > 0` and
+// silently dropped the service stream.
+TEST(ArgsTest, RealsRejectNonFiniteValues) {
+  const arg_map args({"--arrival-rate", "inf", "--service-rate", "nan",
+                      "--a", "-inf", "--b", "Infinity", "--c", "1e300"});
+  try {
+    (void)args.get_real("arrival-rate", 8.0);
+    FAIL() << "infinite value accepted";
+  } catch (const contract_violation& e) {
+    EXPECT_STREQ(e.what(), "argument 'arrival-rate' is not finite: inf");
+  }
+  try {
+    (void)args.get_real("service-rate", 6.0);
+    FAIL() << "NaN accepted";
+  } catch (const contract_violation& e) {
+    EXPECT_STREQ(e.what(), "argument 'service-rate' is not finite: nan");
+  }
+  EXPECT_THROW((void)args.get_real("a", 0.0), contract_violation);
+  EXPECT_THROW((void)args.get_real("b", 0.0), contract_violation);
+  EXPECT_DOUBLE_EQ(args.get_real("c", 0.0), 1e300);  // huge but finite
+}
+
 TEST(ArgsTest, DashedAndPlainSpellingsCollide) {
   EXPECT_THROW(arg_map({"--seed", "1", "seed=2"}), contract_violation);
 }

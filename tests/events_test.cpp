@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -123,6 +124,22 @@ TEST(PoissonSourceTest, PerNodeRatesConcentrateWhereTheMassIs) {
     if (ev->node == 3) ++on_hot;
   }
   EXPECT_GT(on_hot, 350);
+}
+
+// An infinite rate makes every interarrival time 0, so simulated time never
+// advances; a NaN rate fails every comparison. Both are refused.
+TEST(PoissonSourceTest, RejectsNonFiniteRates) {
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  EXPECT_THROW(events::poisson_source(4, inf, 1), contract_violation);
+  EXPECT_THROW(events::poisson_source(4, nan, 1), contract_violation);
+  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1.0, inf}, 1),
+               contract_violation);
+  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1.0, nan}, 1),
+               contract_violation);
+  // Finite rates whose sum overflows would be an infinite aggregate rate.
+  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1e308, 1e308}, 1),
+               contract_violation);
 }
 
 TEST(PoissonSourceTest, MeanInterarrivalTracksRate) {

@@ -56,6 +56,53 @@ TEST(MatchingTest, DeterministicInSeedAndRound) {
   EXPECT_EQ(a, b);
 }
 
+// FNV-1a over the drawn edge ids in draw order: pins both the matched set
+// and the order the greedy scan found it in.
+std::uint64_t draw_hash(const matching& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const edge_id e : m) {
+    h ^= static_cast<std::uint64_t>(e);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The random-matching stream is a contract: every random-matching row and
+// perfbench digest depends on it. These hashes were computed from the
+// original draw (one std::shuffle of 0..m-1 under make_rng(seed, round),
+// then a greedy scan in shuffled order); a change to the shuffle call, the
+// engine or the scan order fails here before it moves a single row.
+TEST(MatchingTest, DrawStreamMatchesGoldenHashes) {
+  struct golden {
+    int graph;  // index into `graphs`
+    std::uint64_t seed;
+    std::uint64_t round;
+    std::uint64_t hash;
+  };
+  const graph graphs[] = {hypercube(8), torus_2d(16),
+                          random_regular(200, 4, 11)};
+  const char* names[] = {"hypercube(8)", "torus_2d(16)",
+                         "random_regular(200,4,11)"};
+  const golden table[] = {
+      {0, 1, 0, 0x325c2cc65bb47277ULL},  {0, 1, 1, 0x020525ad2c60c484ULL},
+      {0, 1, 7, 0x8e37613ad1462ae0ULL},  {0, 31, 0, 0xc5d0bb29c4c9e7edULL},
+      {0, 31, 1, 0x06aa2fddb2741eadULL}, {0, 31, 7, 0xd56cdd943384bc21ULL},
+      {1, 1, 0, 0x36d1a5ff23bde0aeULL},  {1, 1, 1, 0x8fcc96eaac1840a4ULL},
+      {1, 1, 7, 0x39bf7134a85e5c73ULL},  {1, 31, 0, 0x36158b92cfb52feeULL},
+      {1, 31, 1, 0xfadf389b4b716f0aULL}, {1, 31, 7, 0xb4f294a91f4c9994ULL},
+      {2, 1, 0, 0xf76ebf23a96b9dd1ULL},  {2, 1, 1, 0xf97e41b391f5cbfbULL},
+      {2, 1, 7, 0x4422fd8543192159ULL},  {2, 31, 0, 0xaaa246d018f7497dULL},
+      {2, 31, 1, 0x014140e21d92a85bULL}, {2, 31, 7, 0x1793d72a73b03006ULL},
+  };
+  for (const golden& want : table) {
+    EXPECT_EQ(draw_hash(random_maximal_matching(graphs[want.graph], want.seed,
+                                                want.round)),
+              want.hash)
+        << names[want.graph] << " seed " << want.seed << " round "
+        << want.round;
+  }
+}
+
 TEST(MatchingTest, DifferentRoundsDiffer) {
   const graph g = hypercube(5);
   std::set<matching> distinct;

@@ -63,13 +63,18 @@ std::string run_json(const std::string& grid, unsigned shard_threads,
 
 // ------------------------------------------------ rows unchanged by obs
 
-TEST(ObsRowsTest, Table1ByteIdenticalWithRecorderOnAndOff) {
-  const std::string plain = run_json("table1", 1, nullptr);
-  obs::recorder rec;
-  EXPECT_EQ(plain, run_json("table1", 1, &rec));
-  obs::recorder rec8;
-  EXPECT_EQ(plain, run_json("table1", 8, &rec8));
-  EXPECT_FALSE(rec.events().empty()) << "observed run recorded nothing";
+// table2-random draws a matching every round inside a traced `alpha.draw`
+// span; the draw must come out the same with the recorder attached.
+TEST(ObsRowsTest, PaperTablesByteIdenticalWithRecorderOnAndOff) {
+  for (const char* grid : {"table1", "table2-random"}) {
+    const std::string plain = run_json(grid, 1, nullptr);
+    obs::recorder rec;
+    EXPECT_EQ(plain, run_json(grid, 1, &rec)) << grid;
+    obs::recorder rec8;
+    EXPECT_EQ(plain, run_json(grid, 8, &rec8)) << grid;
+    EXPECT_FALSE(rec.events().empty())
+        << grid << ": observed run recorded nothing";
+  }
 }
 
 TEST(ObsRowsTest, HugeUniformByteIdenticalWithRecorderOnAndOff) {
@@ -120,8 +125,16 @@ TEST(ObsSpanTest, ShardedPhasesEmitPerShardAndBarrierSpans) {
 
   std::map<std::string, int> shards_seen;  // name → distinct shard count
   std::map<std::string, std::vector<bool>> by_shard;
+  int draws = 0;
   for (const obs::span_record& span : rec.events()) {
     EXPECT_EQ(span.cell, cell);
+    // The α fill's sequential prologue runs on the caller, outside any
+    // shard; every phase span is a shard's.
+    if (std::string(span.name) == "alpha.draw") {
+      EXPECT_EQ(span.shard, -1);
+      ++draws;
+      continue;
+    }
     ASSERT_GE(span.shard, 0) << span.name
                              << ": sharded stepping must attribute shards";
     auto& seen = by_shard[span.name];
@@ -138,6 +151,39 @@ TEST(ObsSpanTest, ShardedPhasesEmitPerShardAndBarrierSpans) {
     for (const bool b : by_shard[name]) EXPECT_TRUE(b) << name;
   }
   EXPECT_GT(met.take().counter("barrier_wait_ns"), 0u);
+  EXPECT_EQ(draws, 1) << "the reference's diffusion fill is cached";
+}
+
+// The α fill's sequential prologue (begin_round: the random matching draw)
+// is traced as one `alpha.draw` span per fill, carrying the edge count: a
+// random-matching process fills every round, a diffusion process fills
+// once and then reuses its cached α.
+TEST(ObsSpanTest, AlphaDrawSpanPerFill) {
+  const auto g = make_g(generators::torus_2d(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 12);
+  const std::vector<real_t> x0(tokens.begin(), tokens.end());
+  const auto draws = [&](linear_process& p) {
+    p.enable_sharded_stepping(serial_shard_context(*g, 3));
+    obs::recorder rec;
+    const std::uint64_t cell = rec.register_cell("t", "torus", p.name(), 0);
+    p.set_probe(obs::probe{&rec, nullptr, cell});
+    p.reset(x0);
+    for (int t = 0; t < 7; ++t) p.step();
+    int n = 0;
+    for (const obs::span_record& span : rec.events()) {
+      if (std::string(span.name) != "alpha.draw") continue;
+      EXPECT_EQ(span.shard, -1);
+      EXPECT_EQ(span.cell, cell);
+      EXPECT_EQ(span.arg, g->num_edges());
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(draws(*make_random_matching_process(g, s, 3)), 7);
+  EXPECT_EQ(draws(*make_fos(
+                g, s, make_alphas(*g, alpha_scheme::half_max_degree))),
+            1);
 }
 
 TEST(ObsSpanTest, SpanNestingIsWellFormedPerThread) {

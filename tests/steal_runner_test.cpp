@@ -4,10 +4,11 @@
 // arrivals), and its per-round discrepancy — the chunked min/max reduce —
 // equals the sequential real-load scan every round on a multi-chunk graph;
 // the sharded α-schedule fill of the matching models reproduces the
-// sequential fill's bits, the cache-locality edge layout is a key-sorted
-// permutation (identity on test-sized graphs), and — the point of stealing —
-// a seeded-skew phase leaves far less barrier wait behind than a runner that
-// replays the static one-range-per-shard plan.
+// sequential fill's bits (and the random schedule's reused draw buffers
+// mark exactly each round's matching), the cache-locality edge layout is a
+// key-sorted permutation (identity on test-sized graphs), and — the point
+// of stealing — a seeded-skew phase leaves far less barrier wait behind
+// than a runner that replays the static one-range-per-shard plan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,6 +35,7 @@
 #include "dlb/obs/probe.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/thread_pool.hpp"
+#include "dlb/snapshot/snapshot.hpp"
 #include "dlb/workload/competitors.hpp"
 #include "dlb/workload/initial_load.hpp"
 
@@ -262,6 +264,100 @@ TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
         return make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree));
       },
       "diffusion");
+}
+
+/// The production α fill in isolation: sharded_stepper::fill_round_alphas
+/// (begin_round, then fill_alphas over the edge phase) on a bare stepper.
+class alpha_fill_stepper final : public sharded_stepper {
+ public:
+  explicit alpha_fill_stepper(std::shared_ptr<const graph> g)
+      : g_(std::move(g)) {}
+
+  const std::vector<real_t>& fill(const alpha_schedule& schedule, round_t t) {
+    bool cached = false;
+    fill_round_alphas(schedule, t, alpha_, cached);
+    return alpha_;
+  }
+
+  [[nodiscard]] load_extrema real_load_extrema(node_id,
+                                               node_id) const override {
+    return {};
+  }
+
+ protected:
+  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+
+ private:
+  std::shared_ptr<const graph> g_;
+  std::vector<real_t> alpha_;
+};
+
+// The random schedule reuses its draw buffers across rounds, so every fill
+// must mark exactly round t's matching — α_e·[e ∈ random_maximal_matching(g,
+// seed, t)] — whatever rounds were drawn before: re-entered and earlier
+// rounds, a clone (which gets its own buffers), and the owning process
+// restored to an earlier round. torus_2d(96) has n > 4096, so the sharded
+// fill walks a non-identity blocked edge layout.
+TEST(ShardedAlphaScheduleTest, RandomFillMarksExactlyTheRoundsMatching) {
+  const auto g = make_g(generators::torus_2d(96));
+  ASSERT_NE(shard_plan(*g, 4).edge_order(), nullptr);
+  speed_vector s(static_cast<std::size_t>(g->num_nodes()));
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = 1 + static_cast<weight_t>(i % 3);  // α varies per edge
+  }
+  const std::uint64_t seed = 17;
+  const auto expected = [&](round_t t) {
+    std::vector<real_t> want(static_cast<std::size_t>(g->num_edges()), 0.0);
+    for (const edge_id e : random_maximal_matching(
+             *g, seed, static_cast<std::uint64_t>(t))) {
+      const edge& ed = g->endpoints(e);
+      want[static_cast<std::size_t>(e)] =
+          matching_alpha(s[static_cast<std::size_t>(ed.u)],
+                         s[static_cast<std::size_t>(ed.v)]);
+    }
+    return want;
+  };
+  alpha_fill_stepper filler(g);
+  filler.enable_sharded_stepping(pool_context(*g, 4));
+
+  const random_matching_schedule schedule(*g, s, seed);
+  for (const round_t t : {0, 1, 2, 2, 5, 3, 0}) {
+    ASSERT_EQ(filler.fill(schedule, t), expected(t)) << "round " << t;
+  }
+  const auto copy = schedule.clone();
+  for (const round_t t : {0, 4}) {
+    ASSERT_EQ(filler.fill(*copy, t), expected(t)) << "clone, round " << t;
+  }
+  ASSERT_EQ(filler.fill(schedule, 0), expected(0))
+      << "a clone's draw leaked into the original";
+
+  // Restore to round 2 while the schedule holds round 5's draw: each
+  // re-stepped round must redraw, and match an uninterrupted twin.
+  const auto tokens = workload::spike_workload(*g, s, 25);
+  const std::vector<real_t> x0(tokens.begin(), tokens.end());
+  auto restored = make_random_matching_process(g, s, seed);
+  auto twin = make_random_matching_process(g, s, seed);
+  restored->enable_sharded_stepping(pool_context(*g, 4));
+  restored->reset(x0);
+  twin->reset(x0);
+  snapshot::writer w;
+  for (round_t t = 0; t < 6; ++t) {
+    if (t == 2) restored->save_state(w);
+    restored->step();
+  }
+  snapshot::reader r(w.payload());
+  restored->restore_state(r);
+  twin->step();
+  twin->step();
+  for (round_t t = 2; t < 6; ++t) {
+    restored->step();
+    twin->step();
+    // The process's schedule already holds round t, so this fill reads the
+    // marks the step used.
+    ASSERT_EQ(filler.fill(restored->schedule(), t), expected(t))
+        << "restored, round " << t;
+    ASSERT_EQ(restored->loads(), twin->loads()) << "restored, round " << t;
+  }
 }
 
 // ------------------------------------------------------- edge layout pass
