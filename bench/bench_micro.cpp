@@ -4,7 +4,8 @@
 // this is the engineering view of the round kernels the steal runner
 // chunks: BENCH_micro.json carries `micro-kernels-s1` / `micro-kernels-s8`
 // twin rows, so bench/check_regression.py gates both the absolute kernel
-// cost and its parallel efficiency exactly like the grid benches.
+// cost and its parallel efficiency exactly like the `dlb_run
+// --shard-threads 1,8` grid rows.
 //
 // Each kernel runs through the `sharded_stepper` protocol (edge_phase /
 // node_phase), so the measurement includes the chunked claim loop, the
@@ -26,12 +27,12 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/runtime/experiment_grid.hpp"
 #include "dlb/runtime/result_sink.hpp"
 #include "dlb/runtime/thread_pool.hpp"
 
@@ -232,7 +233,7 @@ int main() {
     }
   }
 
-  bench::print_scaling_efficiency(rows, std::cout);
+  runtime::print_scaling_efficiency(rows, std::cout);
 
   const std::string path = "BENCH_micro.json";
   std::ofstream out(path);

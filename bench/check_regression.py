@@ -7,7 +7,7 @@ against bench/baselines/perf_baseline.json on two axes:
 
 * absolute wall_ns — flags cells more than THRESHOLD times slower;
 * parallel efficiency — grids named `<base>-s<k>` (the twin batches a
-  `dlb_run --shard-threads 1,8` run or the bench ladders emit) are paired
+  `dlb_run --shard-threads 1,8` run or `bench_micro` emits) are paired
   with their `<base>-s1` twin, efficiency = (wall_s1 / wall_sk) / k, and a
   cell is flagged when its efficiency dropped by more than THRESHOLD times
   vs the baseline. This catches "still fast sequentially, but the sharded

@@ -14,21 +14,21 @@
 //                 runs every selected grid once per value, suffixing the
 //                 grid name with -s<k> — the twin-batch form the
 //                 parallel-efficiency regression gate compares
-//                 (bench/check_regression.py). Incompatible with
+//                 (bench/check_regression.py); with --table it also prints
+//                 the scaling-efficiency table. Incompatible with
 //                 --checkpoint/--resume
-//   --cost-baseline  JSON rows file (e.g. bench/baselines/
-//                 perf_baseline.json) whose measured per-cell wall_ns seed
-//                 the scheduler's cost estimates; unknown cells keep the
-//                 analytic guess. Pure scheduling — output unchanged
 //   --master-seed master seed pinning topology + every cell RNG (default 1)
 //   --n           approximate node count per graph case (default 128,
 //                 at least 16)
 //   --repeats     repetitions for randomized competitors (default 5)
-//   --spike-per-node   initial spike weight per node (default 50)
-//   --dynamic-rounds / --arrivals-per-round   dynamic grids only
-//   --burst-size / --burst-period             dynamic-bursts only
+//   --spike-per-node   initial spike weight per node (default 50, >= 0)
+//   --dynamic-rounds / --arrivals-per-round   dynamic grids only (rounds
+//                 >= 1, arrivals >= 0)
+//   --burst-size / --burst-period             dynamic-bursts only (size
+//                 >= 0, period >= 1)
 //   --arrival-rate / --service-rate   async (event-driven) grids: Poisson
-//                 arrivals / service completions per unit of virtual time
+//                 arrivals (> 0) / service completions (>= 0; 0 = none) per
+//                 unit of virtual time
 //   --replay-trace  async grids: replay `(time, node, count)` events from
 //                 this file as an extra source
 //   --trace       write a Chrome/Perfetto trace-event JSON of the run to
@@ -38,9 +38,6 @@
 //   --obs-summary print a human span/shard-skew/pool-utilization summary to
 //                 stderr after the grids finish (tools/summarize_trace.py is
 //                 the offline equivalent over a --trace file)
-//   --obs-summary-top  how many of the busiest worker tids the summary's
-//                 pool-utilization line names individually (default 8; the
-//                 rest fold into an explicit "+N more" aggregate)
 //   --obs-profile read hardware counters (cycles, instructions, cache
 //                 refs/misses, branch misses) as a payload on every phase,
 //                 round and pool-task span, fold the spans into a skew
@@ -68,8 +65,9 @@
 //   --out         also write results (with real wall_ns timing) to this
 //                 file; it is replaced only when the whole run succeeds
 //   --table       render each grid's ascii pivot to stderr; the shape is
-//                 per-grid (discrepancy, steady-state mean, balancing time,
-//                 or the study grids' extra-metric columns)
+//                 per-grid (discrepancy, with log-log slopes on scaling-n;
+//                 steady-state mean; balancing time; or the study grids'
+//                 extra-metric columns)
 //
 // stdout carries the results (JSON array by default, CSV with --format csv)
 // with wall_ns masked to 0, so the bytes are identical for any --threads
@@ -89,6 +87,7 @@
 
 #include "dlb/analysis/args.hpp"
 #include "dlb/analysis/table.hpp"
+#include "dlb/common/contracts.hpp"
 #include "dlb/obs/export.hpp"
 #include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
@@ -129,22 +128,35 @@ int main(int argc, char** argv) {
 
     const std::string grid_arg = args.get("grid", "");
     runtime::grid_options opts;
-    // Counts are range-checked before they narrow, so a value that would
-    // wrap fails instead of running another experiment.
+    // Counts are range-checked before they narrow, and before any row is
+    // printed, so a value that would wrap or that no cell accepts fails
+    // instead of running another experiment or failing mid-output.
     opts.target_n = static_cast<node_id>(
         args.get_int("n", opts.target_n, 16, max_of<node_id>));
     opts.repeats = static_cast<int>(
         args.get_int("repeats", opts.repeats, 1, max_of<int>));
-    opts.spike_per_node =
-        args.get_int("spike-per-node", opts.spike_per_node);
-    opts.dynamic_rounds =
-        args.get_int("dynamic-rounds", opts.dynamic_rounds);
+    opts.spike_per_node = args.get_int("spike-per-node", opts.spike_per_node,
+                                       0, max_of<weight_t>);
+    opts.dynamic_rounds = args.get_int("dynamic-rounds", opts.dynamic_rounds,
+                                       1, max_of<round_t>);
     opts.arrivals_per_round =
-        args.get_int("arrivals-per-round", opts.arrivals_per_round);
-    opts.burst_size = args.get_int("burst-size", opts.burst_size);
-    opts.burst_period = args.get_int("burst-period", opts.burst_period);
+        args.get_int("arrivals-per-round", opts.arrivals_per_round, 0,
+                     max_of<weight_t>);
+    opts.burst_size =
+        args.get_int("burst-size", opts.burst_size, 0, max_of<weight_t>);
+    opts.burst_period =
+        args.get_int("burst-period", opts.burst_period, 1, max_of<round_t>);
+    // Rates are finite (get_real); a defaulted rate is always in range.
     opts.arrival_rate = args.get_real("arrival-rate", opts.arrival_rate);
+    if (opts.arrival_rate <= 0) {
+      throw contract_violation("argument 'arrival-rate' is " +
+                               args.get("arrival-rate", "") + ", not > 0");
+    }
     opts.service_rate = args.get_real("service-rate", opts.service_rate);
+    if (opts.service_rate < 0) {
+      throw contract_violation("argument 'service-rate' is " +
+                               args.get("service-rate", "") + ", not >= 0");
+    }
     opts.trace_path = args.get("replay-trace", opts.trace_path);
     // --shard-threads accepts a comma list: each value runs every selected
     // grid once, with the grid name suffixed -s<k> when more than one value
@@ -156,11 +168,8 @@ int main(int argc, char** argv) {
           analysis::parse_int("shard-threads", item, 1, max_of<unsigned>)));
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
-    const std::string cost_baseline = args.get("cost-baseline", "");
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
-    const std::int64_t summary_top =
-        args.get_int("obs-summary-top", 8, 1, max_of<std::int64_t>);
     const bool obs_profile =
         args.has("obs-profile") || args.has("obs-profile-out");
     const std::string profile_out =
@@ -194,24 +203,11 @@ int main(int argc, char** argv) {
       std::cerr << "--checkpoint-every needs --checkpoint or --resume\n";
       return 2;
     }
-    if (args.has("obs-summary-top") && !obs_summary) {
-      std::cerr << "--obs-summary-top needs --obs-summary\n";
-      return 2;
-    }
     if (shard_thread_list.size() > 1 && !ckpt_path.empty()) {
       std::cerr << "--shard-threads with several values renames grids "
                    "(-s<k> suffixes), which the checkpoint fingerprint "
                    "cannot track; run the values separately\n";
       return 2;
-    }
-
-    std::shared_ptr<const runtime::cost_model> hints;
-    if (!cost_baseline.empty()) {
-      hints = std::make_shared<const runtime::cost_model>(
-          runtime::cost_model::from_file(cost_baseline));
-      std::cerr << "cost baseline: " << hints->size()
-                << " measured (grid, scenario, process) keys from "
-                << cost_baseline << "\n";
     }
 
     // One recorder per run: the cell pool, every cell's shard pool, and
@@ -237,7 +233,6 @@ int main(int argc, char** argv) {
         if (shard_thread_list.size() > 1) {
           specs.back().name += "-s" + std::to_string(shard_threads);
         }
-        specs.back().cost_hints = hints;
         specs.back().recorder = recorder.get();
         specs.back().obs_extras = obs_extras;
       }
@@ -270,14 +265,17 @@ int main(int argc, char** argv) {
     }
 
     // Rows leave for stdout (and --out) the moment every earlier cell has
-    // finished; --table keeps only the current grid's rows.
+    // finished; --table keeps only the current grid's rows, except that a
+    // shard-thread ladder keeps every row for the scaling-efficiency table.
     runtime::row_writer stdout_writer(std::cout, format,
                                       runtime::timing::exclude);
     runtime::row_writer file_writer(out_file, format,
                                     runtime::timing::include);
     stdout_writer.begin();
     if (out_file.is_open()) file_writer.begin();
+    const bool want_scaling = want_table && shard_thread_list.size() > 1;
     std::vector<runtime::result_row> table_rows;
+    std::vector<runtime::result_row> ladder_rows;
     for (const runtime::grid_spec& spec : specs) {
       std::cerr << "running grid '" << spec.name << "' ("
                 << runtime::expand_grid(spec, master_seed).size()
@@ -297,9 +295,14 @@ int main(int argc, char** argv) {
       if (want_table) {
         std::cerr << "\n" << spec.description << "\n";
         runtime::render_view(spec, table_rows).print(std::cerr);
+        if (want_scaling) {
+          ladder_rows.insert(ladder_rows.end(), table_rows.begin(),
+                             table_rows.end());
+        }
         table_rows.clear();
       }
     }
+    if (want_scaling) runtime::print_scaling_efficiency(ladder_rows, std::cerr);
     stdout_writer.end();
     if (out_file.is_open()) {
       file_writer.end();
@@ -334,11 +337,7 @@ int main(int argc, char** argv) {
       std::cerr << "wrote trace to " << trace_out << " and metrics to "
                 << sidecar_path << "\n";
     }
-    if (obs_summary) {
-      obs::summary_options sopts;
-      sopts.top_tids = static_cast<std::size_t>(summary_top);
-      obs::write_summary(std::cerr, *recorder, sopts);
-    }
+    if (obs_summary) obs::write_summary(std::cerr, *recorder);
     if (obs_profile) {
       const obs::prof::profile_report report =
           obs::prof::analyze_profile(*recorder);

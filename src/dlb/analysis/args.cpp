@@ -83,7 +83,9 @@ void arg_map::parse(const std::vector<std::string>& tokens) {
 
 void arg_map::insert_pair(std::string key, std::string value) {
   DLB_EXPECTS(!key.empty());
-  DLB_EXPECTS(values_.find(key) == values_.end());
+  if (values_.find(key) != values_.end()) {
+    throw contract_violation("argument '" + key + "' given twice");
+  }
   values_.emplace(std::move(key), std::move(value));
 }
 

@@ -29,7 +29,8 @@ class arg_map {
   /// a key — dash-led or `key=value` shaped. Negative numbers like `-5` or
   /// `-.5` still count as values; values that are dash-led or contain `=`
   /// need the `--key=value` spelling. Throws contract_violation on
-  /// duplicate keys or empty keys.
+  /// duplicate keys (naming the key: a repeated flag is an error, never
+  /// last-wins) or empty keys.
   arg_map(int argc, const char* const* argv);
 
   /// Builds from pre-split tokens (testing convenience).

@@ -19,7 +19,7 @@ struct summary {
 /// Summarizes a sample; empty input yields a zero summary.
 [[nodiscard]] summary summarize(std::vector<real_t> values);
 
-/// Least-squares slope of log(y) against log(x); used by scaling benches to
+/// Least-squares slope of log(y) against log(x); used by scaling views to
 /// estimate growth exponents (e.g. discrepancy ~ n^slope). Requires all
 /// x, y > 0 and at least two points.
 [[nodiscard]] real_t log_log_slope(const std::vector<real_t>& x,

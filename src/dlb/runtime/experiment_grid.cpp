@@ -1,11 +1,16 @@
 #include "dlb/runtime/experiment_grid.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <iomanip>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 
+#include "dlb/analysis/stats.hpp"
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/rng.hpp"
 #include "dlb/core/engine.hpp"
@@ -104,19 +109,10 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
   constexpr std::uint64_t traffic_stream = 0x74726166666963ULL;  // "traffic"
   const std::uint64_t traffic_root = derive_seed(master_seed, traffic_stream);
   std::vector<grid_cell> cells;
-  std::vector<std::uint64_t> analytic;  // per cell, parallel to `cells`
   std::uint64_t index = 0;
   const auto push = [&](std::size_t g, std::size_t p) {
     const int reps = spec.processes[p].randomized ? spec.repeats : 1;
-    // Measured wall_ns from the cost model when the baseline has this
-    // (grid, scenario, process); the analytic n × rounds guess otherwise —
-    // rescaled after expansion so the two scales rank together.
-    const std::uint64_t measured =
-        spec.cost_hints != nullptr
-            ? spec.cost_hints->lookup(spec.name, spec.graphs[g].name,
-                                      spec.processes[p].name)
-            : 0;
-    const std::uint64_t analytic_cost =
+    const std::uint64_t cost =
         static_cast<std::uint64_t>(spec.graphs[g].g->num_nodes()) *
         expected_rounds;
     for (int r = 0; r < reps; ++r) {
@@ -127,37 +123,8 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
           static_cast<std::uint64_t>(g) * 0x10000ULL +
               static_cast<std::uint64_t>(r));
       cells.push_back(
-          {index, g, p, r, derive_seed(master_seed, index), traffic,
-           measured});
-      analytic.push_back(analytic_cost);
+          {index, g, p, r, derive_seed(master_seed, index), traffic, cost});
       ++index;
-    }
-  };
-  // Measured wall_ns and analytic n × rounds live on different scales; a
-  // raw mix would rank every measured cell (ns magnitudes) above every
-  // unmeasured one regardless of real cost. Calibrate: rescale unmeasured
-  // cells' analytic estimates by the mean ns-per-analytic-unit of the
-  // covered cells, so a partial baseline sharpens the longest-first order
-  // instead of inverting it. With no hints (or nothing covered) everything
-  // keeps the plain analytic estimate.
-  const auto calibrate = [&]() {
-    double measured_sum = 0;
-    double analytic_of_measured = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i].cost_estimate > 0) {
-        measured_sum += static_cast<double>(cells[i].cost_estimate);
-        analytic_of_measured += static_cast<double>(analytic[i]);
-      }
-    }
-    const double ratio = measured_sum > 0 && analytic_of_measured > 0
-                             ? measured_sum / analytic_of_measured
-                             : 1.0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i].cost_estimate == 0) {
-        cells[i].cost_estimate = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(analytic[i]) * ratio));
-      }
     }
   };
   if (!spec.pairs.empty()) {
@@ -165,7 +132,6 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
       DLB_EXPECTS(g < spec.graphs.size() && p < spec.processes.size());
       push(g, p);
     }
-    calibrate();
     return cells;
   }
   for (std::size_t g = 0; g < spec.graphs.size(); ++g) {
@@ -173,7 +139,6 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
       push(g, p);
     }
   }
-  calibrate();
   return cells;
 }
 
@@ -332,9 +297,76 @@ result_row run_cell(const grid_spec& spec, const grid_cell& cell) {
   return row;
 }
 
+namespace {
+
+/// One `slope(<family>)` pivot cell per (family, process) with at least two
+/// sizes: the log-log fit of the mean final discrepancy over n, the mean
+/// floored at 0.25 so a process that reaches zero stays log-safe. A family
+/// is the scenario's generator name (the text before '('); the columns keep
+/// the families' first-appearance order.
+std::vector<analysis::pivot_cell> family_slope_cells(
+    const std::vector<result_row>& rows) {
+  std::vector<std::string> families;
+  // (family, process) -> n -> (discrepancy sum, count)
+  std::map<std::pair<std::string, std::string>,
+           std::map<std::int64_t, std::pair<real_t, int>>>
+      series;
+  for (const result_row& row : rows) {
+    const std::string family = row.scenario.substr(0, row.scenario.find('('));
+    if (std::find(families.begin(), families.end(), family) ==
+        families.end()) {
+      families.push_back(family);
+    }
+    auto& [sum, count] = series[{family, row.process}][row.n];
+    sum += row.final_max_min;
+    ++count;
+  }
+  std::vector<analysis::pivot_cell> cells;
+  for (const std::string& family : families) {
+    for (auto it = series.lower_bound({family, ""});
+         it != series.end() && it->first.first == family; ++it) {
+      if (it->second.size() < 2) continue;
+      std::vector<real_t> xs;
+      std::vector<real_t> ys;
+      for (const auto& [n, acc] : it->second) {
+        xs.push_back(static_cast<real_t>(n));
+        ys.push_back(std::max<real_t>(acc.first / acc.second, 0.25));
+      }
+      real_t slope = analysis::log_log_slope(xs, ys);
+      // The pivot prints 2 decimals; a fit flatter than half a unit there
+      // reads 0.00, never -0.00.
+      if (std::abs(slope) < 0.005) slope = 0;
+      cells.push_back({it->first.second, "slope(" + family + ")", slope});
+    }
+  }
+  return cells;
+}
+
+/// Splits a `-s<k>` shard-thread suffix off a grid name. Returns (base
+/// name, k); k = 0 when the name carries no such suffix.
+std::pair<std::string, unsigned> split_shard_suffix(const std::string& grid) {
+  const std::size_t pos = grid.rfind("-s");
+  if (pos == std::string::npos || pos + 2 >= grid.size()) return {grid, 0};
+  unsigned k = 0;
+  for (std::size_t i = pos + 2; i < grid.size(); ++i) {
+    if (grid[i] < '0' || grid[i] > '9') return {grid, 0};
+    k = k * 10 + static_cast<unsigned>(grid[i] - '0');
+  }
+  return {grid.substr(0, pos), k};
+}
+
+}  // namespace
+
 analysis::ascii_table render_view(const grid_spec& spec,
                                   const std::vector<result_row>& rows) {
   switch (spec.view) {
+    case table_view::discrepancy_slopes: {
+      std::vector<analysis::pivot_cell> cells = discrepancy_cells(rows);
+      const std::vector<analysis::pivot_cell> slopes =
+          family_slope_cells(rows);
+      cells.insert(cells.end(), slopes.begin(), slopes.end());
+      return analysis::pivot("process", cells);
+    }
     case table_view::mean_discrepancy:
       return analysis::pivot("process", metric_cells(rows, "mean_max_min"));
     case table_view::rounds: {
@@ -353,6 +385,40 @@ analysis::ascii_table render_view(const grid_spec& spec,
       break;
   }
   return analysis::pivot("process", discrepancy_cells(rows));
+}
+
+void print_scaling_efficiency(const std::vector<result_row>& rows,
+                              std::ostream& os) {
+  // (base grid, cell) -> (k -> wall_ns)
+  std::map<std::pair<std::string, std::uint64_t>,
+           std::map<unsigned, std::int64_t>>
+      twins;
+  for (const result_row& row : rows) {
+    const auto [base, k] = split_shard_suffix(row.grid);
+    if (k >= 1) twins[{base, row.cell}][k] = row.wall_ns;
+  }
+  bool header = false;
+  for (const auto& [key, by_k] : twins) {
+    const auto s1 = by_k.find(1);
+    if (s1 == by_k.end() || by_k.size() < 2) continue;
+    if (!header) {
+      os << "\n=== scaling efficiency (speedup vs -s1, efficiency = "
+            "speedup / threads) ===\n";
+      header = true;
+    }
+    os << "  " << std::left << std::setw(28)
+       << (key.first + "/cell" + std::to_string(key.second)) << std::right;
+    for (const auto& [k, wall] : by_k) {
+      if (k == 1 || wall <= 0) continue;
+      const double speedup = static_cast<double>(s1->second) /
+                             static_cast<double>(wall);
+      char col[64];
+      std::snprintf(col, sizeof(col), "  s%u: %.2fx (eff %.2f)", k, speedup,
+                    speedup / static_cast<double>(k));
+      os << col;
+    }
+    os << "\n";
+  }
 }
 
 void run_grid(const grid_spec& spec, std::uint64_t master_seed,
@@ -398,8 +464,8 @@ void run_grid(const grid_spec& spec, std::uint64_t master_seed,
   emit_ready();
 
   // Longest-first: the pool hands out indices in order, so the most
-  // expensive cells do not land last and stretch the tail. Ties (and static
-  // grids without cost hints, whose estimate is just n) keep cell order.
+  // expensive cells do not land last and stretch the tail. Ties keep cell
+  // order.
   std::stable_sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
     return cells[a].cost_estimate > cells[b].cost_estimate;
   });

@@ -206,10 +206,13 @@ grid_spec async_service_grid(const grid_options& opts, std::uint64_t master) {
 
 // Figure A: final discrepancy vs network size n, per graph family. The
 // headline claim of Tables 1-2 — Alg1's discrepancy is flat in n while
-// round-down grows, strongly on the low-expansion family.
+// round-down grows, strongly on the low-expansion family. The table view
+// fits a log-log slope per (family, process): ≈ 0 for Alg1/Alg2, > 0 for
+// round-down, largest on the arbitrary family.
 grid_spec scaling_n_grid(const grid_options& opts, std::uint64_t master) {
   grid_spec spec;
   spec.comm_model = workload::model::diffusion;
+  spec.view = table_view::discrepancy_slopes;
   spec.processes = workload::standard_competitors(true);
   spec.repeats = opts.repeats;
   spec.spike_per_node = opts.spike_per_node;

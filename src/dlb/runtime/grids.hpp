@@ -1,5 +1,5 @@
 // The named grid registry: every table/figure-style experiment the repo
-// ships, addressable by name from `dlb_run` and the benches. Each named grid
+// ships, addressable by name from `dlb_run` and the tests. Each named grid
 // is a parameterized grid_spec builder; graph instances are derived from the
 // master seed so one `--master-seed` pins the entire experiment, topology
 // included. docs/REPRODUCING.md maps every paper artifact to its grid; keep

@@ -1,6 +1,6 @@
 // The competitor registry of the paper's comparison tables (Tables 1-2),
 // promoted from the bench harness into the library so that the experiment
-// runtime, the benches, and the `dlb_run` driver all instantiate identical
+// runtime, the examples, and the `dlb_run` driver all instantiate identical
 // process sets: flow imitation (Algorithms 1-2) against round-down [37],
 // quasirandom deterministic rounding [26], per-edge randomized rounding
 // [26]/[24], and the excess-token scheme [9], over the diffusion and

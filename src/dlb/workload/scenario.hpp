@@ -1,5 +1,5 @@
 // Named experiment scenarios: the graph classes of the paper's comparison
-// tables (Tables 1-2), packaged so that every bench and example instantiates
+// tables (Tables 1-2), packaged so that every grid and example instantiates
 // identical instances.
 #pragma once
 

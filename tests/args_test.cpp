@@ -154,5 +154,16 @@ TEST(ArgsTest, DashedAndPlainSpellingsCollide) {
   EXPECT_THROW(arg_map({"--seed", "1", "seed=2"}), contract_violation);
 }
 
+// A repeated flag is an error, not last-wins, and the message names the
+// flag instead of quoting a failed precondition.
+TEST(ArgsTest, DuplicateFlagNamesItself) {
+  try {
+    const arg_map args({"--repeats", "2", "--repeats", "3"});
+    FAIL() << "duplicate flag accepted";
+  } catch (const contract_violation& e) {
+    EXPECT_STREQ(e.what(), "argument 'repeats' given twice");
+  }
+}
+
 }  // namespace
 }  // namespace dlb::analysis

@@ -1,11 +1,14 @@
 // Grid expansion and execution: deterministic cell enumeration, seed
-// derivation, the named-grid registry, and both engine paths (static
-// balancing and dynamic arrivals).
+// derivation, the named-grid registry, both engine paths (static balancing
+// and dynamic arrivals), and the `--table` renderings built from rows.
 #include "dlb/runtime/experiment_grid.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/rng.hpp"
@@ -120,6 +123,110 @@ TEST(ExperimentGridTest, DynamicCellExercisesRunDynamic) {
   EXPECT_EQ(row.rounds, spec.dynamic_rounds);
   EXPECT_GE(row.peak_max_min, row.mean_max_min);
   EXPECT_GT(row.wall_ns, 0);
+}
+
+/// The trimmed cells of the table line whose first cell is `label`.
+std::vector<std::string> table_line(const std::string& table,
+                                    const std::string& label) {
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> cells;
+    std::istringstream parts(line);
+    std::string part;
+    std::getline(parts, part, '|');  // text before the leading '|'
+    while (std::getline(parts, part, '|')) {
+      const std::size_t b = part.find_first_not_of(' ');
+      const std::size_t e = part.find_last_not_of(' ');
+      cells.push_back(b == std::string::npos ? "" : part.substr(b, e - b + 1));
+    }
+    if (!cells.empty() && cells.front() == label) return cells;
+  }
+  return {};
+}
+
+// The scaling-n view appends one slope(<family>) column: the log-log fit of
+// the mean discrepancy over n. Doubling with n is slope 1; a constant is 0;
+// all zeros hit the 0.25 floor and read 0 too, not -0.
+TEST(ExperimentGridTest, SlopeViewFitsEachFamilyOverN) {
+  grid_spec spec;
+  spec.view = table_view::discrepancy_slopes;
+  std::vector<result_row> rows;
+  const auto add = [&rows](const std::string& family, std::int64_t n,
+                           const std::string& process, real_t value) {
+    result_row row;
+    row.scenario = family + "(n=" + std::to_string(n) + ")";
+    row.n = n;
+    row.process = process;
+    row.final_max_min = value;
+    rows.push_back(row);
+  };
+  for (const std::int64_t n : {128, 256, 512}) {
+    const real_t half = static_cast<real_t>(n) / 16;
+    add("ring", n, "grows-on-ring", half - 1);  // 2 repetitions, mean n/16
+    add("ring", n, "grows-on-ring", half + 1);
+    add("ring", n, "grows-on-torus", 3);
+    add("ring", n, "zero", 0);
+    add("torus", n, "grows-on-ring", 5);
+    add("torus", n, "grows-on-torus", static_cast<real_t>(n));
+    add("torus", n, "zero", 0);
+  }
+  std::ostringstream text;
+  render_view(spec, rows).print(text);
+  const std::string table = text.str();
+
+  const std::vector<std::string> header = table_line(table, "process");
+  ASSERT_EQ(header.size(), 1u + 6u + 2u) << table;
+  EXPECT_EQ(header[7], "slope(ring)");
+  EXPECT_EQ(header[8], "slope(torus)");
+  const std::vector<std::string> on_ring = table_line(table, "grows-on-ring");
+  const std::vector<std::string> on_torus =
+      table_line(table, "grows-on-torus");
+  const std::vector<std::string> zero = table_line(table, "zero");
+  ASSERT_EQ(on_ring.size(), header.size()) << table;
+  ASSERT_EQ(on_torus.size(), header.size()) << table;
+  ASSERT_EQ(zero.size(), header.size()) << table;
+  EXPECT_EQ(on_ring[7], "1.00") << table;
+  EXPECT_EQ(on_ring[8], "0.00") << table;
+  EXPECT_EQ(on_torus[7], "0.00") << table;
+  EXPECT_EQ(on_torus[8], "1.00") << table;
+  EXPECT_EQ(zero[7], "0.00") << table;
+  EXPECT_EQ(zero[8], "0.00") << table;
+}
+
+// A family seen at one size has nothing to fit: no slope column.
+TEST(ExperimentGridTest, SlopeViewSkipsSingleSizeFamilies) {
+  grid_spec spec;
+  spec.view = table_view::discrepancy_slopes;
+  result_row row;
+  row.scenario = "ring(n=16)";
+  row.n = 16;
+  row.process = "p";
+  row.final_max_min = 2;
+  std::ostringstream text;
+  render_view(spec, {row, row}).print(text);
+  EXPECT_EQ(text.str().find("slope("), std::string::npos) << text.str();
+}
+
+TEST(ExperimentGridTest, ScalingEfficiencyComparesEachTwinWithItsS1Row) {
+  result_row s1;
+  s1.grid = "g-s1";
+  s1.wall_ns = 400;
+  result_row s4 = s1;
+  s4.grid = "g-s4";
+  s4.wall_ns = 100;
+  std::ostringstream text;
+  print_scaling_efficiency({s1, s4}, text);
+  EXPECT_NE(text.str().find("=== scaling efficiency"), std::string::npos);
+  EXPECT_NE(text.str().find("g/cell0"), std::string::npos) << text.str();
+  EXPECT_NE(text.str().find("s4: 4.00x (eff 1.00)"), std::string::npos)
+      << text.str();
+
+  // Rows with no -s1 twin (or no shard suffix at all) render nothing.
+  result_row plain = s1;
+  plain.grid = "g";
+  std::ostringstream none;
+  print_scaling_efficiency({s4, plain}, none);
+  EXPECT_EQ(none.str(), "");
 }
 
 }  // namespace

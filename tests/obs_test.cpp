@@ -360,19 +360,24 @@ TEST(ObsExportTest, MetricsSidecarCarriesPerCellCounters) {
   EXPECT_NE(text.find("\"process\""), std::string::npos);
 }
 
-TEST(ObsExportTest, SummaryTopTidsIsConfigurable) {
-  // Four worker threads, each with one pool_task span of a distinct
-  // duration. top_tids = 2 must show the two busiest and fold the other
-  // two into one aggregate; the default (8) shows all four.
-  obs::recorder rec;
-  std::vector<std::thread> workers;
-  for (int i = 1; i <= 4; ++i) {
-    workers.emplace_back([&rec, i] {
-      rec.complete("pool_task", /*ts_ns=*/0, /*dur_ns=*/i * 1000000);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
+TEST(ObsExportTest, SummaryFoldsPastTheEightBusiestTids) {
+  // Worker threads with one pool_task span each, of distinct durations. The
+  // utilization line names at most the 8 busiest and folds the rest into
+  // one "+N more" aggregate: 10 tids give 8 named plus "+2 more", 4 tids
+  // give 4 named and no fold.
+  const auto summary_of = [](int tids) {
+    obs::recorder rec;
+    std::vector<std::thread> workers;
+    for (int i = 1; i <= tids; ++i) {
+      workers.emplace_back([&rec, i] {
+        rec.complete("pool_task", /*ts_ns=*/0, /*dur_ns=*/i * 1000000);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    std::ostringstream text;
+    obs::write_summary(text, rec);
+    return text.str();
+  };
   const auto tid_entries = [](const std::string& text) {
     std::size_t count = 0;
     for (std::size_t pos = text.find(" t"); pos != std::string::npos;
@@ -385,18 +390,15 @@ TEST(ObsExportTest, SummaryTopTidsIsConfigurable) {
     return count;
   };
 
-  obs::summary_options top2;
-  top2.top_tids = 2;
-  std::ostringstream capped;
-  obs::write_summary(capped, rec, top2);
-  EXPECT_NE(capped.str().find("4 worker threads"), std::string::npos);
-  EXPECT_EQ(tid_entries(capped.str()), 2u) << capped.str();
-  EXPECT_NE(capped.str().find("+2 more"), std::string::npos) << capped.str();
+  const std::string ten = summary_of(10);
+  EXPECT_NE(ten.find("10 worker threads"), std::string::npos) << ten;
+  EXPECT_EQ(tid_entries(ten), 8u) << ten;
+  EXPECT_NE(ten.find("+2 more"), std::string::npos) << ten;
 
-  std::ostringstream full;
-  obs::write_summary(full, rec);
-  EXPECT_EQ(tid_entries(full.str()), 4u) << full.str();
-  EXPECT_EQ(full.str().find("more"), std::string::npos) << full.str();
+  const std::string four = summary_of(4);
+  EXPECT_NE(four.find("4 worker threads"), std::string::npos) << four;
+  EXPECT_EQ(tid_entries(four), 4u) << four;
+  EXPECT_EQ(four.find("more"), std::string::npos) << four;
 }
 
 TEST(ObsExportTest, SummaryReportsShardSkewAndPhases) {
