@@ -26,6 +26,8 @@
 //                 >= 1, arrivals >= 0)
 //   --burst-size / --burst-period             dynamic-bursts only (size
 //                 >= 0, period >= 1)
+//                 n × spike, rounds × arrivals and the burst total are each
+//                 capped at 2^28 tokens per cell (max_cell_tokens)
 //   --arrival-rate / --service-rate   async (event-driven) grids: Poisson
 //                 arrivals (> 0) / service completions (>= 0; 0 = none) per
 //                 unit of virtual time
@@ -135,15 +137,16 @@ int main(int argc, char** argv) {
         args.get_int("n", opts.target_n, 16, max_of<node_id>));
     opts.repeats = static_cast<int>(
         args.get_int("repeats", opts.repeats, 1, max_of<int>));
+    // A token count above max_cell_tokens fails on its own; make_named_grid
+    // then checks its product with n, the rounds or the burst count.
     opts.spike_per_node = args.get_int("spike-per-node", opts.spike_per_node,
-                                       0, max_of<weight_t>);
+                                       0, max_cell_tokens);
     opts.dynamic_rounds = args.get_int("dynamic-rounds", opts.dynamic_rounds,
                                        1, max_of<round_t>);
-    opts.arrivals_per_round =
-        args.get_int("arrivals-per-round", opts.arrivals_per_round, 0,
-                     max_of<weight_t>);
+    opts.arrivals_per_round = args.get_int(
+        "arrivals-per-round", opts.arrivals_per_round, 0, max_cell_tokens);
     opts.burst_size =
-        args.get_int("burst-size", opts.burst_size, 0, max_of<weight_t>);
+        args.get_int("burst-size", opts.burst_size, 0, max_cell_tokens);
     opts.burst_period =
         args.get_int("burst-period", opts.burst_period, 1, max_of<round_t>);
     // Rates are finite (get_real); a defaulted rate is always in range.

@@ -28,6 +28,13 @@ inline constexpr node_id invalid_node = -1;
 /// Sentinel for "no edge".
 inline constexpr edge_id invalid_edge = -1;
 
+/// Most tokens one experiment cell may be asked to create: its n ×
+/// spike-per-node initial load, its rounds × arrivals-per-round stream, its
+/// burst total, or one replay-trace event. Alg1 keeps every real task as a
+/// weight_t plus its origin node (12 B), so 2^28 tokens fill 3 GiB of task
+/// pools; larger requests are refused before anything is allocated.
+inline constexpr weight_t max_cell_tokens = weight_t{1} << 28;
+
 /// Comparison slack for real-valued flow bookkeeping. Chosen so that
 /// accumulated floating-point error over any realistic horizon (<=1e9
 /// operations at magnitudes <=1e12) stays far below the discrete quantum of 1.

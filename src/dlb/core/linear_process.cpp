@@ -138,8 +138,7 @@ void linear_process::reset(std::vector<real_t> x0) {
 // Phase 1 (per edge): this round's flows y(t), eqs. (10)-(11) — in round 0
 // the recurrence has no history term, y(0) = P(0)·x(0) — plus the cumulative
 // flow ledger update. Pure per-edge function of the pre-round state, so any
-// edge partition *and any visit order* computes identical bits — which is
-// what licenses the slice's cache layout permutation.
+// edge partition computes identical bits.
 void linear_process::flow_phase(const edge_slice& es) {
   const graph& g = *g_;
   es.for_each([&](edge_id e) {

@@ -1,20 +1,18 @@
-// edge_slice: one contiguous range of edge *positions* in a phase's
-// traversal order, together with the layout permutation that maps positions
-// back to edge ids.
+// edge_slice: one chunk of an edge phase — the contiguous run of edge ids
+// [begin, end), visited in ascending order.
 //
-// The sharded stepper hands edge phases slices instead of raw [e0, e1) id
-// ranges so that a shard plan can reorder the *visit* sequence for cache
-// locality (core/sharding.hpp builds a blocked (u, v) permutation at plan
-// build) without perturbing a single output bit: per-edge phases are pure
-// functions of the pre-round state writing only their own edge's slots, so
-// the set of edges visited — never the visit order — determines the result.
-// Per-node accumulation order (ascending incident edge id) is untouched; it
-// lives in the adjacency lists, not here.
+// graph sorts its edges by (u, v) at construction, so walking ids in order
+// is a sequential stream over x_u and over every edge-indexed array (flows,
+// ledgers, deficits, α). Per-edge phases are pure functions of the
+// pre-round state writing only their own edge's slots, so the set of edges
+// a slice visits — never the visit order — determines the result.
 //
 // This header is deliberately tiny: alpha schedules (core/process.hpp) fill
 // per-edge coefficients through slices too, and must not drag the full
 // sharding/observability headers into every process interface.
 #pragma once
+
+#include <cstddef>
 
 #include "dlb/common/types.hpp"
 
@@ -22,29 +20,23 @@ namespace dlb {
 
 class edge_slice {
  public:
-  /// Positions [begin, end) visit edge ids order[p] when `order` is
-  /// non-null, or the position itself (identity layout) when null.
-  edge_slice(edge_id begin, edge_id end, const edge_id* order) noexcept
-      : begin_(begin), end_(end), order_(order) {}
+  /// Edge ids [begin, end). The third parameter carries nothing: it keeps
+  /// the frozen scale benchmark's three-argument construction compiling.
+  edge_slice(edge_id begin, edge_id end, std::nullptr_t = nullptr) noexcept
+      : begin_(begin), end_(end) {}
 
   [[nodiscard]] edge_id size() const noexcept { return end_ - begin_; }
   [[nodiscard]] bool empty() const noexcept { return begin_ == end_; }
 
-  /// Calls body(e) once per visited edge id. The null-order branch is
-  /// hoisted so the identity layout costs nothing over a plain id loop.
+  /// Calls body(e) once per edge id of the slice, in ascending order.
   template <typename Body>
   void for_each(Body&& body) const {
-    if (order_ == nullptr) {
-      for (edge_id e = begin_; e < end_; ++e) body(e);
-    } else {
-      for (edge_id p = begin_; p < end_; ++p) body(order_[p]);
-    }
+    for (edge_id e = begin_; e < end_; ++e) body(e);
   }
 
  private:
   edge_id begin_;
   edge_id end_;
-  const edge_id* order_;  // null = identity (positions are edge ids)
 };
 
 }  // namespace dlb

@@ -79,7 +79,7 @@ class alpha_schedule {
   void alphas(round_t t, std::vector<real_t>& out) const {
     begin_round(t);
     fill_alphas(t, out.data(),
-                edge_slice(0, static_cast<edge_id>(out.size()), nullptr));
+                edge_slice(0, static_cast<edge_id>(out.size())));
   }
 };
 

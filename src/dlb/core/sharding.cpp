@@ -1,7 +1,6 @@
 #include "dlb/core/sharding.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/core/process.hpp"
@@ -17,42 +16,6 @@ namespace {
 // fold overhead vanishes; vectors up to this length sum strictly
 // left-to-right, so every pre-existing small-grid result is bit-unchanged.
 constexpr std::size_t sum_block = 4096;
-
-// Node-block width of the edge-locality layout: edges are grouped by
-// (u/block, v/block), stably by edge id within a group, so one chunk's
-// endpoint reads stay inside a pair of node windows (≈ 32 KiB of load
-// vector each) instead of scattering across the whole vector — the win on
-// hypercubes and random graphs, where half of each edge's endpoints are far
-// apart under any node numbering. Graphs whose nodes all fit one block
-// (every test-sized graph) keep the null layout and pay nothing.
-constexpr node_id layout_block = 4096;
-
-// The (position → edge id) layout permutation, or empty when the blocked
-// order is the identity. Detecting the identity matters: it keeps the
-// extra indirection (and the O(m) map) off graphs that are already local.
-std::vector<edge_id> blocked_edge_order(const graph& g) {
-  const edge_id m = g.num_edges();
-  if (g.num_nodes() <= layout_block || m < 2) return {};
-  std::vector<std::pair<std::uint64_t, edge_id>> keyed(
-      static_cast<std::size_t>(m));
-  for (edge_id e = 0; e < m; ++e) {
-    const edge& ed = g.endpoints(e);
-    const auto bu = static_cast<std::uint64_t>(ed.u / layout_block);
-    const auto bv = static_cast<std::uint64_t>(ed.v / layout_block);
-    keyed[static_cast<std::size_t>(e)] = {(bu << 32) | bv, e};
-  }
-  // Plain sort of (key, id) pairs == stable sort by key: ties break by edge
-  // id, so within a block the ascending-id order is preserved.
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<edge_id> order(static_cast<std::size_t>(m));
-  bool identity = true;
-  for (edge_id p = 0; p < m; ++p) {
-    order[static_cast<std::size_t>(p)] = keyed[static_cast<std::size_t>(p)].second;
-    if (order[static_cast<std::size_t>(p)] != p) identity = false;
-  }
-  if (identity) return {};
-  return order;
-}
 
 using claim_body =
     std::function<void(std::size_t, const std::function<std::size_t()>&)>;
@@ -71,7 +34,6 @@ void serial_claims(std::size_t groups, const Body& body) {
 shard_plan::shard_plan(const graph& g, std::size_t num_shards)
     : n_(g.num_nodes()), m_(g.num_edges()) {
   DLB_EXPECTS(num_shards >= 1);
-  edge_order_ = blocked_edge_order(g);
   const std::size_t shards = std::max<std::size_t>(
       1, std::min<std::size_t>(num_shards, static_cast<std::size_t>(n_)));
   edge_cut_.resize(shards + 1);
@@ -240,13 +202,11 @@ void sharded_stepper::add_tokens_moved(std::uint64_t n) const noexcept {
 
 void sharded_stepper::edge_phase(
     const std::function<void(const edge_slice&)>& body) const {
-  const edge_id* order =
-      shard_ != nullptr ? shard_->plan.edge_order() : nullptr;
   run_phase(phase_kind::edge,
             static_cast<std::size_t>(shard_topology().num_edges()),
             [&](std::size_t lo, std::size_t hi) {
               body(edge_slice(static_cast<edge_id>(lo),
-                              static_cast<edge_id>(hi), order));
+                              static_cast<edge_id>(hi)));
             });
 }
 

@@ -3,10 +3,10 @@
 // The paper's processes are synchronous per-round maps over all nodes, so one
 // round decomposes into embarrassingly parallel per-edge and per-node phases
 // separated by barriers (compute flows → apply flows; allocate send sets →
-// deliver). A `shard_context` couples a `shard_plan` (the shard count and the
-// cache-locality edge layout of one graph) with a `steal_runner` (typically
-// dlb::runtime::thread_pool::steal_loop) that runs one claim loop per shard
-// and returns only when all of them finished — the barrier.
+// deliver). A `shard_context` couples a `shard_plan` (one graph's shard
+// count) with a `steal_runner` (typically dlb::runtime::thread_pool::
+// steal_loop) that runs one claim loop per shard and returns only when all
+// of them finished — the barrier.
 //
 // One execution path serves every sharded loop. `run_chunks` cuts a range of
 // items into fixed-size chunks — boundaries a pure function of (item count,
@@ -28,10 +28,10 @@
 // the sequential step for any shard count. The phase decomposition
 // guarantees this because
 //  * per-edge quantities (flows, cumulative-flow updates, deficits) are pure
-//    functions of the pre-round state — so both the partition into chunks
-//    and the *visit order within* a chunk are free, which is what lets a
-//    shard_plan install a cache-locality edge permutation (edge_order(),
-//    traversed through core/phase_slice.hpp),
+//    functions of the pre-round state — so the partition into chunks is
+//    free; each chunk walks its edge ids in ascending order, which on the
+//    (u, v)-sorted edge list is a sequential stream over every per-edge
+//    array (core/phase_slice.hpp),
 //  * per-node accumulators (load updates, outgoing sums, task pools) receive
 //    their contributions in ascending incident-edge order — exactly the order
 //    the sequential edge loop applies them, because graph adjacency lists are
@@ -103,20 +103,12 @@ inline constexpr std::size_t phase_chunk_items = 16384;
   return count == 0 ? 1 : (count + grain - 1) / grain;
 }
 
-/// The shard count and edge layout of one graph. The requested shard count
-/// is clamped to [1, n], so a plan never runs more claim groups than the
-/// graph has nodes. The edge set is also cut into num_shards() contiguous,
-/// count-balanced position ranges (edge_begin/edge_end) for callers that
-/// hand one range to each shard; ranges may be empty (a graph can have fewer
-/// edges than shards, or none at all).
-///
-/// The plan owns the cache-locality edge layout: a one-time pass blocks
-/// the edge ids by (u/B, v/B) so an edge phase streaming positions touches
-/// node slices a block at a time instead of scattering across the whole load
-/// vector. The permutation is stable by edge id within a block and is kept
-/// as an index map (edge_order()); graphs that are already local (everything
-/// under one block, e.g. every test-sized graph) detect the identity and
-/// keep the null layout, so their phases pay nothing.
+/// The shard count of one graph. The requested shard count is clamped to
+/// [1, n], so a plan never runs more claim groups than the graph has nodes.
+/// The edge set is also cut into num_shards() contiguous, count-balanced id
+/// ranges (edge_begin/edge_end) for callers that hand one range to each
+/// shard; ranges may be empty (a graph can have fewer edges than shards, or
+/// none at all).
 class shard_plan {
  public:
   shard_plan() = default;
@@ -133,19 +125,14 @@ class shard_plan {
     return edge_cut_[s + 1];
   }
 
-  /// The edge-visit permutation (position → edge id), or nullptr when the
-  /// identity layout was kept. Edge phases traverse positions through this
-  /// map (core/phase_slice.hpp); everything else — ledgers, flows, adjacency
-  /// folds — keeps indexing by edge id, untouched.
-  [[nodiscard]] const edge_id* edge_order() const noexcept {
-    return edge_order_.empty() ? nullptr : edge_order_.data();
-  }
+  /// Always null: edge phases walk ids in order. Kept for the frozen scale
+  /// benchmark (perfbench/), which hands it to edge_slice.
+  [[nodiscard]] std::nullptr_t edge_order() const noexcept { return nullptr; }
 
  private:
   node_id n_ = 0;
   edge_id m_ = 0;
-  std::vector<edge_id> edge_cut_;    // size num_shards+1, ascending
-  std::vector<edge_id> edge_order_;  // empty = identity layout
+  std::vector<edge_id> edge_cut_;  // size num_shards+1, ascending
 };
 
 /// A plan plus the runners that execute its shards. One context is built per
@@ -313,10 +300,9 @@ class sharded_stepper : public shardable {
   /// exactly once and the total is shard-count independent.
   void add_tokens_moved(std::uint64_t n) const noexcept;
 
-  /// Pure per-edge phase: body(slice) over contiguous position ranges of
-  /// the plan's edge layout (identity when sequential or unpermuted). The
-  /// body may read any pre-phase state but write only the per-edge slots of
-  /// the edges its slice visits.
+  /// Pure per-edge phase: body(slice) once per chunk, each slice a run of
+  /// edge ids visited in ascending order. The body may read any pre-phase
+  /// state but write only the per-edge slots of the edges its slice visits.
   void edge_phase(const std::function<void(const edge_slice&)>& body) const;
 
   /// Per-node phase: body(i0, i1) over contiguous node ranges. The body may

@@ -106,10 +106,12 @@ trace_source::trace_source(std::istream& in, std::string label)
     // subsequent line).
     if (!std::isfinite(time) || !(time >= last) || !(time >= 0) ||
         node < 0 || node > std::numeric_limits<node_id>::max() ||
-        count < 1 || (!kind.empty() && kind != "a" && kind != "s")) {
-      throw contract_violation(label_ + ":" + std::to_string(lineno) +
-                               ": bad trace event (times must be finite and "
-                               "nondecreasing, node >= 0, count >= 1)");
+        count < 1 || count > max_cell_tokens ||
+        (!kind.empty() && kind != "a" && kind != "s")) {
+      throw contract_violation(
+          label_ + ":" + std::to_string(lineno) +
+          ": bad trace event (times must be finite and nondecreasing, node "
+          ">= 0, count in [1, " + std::to_string(max_cell_tokens) + "])");
     }
     ev.time = time;
     ev.kind = kind == "s" ? event_kind::service : event_kind::arrival;

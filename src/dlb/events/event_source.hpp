@@ -82,8 +82,8 @@ class poisson_source final : public event_source {
 /// Text format, one event per line: `time node count [kind]`, where `kind`
 /// is `a` (arrival, the default) or `s` (service). Blank lines and lines
 /// starting with `#` are ignored. Times must be finite, nondecreasing and
-/// >= 0, nodes >= 0, counts >= 1; violations throw contract_violation at
-/// parse time, so a malformed trace never half-runs.
+/// >= 0, nodes >= 0, counts in [1, max_cell_tokens]; violations throw
+/// contract_violation at parse time, so a malformed trace never half-runs.
 ///
 /// Copyable, and copies are cheap: the parsed events are immutable and
 /// shared, and the service/max-node summaries are cached at construction —

@@ -1,7 +1,10 @@
 #include "dlb/graph/io.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "dlb/common/contracts.hpp"
 
@@ -23,6 +26,14 @@ graph read_edge_list(std::istream& is) {
   }
   if (n <= 0 || m < 0) {
     throw contract_violation("read_edge_list: invalid node/edge counts");
+  }
+  // A node no edge names cannot exchange load, so n ≤ max(1, 2m) loses no
+  // usable file and keeps the graph's O(n) allocation proportional to the
+  // edge bytes read below.
+  if (n > std::max<std::int64_t>(1, 2 * static_cast<std::int64_t>(m))) {
+    throw contract_violation("read_edge_list: header names " +
+                             std::to_string(n) + " nodes but only " +
+                             std::to_string(m) + " edges (n > max(1, 2m))");
   }
   // No reserve: m is an unvalidated header field, and a huge one must fail
   // as a truncated body below, not as an allocation.

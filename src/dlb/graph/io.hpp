@@ -20,7 +20,8 @@ namespace dlb {
 void write_edge_list(std::ostream& os, const graph& g);
 
 /// Parses a graph from edge-list format; throws contract_violation on
-/// malformed input (bad counts, out-of-range endpoints, duplicates...).
+/// malformed input (bad counts, n > max(1, 2m), out-of-range endpoints,
+/// duplicates...).
 [[nodiscard]] graph read_edge_list(std::istream& is);
 
 /// Graphviz DOT export. If `labels` is non-empty it must have one entry per

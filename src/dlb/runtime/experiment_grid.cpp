@@ -426,17 +426,7 @@ void run_grid(const grid_spec& spec, std::uint64_t master_seed,
               const std::function<void(const result_row&)>& emit,
               grid_checkpoint* ckpt) {
   DLB_EXPECTS(emit != nullptr);
-  // Parse a replay trace once; cells take O(1) copies of the prototype.
-  const grid_spec* active = &spec;
-  grid_spec with_trace;
-  if (spec.kind == grid_kind::async_events && !spec.trace_path.empty() &&
-      spec.trace_proto == nullptr) {
-    with_trace = spec;
-    with_trace.trace_proto = std::shared_ptr<const events::trace_source>(
-        events::load_trace(spec.trace_path));
-    active = &with_trace;
-  }
-  const std::vector<grid_cell> cells = expand_grid(*active, master_seed);
+  const std::vector<grid_cell> cells = expand_grid(spec, master_seed);
 
   // Reorder buffer: cells finish in scheduler order, rows leave in cell
   // order. Checkpointed rows enter it up front; a finished cell parks its
@@ -471,7 +461,7 @@ void run_grid(const grid_spec& spec, std::uint64_t master_seed,
   });
   std::mutex mutex;
   pool.parallel_for_each(todo.size(), [&](std::size_t k) {
-    result_row row = run_cell(*active, cells[todo[k]]);
+    result_row row = run_cell(spec, cells[todo[k]]);
     const std::lock_guard<std::mutex> lock(mutex);
     if (ckpt != nullptr) ckpt->record(spec.name, row);
     pending.emplace(row.cell, std::move(row));

@@ -139,11 +139,11 @@ struct grid_spec {
                             ///< (whole network; 0 = no departures)
   std::string trace_path;   ///< replay `(time, node, count)` events from
                             ///< this file as an extra source (empty = none)
-  /// Pre-parsed trace prototype. run_grid fills this once from trace_path
-  /// before fanning out; each cell then takes an O(1) copy (the parsed
-  /// events are immutable and shared) instead of re-opening and re-parsing
-  /// the file. run_cell falls back to loading from trace_path when unset
-  /// (direct single-cell callers).
+  /// Pre-parsed trace prototype. make_named_grid fills this once from
+  /// trace_path, so a malformed file fails before any cell runs; each cell
+  /// then takes an O(1) copy (the parsed events are immutable and shared)
+  /// instead of re-opening and re-parsing the file. run_cell falls back to
+  /// loading from trace_path when unset (hand-built specs).
   std::shared_ptr<const events::trace_source> trace_proto;
 };
 

@@ -18,6 +18,7 @@
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/metrics.hpp"
 #include "dlb/core/tasks.hpp"
+#include "dlb/events/event_source.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
 #include "dlb/graph/spectral.hpp"
@@ -1030,6 +1031,33 @@ constexpr grid_entry registry[] = {
      async_service_grid},
 };
 
+/// Refuses a grid whose cells would be asked to create more than
+/// max_cell_tokens tokens, naming the flag that sets the count. Products are
+/// compared by division, so no count can overflow.
+void check_cell_tokens(const grid_spec& spec) {
+  const auto check = [](const char* flag, weight_t tokens, std::int64_t times,
+                        const std::string& what) {
+    if (tokens <= max_cell_tokens / times) return;
+    throw contract_violation(
+        std::string("argument '") + flag + "': " + std::to_string(tokens) +
+        " tokens × " + std::to_string(times) + " " + what +
+        " exceeds the cap of " + std::to_string(max_cell_tokens) +
+        " tokens per cell");
+  };
+  for (const workload::graph_case& gc : spec.graphs) {
+    check("spike-per-node", spec.spike_per_node, gc.g->num_nodes(),
+          "nodes of " + gc.name);
+  }
+  if (spec.kind != grid_kind::dynamic_arrivals) return;
+  const round_t rounds = spec.dynamic_rounds;
+  if (spec.arrivals == arrival_pattern::uniform) {
+    check("arrivals-per-round", spec.arrivals_per_round, rounds, "rounds");
+  } else {
+    check("burst-size", spec.burst_size, (rounds - 1) / spec.burst_period + 1,
+          "bursts");
+  }
+}
+
 }  // namespace
 
 std::vector<grid_info> list_grids() {
@@ -1048,6 +1076,10 @@ grid_spec make_named_grid(const std::string& name, const grid_options& opts,
       spec.name = e.name;
       spec.description = e.description;
       DLB_ENSURES(!spec.graphs.empty() && !spec.processes.empty());
+      check_cell_tokens(spec);
+      if (spec.kind == grid_kind::async_events && !spec.trace_path.empty()) {
+        spec.trace_proto = events::load_trace(spec.trace_path);
+      }
       return spec;
     }
   }

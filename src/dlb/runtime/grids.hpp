@@ -66,7 +66,10 @@ struct grid_info {
 
 /// Builds the named grid. Graph randomness (the expander case) is seeded
 /// from `master_seed`, so the same master reproduces identical topologies.
-/// Throws contract_violation for unknown names.
+/// Parses an async grid's replay trace into `trace_proto`. Throws
+/// contract_violation for unknown names, for a malformed trace, and for
+/// counts that would ask a cell to create more than max_cell_tokens tokens
+/// (n × spike per node, rounds × arrivals per round, the burst total).
 [[nodiscard]] grid_spec make_named_grid(const std::string& name,
                                         const grid_options& opts,
                                         std::uint64_t master_seed);

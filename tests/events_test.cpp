@@ -191,6 +191,9 @@ TEST(TraceSourceTest, RejectsMalformedTraces) {
   EXPECT_THROW(events::trace_source s(wraps_to_zero), contract_violation);
   std::istringstream wraps_negative("0 2147483648 1\n");
   EXPECT_THROW(events::trace_source s(wraps_negative), contract_violation);
+  // A count above max_cell_tokens must fail at parse, not as bad_alloc.
+  std::istringstream huge_count("0.5 0 1000000000000\n");
+  EXPECT_THROW(events::trace_source s(huge_count), contract_violation);
 }
 
 TEST(TraceSourceTest, ReportsServiceEvents) {
@@ -454,8 +457,9 @@ TEST(AsyncGridTest, TraceNodesAreValidatedAgainstTheScenario) {
 }
 
 TEST(AsyncGridTest, PreParsedTraceMatchesPerCellLoading) {
-  // run_grid parses the trace file once and hands cells in-memory copies;
-  // the rows must be identical to per-cell file loading (run_cell fallback).
+  // make_named_grid parses the trace file once and cells take in-memory
+  // copies; the rows must be identical to per-cell file loading (run_cell's
+  // fallback for a spec without a prototype).
   const std::string path = ::testing::TempDir() + "shared_trace.txt";
   {
     std::ofstream out(path);
@@ -463,12 +467,14 @@ TEST(AsyncGridTest, PreParsedTraceMatchesPerCellLoading) {
   }
   auto opts = tiny_async_options();
   opts.trace_path = path;
-  const runtime::grid_spec spec =
+  runtime::grid_spec spec =
       runtime::make_named_grid("async-poisson", opts, 77);
+  ASSERT_NE(spec.trace_proto, nullptr);
   runtime::thread_pool pool(2);
   const auto rows = runtime::run_grid(spec, 77, pool);  // pre-parsed path
   const auto cells = runtime::expand_grid(spec, 77);
   ASSERT_EQ(rows.size(), cells.size());
+  spec.trace_proto = nullptr;
   auto direct = runtime::run_cell(spec, cells[3]);  // per-cell file load
   direct.wall_ns = rows[3].wall_ns;
   EXPECT_EQ(direct, rows[3]);

@@ -99,6 +99,41 @@ TEST(ExperimentGridTest, UnknownGridNameThrows) {
                contract_violation);
 }
 
+// A grid whose cells would create more than max_cell_tokens tokens is
+// refused when it is built, and the error names the flag that set the
+// count; a count at the cap passes.
+TEST(ExperimentGridTest, TokenCountsAboveTheCellCapNameTheirFlag) {
+  const auto error_of = [](const std::string& grid,
+                           const grid_options& opts) {
+    try {
+      (void)make_named_grid(grid, opts, 1);
+    } catch (const contract_violation& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  grid_options spike = tiny_options();
+  spike.spike_per_node = max_cell_tokens / 16 + 1;  // every graph has n >= 16
+  EXPECT_NE(error_of("table1", spike).find("argument 'spike-per-node'"),
+            std::string::npos);
+
+  grid_options arrivals = tiny_options();  // 50 rounds
+  arrivals.arrivals_per_round = max_cell_tokens / 50 + 1;
+  EXPECT_NE(error_of("dynamic-uniform", arrivals)
+                .find("argument 'arrivals-per-round'"),
+            std::string::npos);
+  arrivals.arrivals_per_round = max_cell_tokens / 50;
+  EXPECT_EQ(error_of("dynamic-uniform", arrivals), "");
+
+  grid_options bursts = tiny_options();  // rounds 0, 10, ..., 40 burst
+  bursts.burst_period = 10;
+  bursts.burst_size = max_cell_tokens / 5 + 1;
+  EXPECT_NE(error_of("dynamic-bursts", bursts).find("argument 'burst-size'"),
+            std::string::npos);
+  bursts.burst_size = max_cell_tokens / 5;
+  EXPECT_EQ(error_of("dynamic-bursts", bursts), "");
+}
+
 TEST(ExperimentGridTest, StaticCellProducesConsistentRow) {
   const grid_spec spec = make_named_grid("table1", tiny_options(), 5);
   const auto cells = expand_grid(spec, 5);

@@ -43,6 +43,9 @@ TEST(IoTest, ReadRejectsMalformedHeader) {
   EXPECT_THROW((void)read_edge_list(b), contract_violation);
   std::istringstream c("-3 1\n0 1\n");
   EXPECT_THROW((void)read_edge_list(c), contract_violation);
+  // n > max(1, 2m): refused before the O(n) adjacency is allocated.
+  std::istringstream d("2000000000 4\n0 1\n1 2\n2 3\n3 4\n");
+  EXPECT_THROW((void)read_edge_list(d), contract_violation);
 }
 
 TEST(IoTest, ReadRejectsTruncatedBody) {

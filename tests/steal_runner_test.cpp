@@ -5,16 +5,18 @@
 // equals the sequential real-load scan every round on a multi-chunk graph;
 // the sharded α-schedule fill of the matching models reproduces the
 // sequential fill's bits (and the random schedule's reused draw buffers
-// mark exactly each round's matching), the cache-locality edge layout is a
-// key-sorted permutation (identity on test-sized graphs), and — the point
-// of stealing — a seeded-skew phase leaves far less barrier wait behind
-// than a runner that replays the static one-range-per-shard plan.
+// mark exactly each round's matching), every edge-phase body call walks one
+// chunk's ids in ascending order, and — the point of stealing — a
+// seeded-skew phase leaves far less barrier wait behind than a runner that
+// replays the static one-range-per-shard plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -296,11 +298,9 @@ class alpha_fill_stepper final : public sharded_stepper {
 // must mark exactly round t's matching — α_e·[e ∈ random_maximal_matching(g,
 // seed, t)] — whatever rounds were drawn before: re-entered and earlier
 // rounds, a clone (which gets its own buffers), and the owning process
-// restored to an earlier round. torus_2d(96) has n > 4096, so the sharded
-// fill walks a non-identity blocked edge layout.
+// restored to an earlier round.
 TEST(ShardedAlphaScheduleTest, RandomFillMarksExactlyTheRoundsMatching) {
   const auto g = make_g(generators::torus_2d(96));
-  ASSERT_NE(shard_plan(*g, 4).edge_order(), nullptr);
   speed_vector s(static_cast<std::size_t>(g->num_nodes()));
   for (std::size_t i = 0; i < s.size(); ++i) {
     s[i] = 1 + static_cast<weight_t>(i % 3);  // α varies per edge
@@ -360,42 +360,62 @@ TEST(ShardedAlphaScheduleTest, RandomFillMarksExactlyTheRoundsMatching) {
   }
 }
 
-// ------------------------------------------------------- edge layout pass
+// ------------------------------------------------------- edge phase order
 
-TEST(EdgeLayoutTest, TestSizedGraphsKeepTheIdentityLayout) {
-  for (const graph& g :
-       {generators::ring_of_cliques(6, 5), generators::hypercube(6),
-        generators::star(33)}) {
-    const shard_plan plan(g, 4);
-    EXPECT_EQ(plan.edge_order(), nullptr)
-        << "graphs under one layout block must detect the identity";
+/// Records the edge ids each edge_phase body call visits, one run per call.
+class edge_run_stepper final : public sharded_stepper {
+ public:
+  explicit edge_run_stepper(std::shared_ptr<const graph> g)
+      : g_(std::move(g)) {}
+
+  std::vector<std::vector<edge_id>> record_runs() {
+    std::vector<std::vector<edge_id>> runs;
+    std::mutex mu;
+    edge_phase([&](const edge_slice& es) {
+      std::vector<edge_id> run;
+      es.for_each([&](edge_id e) { run.push_back(e); });
+      const std::lock_guard<std::mutex> lock(mu);
+      runs.push_back(std::move(run));
+    });
+    return runs;
   }
-}
 
-TEST(EdgeLayoutTest, LargeGraphLayoutIsABlockSortedPermutation) {
-  // cycle(20000) spans 5 layout blocks; the wrap edge (0, n-1) has block key
-  // (0, 4) and sits at position 1 in id order — not block-sorted, so a
-  // non-identity permutation must be installed.
-  const auto g = generators::cycle(20000);
-  const shard_plan plan(g, 4);
-  const edge_id* order = plan.edge_order();
-  ASSERT_NE(order, nullptr);
+  [[nodiscard]] load_extrema real_load_extrema(node_id,
+                                               node_id) const override {
+    return {};
+  }
 
-  const auto m = static_cast<std::size_t>(g.num_edges());
-  std::vector<bool> seen(m, false);
-  std::uint64_t prev_key = 0;
-  for (std::size_t p = 0; p < m; ++p) {
-    const edge_id e = order[p];
-    ASSERT_LT(static_cast<std::size_t>(e), m);
-    ASSERT_FALSE(seen[static_cast<std::size_t>(e)])
-        << "edge visited twice: " << e;
-    seen[static_cast<std::size_t>(e)] = true;
-    const edge& ed = g.endpoints(e);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ed.u / 4096) << 32) |
-        static_cast<std::uint64_t>(ed.v / 4096);
-    ASSERT_GE(key, prev_key) << "layout keys must be non-decreasing";
-    prev_key = key;
+ protected:
+  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+
+ private:
+  std::shared_ptr<const graph> g_;
+};
+
+// Every edge_phase body call sees exactly one chunk — the ids
+// c·16384 … min(m, (c+1)·16384) − 1, in ascending order — and the calls
+// together cover every id once, on graphs with several chunks stepped by a
+// real 4-thread pool.
+TEST(EdgePhaseTest, ChunksVisitAscendingIdRuns) {
+  for (const graph& raw : {generators::cycle(20000), generators::torus_2d(96),
+                           generators::hypercube(13)}) {
+    const auto g = make_g(raw);
+    const auto m = static_cast<std::size_t>(g->num_edges());
+    edge_run_stepper stepper(g);
+    stepper.enable_sharded_stepping(pool_context(*g, 4));
+    auto runs = stepper.record_runs();
+    ASSERT_EQ(runs.size(), chunk_count(m, phase_chunk_items))
+        << "m = " << m << ": one body call per chunk";
+    std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+      return a.front() < b.front();
+    });
+    for (std::size_t c = 0; c < runs.size(); ++c) {
+      const std::size_t lo = c * phase_chunk_items;
+      const std::size_t hi = std::min(m, lo + phase_chunk_items);
+      std::vector<edge_id> want(hi - lo);
+      std::iota(want.begin(), want.end(), static_cast<edge_id>(lo));
+      ASSERT_EQ(runs[c], want) << "m = " << m << ", chunk " << c;
+    }
   }
 }
 
