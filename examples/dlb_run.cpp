@@ -34,21 +34,18 @@
 //   --replay-trace  async grids: replay `(time, node, count)` events from
 //                 this file as an extra source
 //   --trace       write a Chrome/Perfetto trace-event JSON of the run to
-//                 this path (load in ui.perfetto.dev), plus a per-cell
-//                 metrics sidecar at <path>.metrics.json. Observation only:
+//                 this path (load in ui.perfetto.dev). Observation only:
 //                 stdout rows are byte-identical with or without it
-//   --obs-summary print a human span/shard-skew/pool-utilization summary to
-//                 stderr after the grids finish (tools/summarize_trace.py is
-//                 the offline equivalent over a --trace file)
 //   --obs-profile read hardware counters (cycles, instructions, cache
-//                 refs/misses, branch misses) as a payload on every phase,
-//                 round and pool-task span, fold the spans into a skew
-//                 report (stderr table), and write the "dlb-profile-v1" JSON
-//                 sidecar. Falls back to wall-clock-only profiling where
-//                 perf_event_open is unavailable (one stderr notice).
-//                 Observation only: stdout rows stay byte-identical
-//   --obs-profile-out  profile sidecar path (default dlb_profile.json;
-//                 implies --obs-profile)
+//                 refs/misses, branch misses) as a payload on every span,
+//                 fold the spans into one report, write it to this path as
+//                 the "dlb-profile-v2" JSON sidecar (per-cell phase skew,
+//                 counters and histograms; run-wide span totals and pool
+//                 utilization) and print it as a table to stderr
+//                 (`--obs-profile /dev/null` prints the table only). Falls
+//                 back to wall-clock-only profiling where perf_event_open is
+//                 unavailable (one stderr notice). Observation only: stdout
+//                 rows stay byte-identical
 //   --obs-extras  append the deterministic obs counters (obs_tokens_moved,
 //                 obs_edges_touched, ...) to every row's extras
 //   --checkpoint  persist every finished cell's row to this file (atomic
@@ -70,6 +67,9 @@
 //                 per-grid (discrepancy, with log-log slopes on scaling-n;
 //                 steady-state mean; balancing time; or the study grids'
 //                 extra-metric columns)
+//
+// The flags that name a file (--trace, --obs-profile, --out, --checkpoint,
+// --resume, --replay-trace) refuse to run when given without a path.
 //
 // stdout carries the results (JSON array by default, CSV with --format csv)
 // with wall_ns masked to 0, so the bytes are identical for any --threads
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
       throw contract_violation("argument 'service-rate' is " +
                                args.get("service-rate", "") + ", not >= 0");
     }
-    opts.trace_path = args.get("replay-trace", opts.trace_path);
+    opts.trace_path = args.get_path("replay-trace", opts.trace_path);
     // --shard-threads accepts a comma list: each value runs every selected
     // grid once, with the grid name suffixed -s<k> when more than one value
     // is given (single values keep the plain name — the common case and the
@@ -171,25 +171,21 @@ int main(int argc, char** argv) {
           analysis::parse_int("shard-threads", item, 1, max_of<unsigned>)));
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
-    const std::string trace_out = args.get("trace", "");
-    const bool obs_summary = args.has("obs-summary");
-    const bool obs_profile =
-        args.has("obs-profile") || args.has("obs-profile-out");
-    const std::string profile_out =
-        args.get("obs-profile-out", "dlb_profile.json");
+    const std::string trace_out = args.get_path("trace", "");
+    const std::string profile_out = args.get_path("obs-profile", "");
     const bool obs_extras = args.has("obs-extras");
     const auto master_seed =
         static_cast<std::uint64_t>(args.get_int("master-seed", 1));
     const auto threads = static_cast<unsigned>(
         args.get_int("threads", runtime::thread_pool::default_threads(), 1,
                      max_of<unsigned>));
-    const std::string out_path = args.get("out", "");
+    const std::string out_path = args.get_path("out", "");
     const runtime::sink_format format =
         runtime::parse_format(args.get("format", "json"));
     const bool want_table = args.has("table");
-    const std::string resume_path = args.get("resume", "");
+    const std::string resume_path = args.get_path("resume", "");
     // --resume without --checkpoint keeps saving into the resumed file.
-    const std::string ckpt_path = args.get("checkpoint", resume_path);
+    const std::string ckpt_path = args.get_path("checkpoint", resume_path);
     const std::int64_t ckpt_every =
         args.get_int("checkpoint-every", 1, 1, max_of<std::int64_t>);
 
@@ -214,15 +210,16 @@ int main(int argc, char** argv) {
     }
 
     // One recorder per run: the cell pool, every cell's shard pool, and
-    // every engine driver report into it; exporters read it after the pool
-    // is idle. --obs-summary alone still records (it only skips the file).
-    // --obs-profile hands it a counter source, so its spans carry hardware
-    // counter payloads; the source is declared first so it outlives the
-    // recorder.
+    // every engine driver report into it; the trace writer and the profile
+    // report read it after the pool is idle. --obs-profile hands it a
+    // counter source, so its spans carry hardware counter payloads; the
+    // source is declared first so it outlives the recorder.
     std::unique_ptr<obs::prof::profiler> counters;
-    if (obs_profile) counters = std::make_unique<obs::prof::profiler>();
+    if (!profile_out.empty()) {
+      counters = std::make_unique<obs::prof::profiler>();
+    }
     std::unique_ptr<obs::recorder> recorder;
-    if (!trace_out.empty() || obs_summary || obs_profile) {
+    if (!trace_out.empty() || !profile_out.empty()) {
       recorder = std::make_unique<obs::recorder>(counters.get());
     }
 
@@ -318,10 +315,10 @@ int main(int argc, char** argv) {
                 << out_path << "\n";
     }
 
-    // Trace export + summary after every grid finished and the pools are
-    // idle (the recorder's read-side contract). The rows above are already
-    // out — obs output goes to its own files and stderr, never into the row
-    // streams.
+    // Trace export + profile report after every grid finished and the
+    // pools are idle (the recorder's read-side contract). The rows above are
+    // already out — obs output goes to its own files and stderr, never into
+    // the row streams.
     if (recorder == nullptr) return 0;
     if (!trace_out.empty()) {
       std::ofstream trace_file(trace_out);
@@ -330,18 +327,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       obs::write_chrome_trace(trace_file, *recorder);
-      const std::string sidecar_path = trace_out + ".metrics.json";
-      std::ofstream sidecar(sidecar_path);
-      if (!sidecar) {
-        std::cerr << "cannot open " << sidecar_path << "\n";
-        return 1;
-      }
-      obs::write_metrics_sidecar(sidecar, *recorder);
-      std::cerr << "wrote trace to " << trace_out << " and metrics to "
-                << sidecar_path << "\n";
+      std::cerr << "wrote trace to " << trace_out << "\n";
     }
-    if (obs_summary) obs::write_summary(std::cerr, *recorder);
-    if (obs_profile) {
+    if (!profile_out.empty()) {
       const obs::prof::profile_report report =
           obs::prof::analyze_profile(*recorder);
       std::ofstream profile_file(profile_out);

@@ -77,6 +77,7 @@ void arg_map::parse(const std::vector<std::string>& tokens) {
       ++i;
       continue;
     }
+    bare_.insert(body);
     insert_pair(body, "true");
   }
 }
@@ -100,6 +101,14 @@ std::string arg_map::get(const std::string& key,
   const auto it = values_.find(key);
   consumed_[key] = true;
   return it == values_.end() ? fallback : it->second;
+}
+
+std::string arg_map::get_path(const std::string& key,
+                              const std::string& fallback) const {
+  if (bare_.contains(key)) {
+    throw contract_violation("argument '" + key + "' needs a path");
+  }
+  return get(key, fallback);
 }
 
 std::int64_t arg_map::get_int(const std::string& key, std::int64_t fallback,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,10 @@ class arg_map {
   /// `inf`/`nan`, which no real-valued setting accepts.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// get() for a setting that names a file: a bare flag (`--trace` with no
+  /// value) throws instead of yielding a file called "true".
+  [[nodiscard]] std::string get_path(const std::string& key,
+                                     const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(
       const std::string& key, std::int64_t fallback,
       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
@@ -60,6 +65,7 @@ class arg_map {
   void insert_pair(std::string key, std::string value);
 
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  ///< keys given as flags, without a value
   mutable std::map<std::string, bool> consumed_;
 };
 

@@ -159,9 +159,6 @@ void sharded_stepper::phase_probe::done() const {
       const std::int64_t wait = barrier_done - end_ns_[g];
       pb.rec->complete(labels.barrier, end_ns_[g], wait,
                        static_cast<std::int32_t>(g), pb.cell);
-      if (pb.met != nullptr) {
-        pb.met->add_barrier_wait(static_cast<std::uint64_t>(wait));
-      }
     }
   }
   if (pb.met != nullptr) pb.met->count_phase(labels.edge_items, items_);

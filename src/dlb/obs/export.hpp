@@ -1,7 +1,8 @@
-// Exporters for recorded traces: Chrome/Perfetto trace-event JSON, the
-// per-cell metrics sidecar, and the human --obs-summary table.
+// The trace exporter: Chrome/Perfetto trace-event JSON of a recorder's
+// spans. It only serializes; the one fold over the same spans is
+// prof::analyze_profile (obs/prof.hpp).
 //
-// All three read the recorder after the run — they never touch the hot path.
+// It reads the recorder after the run — it never touches the hot path.
 #pragma once
 
 #include <iosfwd>
@@ -12,19 +13,7 @@ namespace dlb::obs {
 
 /// Chrome trace-event JSON: an object with a "traceEvents" array of complete
 /// ("ph":"X") events in microseconds. Loads in ui.perfetto.dev and
-/// chrome://tracing; tools/summarize_trace.py aggregates it offline.
+/// chrome://tracing for offline reading.
 void write_chrome_trace(std::ostream& os, const recorder& rec);
-
-/// Per-cell metrics snapshots as a JSON array (one object per registered
-/// cell: identity, counters, histograms) — the sidecar `--trace` writes next
-/// to the trace file.
-void write_metrics_sidecar(std::ostream& os, const recorder& rec);
-
-/// Human summary: top span names by total time, per-phase shard skew
-/// (slowest shard vs mean shard), and pool-task utilization / queue-wait —
-/// what `dlb_run --obs-summary` prints to stderr. The utilization line names
-/// the 8 busiest worker tids and folds the rest into an explicit "+N more
-/// totalling X ms" aggregate — never a silent cut.
-void write_summary(std::ostream& os, const recorder& rec);
 
 }  // namespace dlb::obs

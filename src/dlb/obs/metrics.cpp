@@ -16,7 +16,7 @@ metrics_snapshot metrics::take() const {
     return a.load(std::memory_order_relaxed);
   };
   metrics_snapshot s;
-  // Fixed order: the sidecar serialization and the --obs-extras allow-list
+  // Fixed order: the profile report's serialization and the --obs-extras allow-list
   // both depend on it being stable.
   s.counters = {
       {"phases", load(phases_)},
@@ -27,9 +27,7 @@ metrics_snapshot metrics::take() const {
       {"arrivals", load(arrivals_)},
       {"served", load(served_)},
       {"events_dispatched", load(events_dispatched_)},
-      {"barrier_wait_ns", load(barrier_wait_ns_)},
   };
-  s.barrier_wait_hist = barrier_wait_.snapshot();
   s.queue_depth_hist = queue_depth_.snapshot();
   return s;
 }

@@ -11,9 +11,10 @@
 // arrivals/services come from seeded streams. That is what lets run_cell
 // append the allow-listed counters to result_row.extra (behind the opt-in
 // --obs-extras flag) without breaking the byte-identical-rows contract
-// across --threads / --shard-threads. Timing-derived values (barrier-wait
-// ns, queue depth samples) live only in the sidecar snapshot and the trace —
-// never in rows.
+// across --threads / --shard-threads. The queue-depth histogram goes only to
+// the profile report (obs/prof.hpp), never to rows. Barrier waits are
+// timing, not counts, so they are not kept here: they are the recorder's
+// barrier:* spans, which the report folds.
 #pragma once
 
 #include <array>
@@ -34,10 +35,15 @@ class histogram {
  public:
   static constexpr std::size_t num_buckets = 65;
 
+  /// The bucket `value` lands in.
+  [[nodiscard]] static constexpr std::size_t bucket(
+      std::uint64_t value) noexcept {
+    return value == 0 ? 0
+                      : static_cast<std::size_t>(64 - __builtin_clzll(value));
+  }
+
   void add(std::uint64_t value) noexcept {
-    const std::size_t b =
-        value == 0 ? 0 : static_cast<std::size_t>(64 - __builtin_clzll(value));
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucket(value)].fetch_add(1, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::array<std::uint64_t, num_buckets> snapshot()
@@ -58,7 +64,6 @@ class histogram {
 /// byte-stable.
 struct metrics_snapshot {
   std::vector<std::pair<const char*, std::uint64_t>> counters;
-  std::array<std::uint64_t, histogram::num_buckets> barrier_wait_hist{};
   std::array<std::uint64_t, histogram::num_buckets> queue_depth_hist{};
 
   /// Value of a named counter, 0 when absent.
@@ -80,12 +85,6 @@ class metrics {
   /// at the receiving side of each transfer, by the processes themselves).
   void add_tokens_moved(std::uint64_t n) noexcept {
     tokens_moved_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// One shard spent `ns` waiting at a phase barrier for slower shards.
-  void add_barrier_wait(std::uint64_t ns) noexcept {
-    barrier_wait_ns_.fetch_add(ns, std::memory_order_relaxed);
-    barrier_wait_.add(ns);
   }
 
   void add_round() noexcept {
@@ -117,8 +116,6 @@ class metrics {
   std::atomic<std::uint64_t> arrivals_{0};
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> events_dispatched_{0};
-  std::atomic<std::uint64_t> barrier_wait_ns_{0};
-  histogram barrier_wait_;
   histogram queue_depth_;
 };
 

@@ -18,12 +18,15 @@
 // (tests/prof_test.cpp pins rows byte-identical with profiling on or off at
 // shard-threads 1 and 8).
 //
-// Post-run, `analyze_profile` folds the recorder's one span stream —
-// payload-carrying spans, barrier:<phase> waits, round spans — into per-cell
-// per-phase skew statistics (slowest/mean/p99 shard, barrier-wait share of
-// round time, IPC and cache-miss rate per shard), emitted as the
-// deterministic-schema "dlb-profile-v1" JSON sidecar and a human table
-// (dlb_run --obs-profile).
+// Post-run, `analyze_profile` is the one fold over the recorder's span
+// stream. Every span is a phase row keyed by its name and shard, with the
+// counter payload where one exists; barrier:<phase> waits credit the phase
+// they guard; round spans give round totals; a cell's `cell` span gives its
+// wall time. The fold runs per cell (plus the cell's metrics snapshot) and
+// once over the whole run (plus per-worker pool_task busy time and the
+// enqueue→start wait). Two renderers read the report: the
+// deterministic-schema "dlb-profile-v2" JSON sidecar and a human table
+// (dlb_run --obs-profile FILE writes the first and prints the second).
 #pragma once
 
 #include <array>
@@ -31,7 +34,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "dlb/obs/metrics.hpp"
 
 namespace dlb::obs {
 class recorder;
@@ -100,23 +106,24 @@ class profiler {
 };
 
 // ---------------------------------------------------------------------------
-// Post-run skew analysis
+// Post-run report
 // ---------------------------------------------------------------------------
 
-/// Per (phase, shard) totals for one cell.
+/// Per (phase, shard) totals.
 struct shard_stat {
   std::int32_t shard = -1;
   std::uint64_t calls = 0;
   std::int64_t wall_ns = 0;
   std::int64_t barrier_wait_ns = 0;  ///< from the recorder's barrier:* spans
   std::array<std::uint64_t, num_hw> hw{};
+  /// False when any of the spans carried no payload or an unavailable one.
   bool hw_available = false;
 
   [[nodiscard]] double ipc() const noexcept;
   [[nodiscard]] double cache_miss_rate() const noexcept;
 };
 
-/// One phase of one cell, aggregated over shards.
+/// One span name (a phase), aggregated over shards.
 struct phase_profile {
   std::string phase;
   std::vector<shard_stat> shards;  ///< sorted by shard id
@@ -125,22 +132,49 @@ struct phase_profile {
   std::int64_t wall_mean_ns = 0;     ///< mean per-shard wall total
   std::int64_t wall_slowest_ns = 0;  ///< max per-shard wall total
   std::int64_t wall_p99_ns = 0;      ///< nearest-rank p99 per-shard wall total
+  std::int64_t wall_longest_ns = 0;  ///< longest single span
   std::int32_t slowest_shard = -1;
   double skew = 0.0;  ///< slowest / mean, 1.0 = perfectly balanced
   std::int64_t barrier_wait_ns = 0;
 };
 
+/// Log2 buckets as obs::histogram counts them.
+using log2_hist = std::array<std::uint64_t, histogram::num_buckets>;
+
 struct cell_profile {
-  std::uint64_t cell = 0;
+  std::uint64_t cell = 0;   ///< recorder cell id
+  std::uint64_t index = 0;  ///< the grid's own cell index
   std::string grid;
   std::string scenario;
   std::string process;
+  bool finished = false;
+  std::int64_t wall_ns = 0;       ///< the cell span; 0 if it never finished
   std::uint64_t rounds = 0;       ///< count of round/tA_round spans
   std::int64_t round_wall_ns = 0; ///< summed round-span wall time
   std::int64_t barrier_wait_ns = 0;
   /// Share of aggregate shard-time spent waiting at barriers:
   /// barrier_wait_ns / (round_wall_ns * max shard count), clamped to [0, 1].
   double barrier_wait_share = 0.0;
+  log2_hist barrier_wait_hist{};  ///< barrier:* span durations, ns
+  metrics_snapshot snapshot;      ///< counters and queue-depth histogram
+  std::vector<phase_profile> phases;  ///< sorted by phase name
+};
+
+/// The worker pools' pool_task spans.
+struct pool_profile {
+  /// (tid, summed pool_task wall time), by tid.
+  std::vector<std::pair<std::uint32_t, std::int64_t>> busy_ns;
+  std::uint64_t tasks = 0;  ///< tasks carrying an enqueue→start wait
+  std::int64_t queue_wait_total_ns = 0;
+  std::int64_t queue_wait_max_ns = 0;
+};
+
+/// The same fold over every span of the run, cell or not.
+struct run_profile {
+  std::uint64_t spans = 0;
+  std::int64_t window_ns = 0;  ///< first span start to last span end
+  std::int64_t barrier_wait_ns = 0;
+  pool_profile pool;
   std::vector<phase_profile> phases;  ///< sorted by phase name
 };
 
@@ -156,7 +190,8 @@ struct profile_report {
   bool hardware_available = false;
   std::string fallback_reason;
   memory_profile memory;
-  std::vector<cell_profile> cells;  ///< recorder cell-registration order
+  run_profile run;
+  std::vector<cell_profile> cells;  ///< every registered cell, in id order
 };
 
 /// Process-wide memory high-water marks plus the recorder's span and payload
@@ -166,17 +201,21 @@ struct profile_report {
 [[nodiscard]] memory_profile sample_memory(const recorder* rec,
                                            std::nullptr_t = nullptr);
 
-/// Folds the recorder's spans into per-cell per-phase skew statistics:
-/// payload-carrying spans give per-(phase, shard) wall time and counters,
-/// barrier:* spans give waits, round/tA_round spans give round totals. The
-/// recorder must be quiescent.
+/// The one fold over the recorder's spans: per cell and for the whole run,
+/// every span gives per-(phase, shard) wall time and, with a payload,
+/// counters; barrier:* spans give waits; round/tA_round spans give round
+/// totals. Cells also take their `cell` span's wall time and their
+/// cell_record. The recorder must be quiescent.
 [[nodiscard]] profile_report analyze_profile(const recorder& rec);
 
-/// The "dlb-profile-v1" sidecar: fixed key set and order, so downstream
+/// The "dlb-profile-v2" sidecar: fixed key set and order, so downstream
 /// tooling (tools/check_profile.py) can validate the schema byte-for-byte.
 void write_profile_json(std::ostream& os, const profile_report& report);
 
-/// Human-readable skew table (dlb_run --obs-profile prints this to stderr).
+/// Human-readable table: per-cell skew, then the run's largest span names,
+/// per-phase shard balance, barrier total and pool utilization (the 8
+/// busiest tids, the rest folded into one "+N more totalling" aggregate).
+/// dlb_run --obs-profile prints it to stderr.
 void write_profile_table(std::ostream& os, const profile_report& report);
 
 }  // namespace dlb::obs::prof

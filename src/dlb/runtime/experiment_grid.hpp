@@ -84,12 +84,13 @@ struct grid_spec {
   /// `--shard-threads` oversubscribes cores — pick one axis.
   unsigned shard_threads = 1;
 
-  /// Observability (`--trace` / `--obs-summary` / `--obs-profile`):
-  /// non-owning trace recorder. When set, run_cell registers each cell with
-  /// it, attaches a probe to the cell's process, shard pool, and engine
-  /// drivers (per-shard phase spans, barrier waits, rounds, event
-  /// dispatches), and hands the recorder the cell's metrics snapshot at the
-  /// end. A recorder built with a counter source profiles the same spans.
+  /// Observability (`--trace` / `--obs-profile`): non-owning trace
+  /// recorder. When set, run_cell registers each cell with it, attaches a
+  /// probe to the cell's process, shard pool, and engine drivers (per-shard
+  /// phase spans, barrier waits, rounds, event dispatches), and hands the
+  /// recorder the cell's metrics snapshot at the end, for the profile
+  /// report. A recorder built with a counter source profiles the same
+  /// spans.
   /// Pure observation — rows stay byte-identical with or without it
   /// (tests/obs_test.cpp, tests/prof_test.cpp).
   obs::recorder* recorder = nullptr;

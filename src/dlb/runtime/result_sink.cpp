@@ -2,46 +2,16 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <system_error>
 
 #include "dlb/common/contracts.hpp"
+#include "dlb/common/json.hpp"
 
 namespace dlb::runtime {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 // Shortest representation that round-trips exactly (std::to_chars default).
 void append_real(std::string& out, real_t v) {
@@ -220,13 +190,13 @@ std::string to_json(const result_row& row, timing t) {
   out += "{\"cell\":";
   append_int(out, row.cell);
   out += ",\"grid\":";
-  append_escaped(out, row.grid);
+  append_json_string(out, row.grid);
   out += ",\"scenario\":";
-  append_escaped(out, row.scenario);
+  append_json_string(out, row.scenario);
   out += ",\"process\":";
-  append_escaped(out, row.process);
+  append_json_string(out, row.process);
   out += ",\"model\":";
-  append_escaped(out, row.model);
+  append_json_string(out, row.model);
   out += ",\"n\":";
   append_int(out, row.n);
   out += ",\"seed\":";
@@ -249,7 +219,7 @@ std::string to_json(const result_row& row, timing t) {
     out += ",\"extra\":{";
     for (std::size_t i = 0; i < row.extra.size(); ++i) {
       if (i > 0) out += ',';
-      append_escaped(out, row.extra[i].key);
+      append_json_string(out, row.extra[i].key);
       out += ':';
       append_real(out, row.extra[i].value);
     }

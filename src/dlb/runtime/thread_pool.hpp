@@ -74,10 +74,10 @@ class thread_pool {
   /// Attaches a trace recorder: every parallel_for_each slice then records a
   /// "pool_task" span carrying its enqueue→start latency (and, when the
   /// recorder has a counter source, the slice's counter deltas), which the
-  /// --obs-summary exporter turns into per-worker utilization and queue-wait
-  /// stats. Set it before work is submitted (not thread-safe to flip while
-  /// slices run); nullptr detaches. Pure observation — scheduling and the
-  /// index distribution are untouched.
+  /// profile report (obs/prof.hpp) turns into per-worker utilization and
+  /// queue-wait stats. Set it before work is submitted (not thread-safe to
+  /// flip while slices run); nullptr detaches. Pure observation — scheduling
+  /// and the index distribution are untouched.
   void set_recorder(obs::recorder* rec) noexcept { recorder_ = rec; }
 
  private:

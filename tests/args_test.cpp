@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "dlb/common/contracts.hpp"
 
@@ -163,6 +164,30 @@ TEST(ArgsTest, DuplicateFlagNamesItself) {
   } catch (const contract_violation& e) {
     EXPECT_STREQ(e.what(), "argument 'repeats' given twice");
   }
+}
+
+// A setting that names a file needs a path: read as a bare flag, `--trace`
+// would name a file "true". Flags read through has() keep their "true".
+TEST(ArgsTest, BarePathFlagNamesItself) {
+  for (const char* flag : {"trace", "obs-profile", "out", "checkpoint",
+                           "resume", "replay-trace"}) {
+    const arg_map args({"--grid", "table1", std::string("--") + flag});
+    try {
+      (void)args.get_path(flag, "");
+      FAIL() << flag << ": bare path flag accepted";
+    } catch (const contract_violation& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("argument '") + flag + "' needs a path");
+    }
+  }
+  const arg_map args({"--trace", "t.json", "--out=o.json", "resume=r.ckpt",
+                      "--table", "--list"});
+  EXPECT_EQ(args.get_path("trace", ""), "t.json");
+  EXPECT_EQ(args.get_path("out", ""), "o.json");
+  EXPECT_EQ(args.get_path("resume", ""), "r.ckpt");
+  EXPECT_EQ(args.get_path("checkpoint", "fallback"), "fallback");
+  EXPECT_TRUE(args.has("table"));
+  EXPECT_EQ(args.get("list", ""), "true");
 }
 
 }  // namespace

@@ -159,8 +159,7 @@ TEST(ConcurrencyStressTest, MetricsCountersAreExactUnderContention) {
     for (std::uint64_t i = 0; i < kOps; ++i) {
       met.count_phase(/*edge_items=*/(t % 2) == 0, /*items=*/3);
       met.add_tokens_moved(2);
-      met.add_barrier_wait(i);     // exercises the histogram buckets too
-      met.add_event(i % 97);
+      met.add_event(i % 97);       // exercises the histogram buckets too
       met.add_arrivals(1);
       met.add_served(1);
       met.add_round();
@@ -174,7 +173,7 @@ TEST(ConcurrencyStressTest, MetricsCountersAreExactUnderContention) {
   EXPECT_EQ(snap.counter("rounds"), kThreads * kOps);
   EXPECT_EQ(snap.counter("events_dispatched"), kThreads * kOps);
   std::uint64_t hist_total = 0;
-  for (const std::uint64_t b : snap.barrier_wait_hist) hist_total += b;
+  for (const std::uint64_t b : snap.queue_depth_hist) hist_total += b;
   EXPECT_EQ(hist_total, kThreads * kOps);
 }
 

@@ -13,7 +13,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dlb/core/algorithm1.hpp"
@@ -24,6 +23,7 @@
 #include "dlb/graph/generators.hpp"
 #include "dlb/obs/export.hpp"
 #include "dlb/obs/metrics.hpp"
+#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grids.hpp"
 #include "dlb/workload/initial_load.hpp"
@@ -150,7 +150,7 @@ TEST(ObsSpanTest, ShardedPhasesEmitPerShardAndBarrierSpans) {
     EXPECT_EQ(by_shard[name].size(), 4u) << name;
     for (const bool b : by_shard[name]) EXPECT_TRUE(b) << name;
   }
-  EXPECT_GT(met.take().counter("barrier_wait_ns"), 0u);
+  EXPECT_GT(obs::prof::analyze_profile(rec).cells.at(0).barrier_wait_ns, 0);
   EXPECT_EQ(draws, 1) << "the reference's diffusion fill is cached";
 }
 
@@ -345,72 +345,6 @@ TEST(ObsExportTest, ChromeTraceIsWellFormedAndCarriesShardSpans) {
   EXPECT_NE(text.find("\"shard\":"), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"cell\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-}
-
-TEST(ObsExportTest, MetricsSidecarCarriesPerCellCounters) {
-  obs::recorder rec;
-  (void)run_json("table1", 1, &rec);
-  std::ostringstream sidecar;
-  obs::write_metrics_sidecar(sidecar, rec);
-  const std::string text = sidecar.str();
-  expect_balanced_json(text);
-  EXPECT_NE(text.find("\"tokens_moved\""), std::string::npos);
-  EXPECT_NE(text.find("\"rounds\""), std::string::npos);
-  EXPECT_NE(text.find("\"finished\":true"), std::string::npos);
-  EXPECT_NE(text.find("\"process\""), std::string::npos);
-}
-
-TEST(ObsExportTest, SummaryFoldsPastTheEightBusiestTids) {
-  // Worker threads with one pool_task span each, of distinct durations. The
-  // utilization line names at most the 8 busiest and folds the rest into
-  // one "+N more" aggregate: 10 tids give 8 named plus "+2 more", 4 tids
-  // give 4 named and no fold.
-  const auto summary_of = [](int tids) {
-    obs::recorder rec;
-    std::vector<std::thread> workers;
-    for (int i = 1; i <= tids; ++i) {
-      workers.emplace_back([&rec, i] {
-        rec.complete("pool_task", /*ts_ns=*/0, /*dur_ns=*/i * 1000000);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    std::ostringstream text;
-    obs::write_summary(text, rec);
-    return text.str();
-  };
-  const auto tid_entries = [](const std::string& text) {
-    std::size_t count = 0;
-    for (std::size_t pos = text.find(" t"); pos != std::string::npos;
-         pos = text.find(" t", pos + 1)) {
-      if (pos + 2 < text.size() && text[pos + 2] >= '0' &&
-          text[pos + 2] <= '9') {
-        ++count;
-      }
-    }
-    return count;
-  };
-
-  const std::string ten = summary_of(10);
-  EXPECT_NE(ten.find("10 worker threads"), std::string::npos) << ten;
-  EXPECT_EQ(tid_entries(ten), 8u) << ten;
-  EXPECT_NE(ten.find("+2 more"), std::string::npos) << ten;
-
-  const std::string four = summary_of(4);
-  EXPECT_NE(four.find("4 worker threads"), std::string::npos) << four;
-  EXPECT_EQ(tid_entries(four), 4u) << four;
-  EXPECT_EQ(four.find("more"), std::string::npos) << four;
-}
-
-TEST(ObsExportTest, SummaryReportsShardSkewAndPhases) {
-  obs::recorder rec;
-  (void)run_json("table1", 4, &rec);
-  std::ostringstream summary;
-  obs::write_summary(summary, rec);
-  const std::string text = summary.str();
-  EXPECT_NE(text.find("top spans by total time"), std::string::npos);
-  EXPECT_NE(text.find("per-phase shard balance"), std::string::npos);
-  EXPECT_NE(text.find("edge_phase"), std::string::npos);
-  EXPECT_NE(text.find("skew"), std::string::npos);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "dlb/common/contracts.hpp"
+#include "dlb/common/json.hpp"
 
 namespace dlb::runtime {
 namespace {
@@ -66,6 +68,22 @@ TEST(ResultSinkTest, RoundTripPreservesStringEscapes) {
   row.process = "weird \"name\" with \\ and \n and \t";
   row.scenario = std::string("ctrl: ") + char(1);
   EXPECT_EQ(parse_row(to_json(row)), row);
+}
+
+// The one JSON string escaper (rows, traces and profile sidecars all use
+// it): every escaped class, byte for byte.
+TEST(ResultSinkTest, JsonStringEscapesEveryClassExactly) {
+  // Adjacent literals end each \x escape: "\x01f" alone would be 0x1f.
+  const std::string text = "a\"b\\c\nd\te\x01" "f\x1f" "g\x7f\xc3\xa9";
+  const std::string want =
+      "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u001fg\x7f\xc3\xa9\"";
+  EXPECT_EQ(json_string(text), want);
+  std::string appended = "x:";
+  append_json_string(appended, text);
+  EXPECT_EQ(appended, "x:" + want);
+  result_row row = sample_row();
+  row.grid = text;
+  EXPECT_NE(to_json(row).find("\"grid\":" + want + ","), std::string::npos);
 }
 
 TEST(ResultSinkTest, TimingExcludeMasksWallClockOnly) {

@@ -33,8 +33,8 @@
 #include "dlb/graph/generators.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/matching.hpp"
-#include "dlb/obs/metrics.hpp"
 #include "dlb/obs/probe.hpp"
+#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/thread_pool.hpp"
 #include "dlb/snapshot/snapshot.hpp"
@@ -490,17 +490,16 @@ std::shared_ptr<const shard_context> static_plan_context(const graph& g,
       }});
 }
 
-std::uint64_t barrier_wait_of(std::shared_ptr<const shard_context> ctx,
-                              const std::shared_ptr<const graph>& g) {
+std::int64_t barrier_wait_of(std::shared_ptr<const shard_context> ctx,
+                             const std::shared_ptr<const graph>& g) {
   obs::recorder rec;
-  obs::metrics met;
   const std::uint64_t cell =
       rec.register_cell("skew", "cycle", "skewed_stepper", 0);
   skewed_stepper st(g);
   st.enable_sharded_stepping(std::move(ctx));
-  st.set_probe(obs::probe{&rec, &met, cell});
+  st.set_probe(obs::probe{&rec, nullptr, cell});
   for (int t = 0; t < 10; ++t) st.run_round();
-  return met.take().counter("barrier_wait_ns");
+  return obs::prof::analyze_profile(rec).cells.at(0).barrier_wait_ns;
 }
 
 TEST(SeededSkewTest, StealRunnerBeatsStaticBarrierWaitShare) {
@@ -514,10 +513,10 @@ TEST(SeededSkewTest, StealRunnerBeatsStaticBarrierWaitShare) {
   // because static fast-group waits scale with the heavy group's full
   // duration).
   const auto g = make_g(generators::cycle(400'000));
-  const std::uint64_t wait_static =
+  const std::int64_t wait_static =
       barrier_wait_of(static_plan_context(*g, 4), g);
-  const std::uint64_t wait_steal = barrier_wait_of(pool_context(*g, 4), g);
-  ASSERT_GT(wait_static, 0u);
+  const std::int64_t wait_steal = barrier_wait_of(pool_context(*g, 4), g);
+  ASSERT_GT(wait_static, 0);
   EXPECT_LT(wait_steal * 2, wait_static)
       << "steal=" << wait_steal << "ns static=" << wait_static << "ns";
 }

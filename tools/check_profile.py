@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Schema validator for dlb-profile-v1 sidecars (`dlb_run --obs-profile`).
+"""Schema validator for dlb-profile-v2 sidecars (`dlb_run --obs-profile FILE`).
 
 Checks the JSON written by dlb::obs::prof::write_profile_json: required
 keys at every level, types, and the cross-field invariants the analyzer
 guarantees (shard counts match per_shard arrays, barrier-wait share in
 [0, 1], hardware fields zero when the fallback backend ran, slowest_shard
-actually present in per_shard). Stdlib-only so CI can run it anywhere.
+actually present in per_shard, histograms trimmed). Two sums tie the report
+together: a cell's (and the run's) barrier_wait_ns is the sum of its
+phases', and for every phase name found in a cell, the run section's
+wall_total_ns is the sum over cells. Stdlib-only so CI can run it anywhere.
 
     tools/check_profile.py <profile.json> [--expect-backend perf_event|fallback]
 
@@ -18,7 +21,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "dlb-profile-v1"
+SCHEMA = "dlb-profile-v2"
 BACKENDS = ("perf_event", "fallback")
 HW_FIELDS = ("cycles", "instructions", "cache_references", "cache_misses",
              "branch_misses")
@@ -94,6 +97,7 @@ def check_phase(phase, path, backend):
     mean = check_number(phase, path, "wall_mean_ns", minimum=0)
     slowest = check_number(phase, path, "wall_slowest_ns", minimum=0)
     p99 = check_number(phase, path, "wall_p99_ns", minimum=0)
+    longest = check_number(phase, path, "wall_longest_ns", minimum=0)
     slowest_shard = check_number(phase, path, "slowest_shard", minimum=-1)
     check_number(phase, path, "skew", minimum=0)
     check_number(phase, path, "barrier_wait_ns", minimum=0)
@@ -121,28 +125,74 @@ def check_phase(phase, path, backend):
             err(f"{path}.wall_mean_ns", f"{mean} > slowest {slowest}")
         if p99 > slowest:
             err(f"{path}.wall_p99_ns", f"{p99} > slowest {slowest}")
+    if None not in (longest, slowest) and longest > slowest:
+        err(f"{path}.wall_longest_ns", f"{longest} > slowest {slowest}")
 
 
-def check_cell(cell, path, backend):
-    check_number(cell, path, "cell", minimum=0)
-    need(cell, path, "grid", str)
-    need(cell, path, "scenario", str)
-    need(cell, path, "process", str)
-    check_number(cell, path, "rounds", minimum=0)
-    check_number(cell, path, "round_wall_ns", minimum=0)
-    check_number(cell, path, "barrier_wait_ns", minimum=0)
-    check_number(cell, path, "barrier_wait_share", minimum=0, maximum=1)
-    phases = need(cell, path, "phases", list)
+def check_phases(obj, path, backend):
+    """The phase list of a cell or of the run: each phase valid, names
+    sorted, and the owner's barrier_wait_ns equal to the phases' sum.
+    Returns {phase name: wall_total_ns}."""
+    phases = need(obj, path, "phases", list)
     if phases is None:
-        return
-    if not phases:
-        err(f"{path}.phases", "empty — a profiled cell records phases")
+        return {}
     names = [p.get("phase") for p in phases if isinstance(p, dict)]
     if names != sorted(names):
         err(f"{path}.phases", "phase names not sorted (schema is "
             "deterministic: phases emit in name order)")
     for i, phase in enumerate(phases):
         check_phase(phase, f"{path}.phases[{i}]", backend)
+    valid = [p for p in phases if isinstance(p, dict)]
+    barrier = obj.get("barrier_wait_ns")
+    summed = sum(p.get("barrier_wait_ns", 0) for p in valid)
+    if isinstance(barrier, int) and barrier != summed:
+        err(f"{path}.barrier_wait_ns",
+            f"{barrier} != sum of its phases' barrier_wait_ns {summed}")
+    return {p.get("phase"): p.get("wall_total_ns", 0) for p in valid}
+
+
+def check_hist(obj, path, key):
+    hist = need(obj, path, key, list) or []
+    if not all(type(b) is int and b >= 0 for b in hist):
+        err(f"{path}.{key}", "buckets must be non-negative integers")
+    elif hist and hist[-1] == 0:
+        err(f"{path}.{key}", "trailing empty bucket (histograms are trimmed)")
+
+
+def check_cell(cell, path, backend):
+    check_number(cell, path, "cell", minimum=0)
+    check_number(cell, path, "grid_cell", minimum=0)
+    need(cell, path, "grid", str)
+    need(cell, path, "scenario", str)
+    need(cell, path, "process", str)
+    need(cell, path, "finished", bool)
+    check_number(cell, path, "wall_ns", minimum=0)
+    check_number(cell, path, "rounds", minimum=0)
+    check_number(cell, path, "round_wall_ns", minimum=0)
+    check_number(cell, path, "barrier_wait_ns", minimum=0)
+    check_number(cell, path, "barrier_wait_share", minimum=0, maximum=1)
+    counters = need(cell, path, "counters", dict) or {}
+    for key in counters:
+        check_number(counters, f"{path}.counters", key, minimum=0)
+    check_hist(cell, path, "barrier_wait_hist")
+    check_hist(cell, path, "queue_depth_hist")
+    if isinstance(cell.get("phases"), list) and not cell["phases"]:
+        err(f"{path}.phases", "empty — a profiled cell records phases")
+    return check_phases(cell, path, backend)
+
+
+def check_run(run, backend):
+    for key in ("spans", "window_ns", "barrier_wait_ns"):
+        check_number(run, "$.run", key, minimum=0)
+    pool = need(run, "$.run", "pool", dict)
+    if pool is not None:
+        for key in ("tasks", "queue_wait_total_ns", "queue_wait_max_ns"):
+            check_number(pool, "$.run.pool", key, minimum=0)
+        busy = need(pool, "$.run.pool", "busy", list) or []
+        for i, entry in enumerate(busy):
+            for key in ("tid", "busy_ns"):
+                check_number(entry, f"$.run.pool.busy[{i}]", key, minimum=0)
+    return check_phases(run, "$.run", backend)
 
 
 def main():
@@ -190,6 +240,9 @@ def main():
         check_number(memory, "$.memory", "profiler_samples", minimum=0)
         check_number(memory, "$.memory", "profiler_bytes", minimum=0)
 
+    run = need(doc, "$", "run", dict)
+    run_walls = check_run(run, backend) if run is not None else {}
+
     cells = need(doc, "$", "cells", list)
     if cells is not None:
         if not cells:
@@ -198,8 +251,16 @@ def main():
         if ids != sorted(ids):
             err("$.cells", "cell ids not sorted (schema is deterministic: "
                 "cells emit in id order)")
+        cell_walls = {}
         for i, cell in enumerate(cells):
-            check_cell(cell, f"$.cells[{i}]", backend)
+            for name, wall in check_cell(cell, f"$.cells[{i}]",
+                                         backend).items():
+                cell_walls[name] = cell_walls.get(name, 0) + wall
+        if run is not None:
+            for name, wall in sorted(cell_walls.items()):
+                if run_walls.get(name) != wall:
+                    err("$.run.phases", f"'{name}' wall_total_ns "
+                        f"{run_walls.get(name)} != sum over cells {wall}")
 
     if errors:
         for e in errors:
