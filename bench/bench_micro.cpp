@@ -116,13 +116,7 @@ class kernel_bench final : public sharded_stepper {
     return alpha_buf_;
   }
 
-  [[nodiscard]] load_extrema real_load_extrema(node_id,
-                                               node_id) const override {
-    return {};
-  }
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+  [[nodiscard]] const graph& topology() const override { return *g_; }
 
  private:
   std::shared_ptr<const graph> g_;

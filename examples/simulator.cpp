@@ -15,9 +15,16 @@
 //                                               discrepancy/potential trace
 //
 // Prints the experiment summary (T^A, final discrepancies, bound, dummies).
+// An unknown process or algo, a count out of range, or n × tokens_per_node
+// above max_cell_tokens is refused with one `error:` line before anything
+// is built; a load floor (d·wmax·smax per node) above the cap is refused
+// the same way once the graph fixes d.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "dlb/analysis/args.hpp"
 #include "dlb/analysis/trace.hpp"
@@ -29,9 +36,10 @@
 #include "dlb/core/engine.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/metrics.hpp"
-#include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
 #include "dlb/graph/spectral.hpp"
+#include "dlb/runtime/grids.hpp"
+#include "dlb/workload/competitors.hpp"
 #include "dlb/workload/initial_load.hpp"
 #include "dlb/workload/scenario.hpp"
 
@@ -50,21 +58,23 @@ std::shared_ptr<const graph> build_graph(const std::string& family,
   return workload::make_graph_case(family, n, seed).g;
 }
 
-std::unique_ptr<continuous_process> build_process(
+// The communication model of a `process` value; SOS diffuses like FOS.
+workload::model model_of(const std::string& process) {
+  if (process == "fos" || process == "sos") return workload::model::diffusion;
+  if (process == "periodic") return workload::model::periodic_matching;
+  if (process == "random") return workload::model::random_matching;
+  throw contract_violation("unknown process: " + process);
+}
+
+std::unique_ptr<linear_process> build_process(
     const std::string& kind, std::shared_ptr<const graph> g,
     const speed_vector& s, std::uint64_t seed) {
-  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
-  if (kind == "fos") return make_fos(g, s, alpha);
   if (kind == "sos") {
+    const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
     const real_t lambda = diffusion_lambda(*g, s, alpha);
     return make_sos(g, s, alpha, optimal_sos_beta(lambda));
   }
-  if (kind == "periodic") {
-    const edge_coloring c = misra_gries_edge_coloring(*g);
-    return make_periodic_matching_process(g, s, to_matchings(*g, c));
-  }
-  if (kind == "random") return make_random_matching_process(g, s, seed);
-  throw contract_violation("unknown process: " + kind);
+  return workload::make_continuous(model_of(kind), std::move(g), s, seed);
 }
 
 std::vector<weight_t> build_workload(const std::string& kind, node_id n,
@@ -89,10 +99,12 @@ int main(int argc, char** argv) {
     const std::string process = args.get("process", "fos");
     const std::string algo = args.get("algo", "alg1");
     const std::string workload_kind = args.get("workload", "spike");
-    const node_id n = static_cast<node_id>(args.get_int("n", 256));
-    const weight_t per_node = args.get_int("tokens_per_node", 50);
-    const weight_t wmax = args.get_int("wmax", 1);
-    const weight_t smax = args.get_int("smax", 1);
+    const auto n = static_cast<node_id>(
+        args.get_int("n", 256, 1, std::numeric_limits<node_id>::max()));
+    const weight_t per_node =
+        args.get_int("tokens_per_node", 50, 0, max_cell_tokens);
+    const weight_t wmax = args.get_int("wmax", 1, 1, max_cell_tokens);
+    const weight_t smax = args.get_int("smax", 1, 1, max_cell_tokens);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.get_int("seed", 1));
     const std::string trace_path = args.get("trace", "");
@@ -101,12 +113,22 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << key << "\n";
       return 2;
     }
+    const workload::model comm = model_of(process);
+    static const std::set<std::string> algos = {
+        "alg1", "alg2", "excess", "round-down", "quasirandom", "randomized"};
+    if (algos.count(algo) == 0) {
+      throw contract_violation("unknown algorithm: " + algo);
+    }
+    runtime::require_cell_tokens("tokens_per_node", per_node, {n}, "nodes");
 
     auto g = build_graph(family, n, seed);
     const speed_vector s =
         smax == 1 ? uniform_speeds(g->num_nodes())
                   : workload::random_speeds(g->num_nodes(), smax, seed);
     const weight_t d = g->max_degree();
+    // The sufficient-load floor below adds up to d·wmax·smax tokens per node.
+    runtime::require_cell_tokens("wmax", wmax, {d, smax, g->num_nodes()},
+                                 "(d × smax × nodes)");
 
     // Sufficient-load floor so the max-min theorems are in scope.
     auto tokens = workload::add_speed_multiple(
@@ -114,7 +136,7 @@ int main(int argc, char** argv) {
         d * wmax);
 
     std::unique_ptr<discrete_process> proc;
-    std::unique_ptr<continuous_process> reference =
+    std::unique_ptr<linear_process> reference =
         build_process(process, g, s, seed);
     if (algo == "alg1") {
       auto tasks = wmax == 1 ? task_assignment::tokens(tokens)
@@ -135,19 +157,9 @@ int main(int argc, char** argv) {
       rounding_policy policy = rounding_policy::round_down;
       if (algo == "quasirandom") policy = rounding_policy::quasirandom;
       if (algo == "randomized") policy = rounding_policy::randomized_fraction;
-      std::unique_ptr<alpha_schedule> sched;
-      if (process == "periodic") {
-        const edge_coloring c = misra_gries_edge_coloring(*g);
-        sched = std::make_unique<periodic_matching_schedule>(
-            *g, s, to_matchings(*g, c));
-      } else if (process == "random") {
-        sched = std::make_unique<random_matching_schedule>(*g, s, seed);
-      } else {
-        sched = std::make_unique<diffusion_alpha_schedule>(
-            make_alphas(*g, alpha_scheme::half_max_degree));
-      }
       proc = std::make_unique<local_rounding_process>(
-          g, s, std::move(sched), policy, tokens, seed);
+          g, s, workload::make_schedule(comm, *g, s, seed), policy, tokens,
+          seed);
     }
 
     analysis::run_trace trace;

@@ -26,7 +26,6 @@
 namespace dlb {
 
 class excess_token_process final : public discrete_process,
-                                   public sharded_stepper,
                                    public snapshot::checkpointable {
  public:
   excess_token_process(std::shared_ptr<const graph> g, speed_vector s,
@@ -53,7 +52,6 @@ class excess_token_process final : public discrete_process,
     return "baseline-excess-tokens(FOS)";
   }
 
-  // shardable:
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
@@ -62,9 +60,6 @@ class excess_token_process final : public discrete_process,
   // draws are counter-based on (seed, t, i).
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
 
  private:
   /// Tokens in flight on one edge this round, split by direction (u→v and

@@ -51,7 +51,6 @@ enum class rounding_policy {
 [[nodiscard]] std::string to_string(rounding_policy p);
 
 class local_rounding_process final : public discrete_process,
-                                     public sharded_stepper,
                                      public snapshot::checkpointable {
  public:
   /// `schedule` defines the per-round α (diffusion or matching model);
@@ -104,7 +103,6 @@ class local_rounding_process final : public discrete_process,
     return accumulated_error_[static_cast<size_t>(e)];
   }
 
-  // shardable:
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
@@ -112,9 +110,6 @@ class local_rounding_process final : public discrete_process,
   // state for that policy), negativity counters, round counter.
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
 
  private:
   // One round's phases; ranges are one shard's slice. The apply phase

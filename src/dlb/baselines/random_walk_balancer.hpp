@@ -41,7 +41,6 @@ struct random_walk_config {
 };
 
 class random_walk_balancer final : public discrete_process,
-                                   public sharded_stepper,
                                    public snapshot::checkpointable {
  public:
   random_walk_balancer(std::shared_ptr<const graph> g, speed_vector s,
@@ -87,7 +86,6 @@ class random_walk_balancer final : public discrete_process,
     return negative_events_;
   }
 
-  // shardable:
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
@@ -95,9 +93,6 @@ class random_walk_balancer final : public discrete_process,
   // the fine-phase threshold and marked flag, round counter.
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
 
  private:
   void coarse_step();

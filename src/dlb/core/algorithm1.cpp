@@ -1,40 +1,18 @@
 #include "dlb/core/algorithm1.hpp"
 
-#include <cmath>
 #include <utility>
 
 namespace dlb {
 
-namespace {
-
-const graph& checked_topology(const continuous_process* p) {
-  DLB_EXPECTS(p != nullptr);
-  return p->topology();
-}
-
-}  // namespace
-
-algorithm1::algorithm1(std::unique_ptr<continuous_process> process,
+algorithm1::algorithm1(std::unique_ptr<linear_process> process,
                        task_assignment initial, algorithm1_config config)
-    : process_(std::move(process)),
+    : flow_imitator(std::move(process), initial.loads()),
       tasks_(std::move(initial)),
-      config_(config),
-      ledger_(checked_topology(process_.get())) {
-  DLB_EXPECTS(tasks_.num_nodes() == process_->topology().num_nodes());
+      config_(config) {
   wmax_ = config_.wmax_override > 0 ? config_.wmax_override
                                     : tasks_.max_task_weight();
   DLB_EXPECTS(wmax_ >= tasks_.max_task_weight());
-
-  // Start the internal continuous simulation from the same load vector
-  // (x^A(0) = x^D(0)); paper footnote 1.
-  loads_ = tasks_.loads();
-  std::vector<real_t> x0(loads_.size());
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    x0[i] = static_cast<real_t>(loads_[i]);
-  }
-  process_->reset(std::move(x0));
-  const std::size_t m =
-      static_cast<size_t>(process_->topology().num_edges());
+  const std::size_t m = static_cast<size_t>(topology().num_edges());
   last_sent_.assign(m, 0);
   deficit_.assign(m, 0.0);
   outbox_.resize(m);
@@ -49,28 +27,23 @@ void algorithm1::inject_task(node_id i, weight_t w) {
   DLB_EXPECTS(w >= 1 && w <= wmax_);
   tasks_.pool(i).add_real(w, i);
   loads_[static_cast<size_t>(i)] += w;
-  process_->inject_load(i, static_cast<real_t>(w));
+  reference_->inject_load(i, static_cast<real_t>(w));
 }
 
 weight_t algorithm1::drain_tokens(node_id i, weight_t count) {
   DLB_EXPECTS(count >= 0);
   const weight_t drained = tasks_.pool(i).drain_real_units(count);
   loads_[static_cast<size_t>(i)] -= drained;
-  process_->inject_load(i, -static_cast<real_t>(drained));
+  reference_->inject_load(i, -static_cast<real_t>(drained));
   return drained;
 }
 
-// Phase 1 (per edge): flow deficit ŷ_{u,v}(t) = f^A(t) - f^D(t-1), oriented
-// u→v, with near-integer values snapped to kill float dust. Also resets the
-// edge's transfer set and last-sent record for this round. Reads only
-// pre-round state, so any edge partition computes identical bits.
+// Phase 1 (per edge): the snapped flow deficit ŷ_{u,v}(t), oriented u→v.
+// Also resets the edge's transfer set and last-sent record for this round.
+// Reads only pre-round state, so any edge partition computes identical bits.
 void algorithm1::deficit_phase(const edge_slice& es) {
   es.for_each([&](edge_id e) {
-    real_t deficit = process_->cumulative_flow(e) -
-                     static_cast<real_t>(ledger_.forward(e));
-    const real_t snapped = std::round(deficit);
-    if (std::abs(deficit - snapped) < flow_epsilon) deficit = snapped;
-    deficit_[static_cast<size_t>(e)] = deficit;
+    deficit_[static_cast<size_t>(e)] = snapped_deficit(e);
     last_sent_[static_cast<size_t>(e)] = 0;
     pending_transfer& out = outbox_[static_cast<size_t>(e)];
     out.to = invalid_node;
@@ -90,7 +63,7 @@ void algorithm1::deficit_phase(const edge_slice& es) {
 // the per-edge writes (outbox, ledger, last_sent) have a single writer, and
 // a node's pool evolves exactly as under the sequential global edge loop.
 weight_t algorithm1::send_phase(node_id i0, node_id i1) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   weight_t dummies_minted = 0;
   for (node_id i = i0; i < i1; ++i) {
     task_pool& pool = tasks_.pool(i);
@@ -146,7 +119,7 @@ weight_t algorithm1::send_phase(node_id i0, node_id i1) {
 // then refreshes its cached load. Tasks received this round cannot be
 // re-sent this round (delivery is synchronous, after every send).
 void algorithm1::receive_phase(node_id i0, node_id i1) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   weight_t moved = 0;  // weight delivered to this slice's nodes (obs only)
   for (node_id i = i0; i < i1; ++i) {
     task_pool& dest = tasks_.pool(i);
@@ -164,33 +137,17 @@ void algorithm1::receive_phase(node_id i0, node_id i1) {
   add_tokens_moved(static_cast<std::uint64_t>(moved));
 }
 
-void algorithm1::step() {
-  // Advance the continuous reference to round t, making f^A_{i,j}(t) known
-  // (itself sharded when sharding is enabled).
-  process_->step();
-
+weight_t algorithm1::imitate_round() {
   edge_phase([&](const edge_slice& es) { deficit_phase(es); });
-  dummy_created_ += node_phase_reduce<weight_t>(
+  const weight_t minted = node_phase_reduce<weight_t>(
       0, [&](node_id i0, node_id i1) { return send_phase(i0, i1); },
       [](weight_t a, weight_t b) { return a + b; });
   node_phase([&](node_id i0, node_id i1) { receive_phase(i0, i1); });
-
-  ++t_;
-}
-
-void algorithm1::on_sharding_enabled(
-    const std::shared_ptr<const shard_context>& ctx) {
-  try_enable_sharding(*process_, ctx);
-}
-
-void algorithm1::on_probe_attached(const obs::probe& pb) {
-  // The internal continuous reference steps inside this cell too — its
-  // phase spans belong to the same probe.
-  try_attach_probe(*process_, pb);
+  return minted;
 }
 
 void algorithm1::save_state(snapshot::writer& w) const {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   w.section("algorithm1");
   w.u64(static_cast<std::uint64_t>(g.num_nodes()));
   w.u64(static_cast<std::uint64_t>(g.num_edges()));
@@ -201,12 +158,11 @@ void algorithm1::save_state(snapshot::writer& w) const {
   w.vec_int(last_sent_);
   ledger_.save_state(w);
   tasks_.save_state(w);
-  snapshot::require_checkpointable(*process_, "algorithm1's continuous process")
-      .save_state(w);
+  reference_->save_state(w);
 }
 
 void algorithm1::restore_state(snapshot::reader& r) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   r.expect_section("algorithm1");
   r.expect_u64(static_cast<std::uint64_t>(g.num_nodes()), "node count");
   r.expect_u64(static_cast<std::uint64_t>(g.num_edges()), "edge count");
@@ -222,12 +178,11 @@ void algorithm1::restore_state(snapshot::reader& r) {
   last_sent_ = std::move(sent);
   ledger_.restore_state(r);
   tasks_.restore_state(r);
-  snapshot::require_checkpointable(*process_, "algorithm1's continuous process")
-      .restore_state(r);
+  reference_->restore_state(r);
 }
 
 load_extrema algorithm1::real_load_extrema(node_id begin, node_id end) const {
-  return tasks_.real_load_extrema(begin, end, process_->speeds());
+  return tasks_.real_load_extrema(begin, end, speeds());
 }
 
 }  // namespace dlb

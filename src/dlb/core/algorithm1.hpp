@@ -19,11 +19,10 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "dlb/core/flow_ledger.hpp"
-#include "dlb/core/process.hpp"
-#include "dlb/core/sharding.hpp"
+#include "dlb/core/flow_imitator.hpp"
 #include "dlb/core/tasks.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 
@@ -43,36 +42,21 @@ struct algorithm1_config {
 /// ascending edge-id order) — the shared `sharded_stepper` protocol.
 /// `enable_sharded_stepping` runs the phases over a shard plan with results
 /// bit-identical to the sequential round (the pool push/pop order per node
-/// is preserved exactly; see core/sharding.hpp).
-class algorithm1 final : public discrete_process,
-                         public sharded_stepper,
+/// is preserved exactly; see core/sharding.hpp). The reference, the ledger,
+/// the loads and the counters live in `flow_imitator`.
+class algorithm1 final : public flow_imitator,
                          public snapshot::checkpointable {
  public:
   /// `process` is a *fresh* continuous process (it will be reset to the
   /// total-weight load vector of `initial` and stepped internally).
-  algorithm1(std::unique_ptr<continuous_process> process,
-             task_assignment initial, algorithm1_config config = {});
+  algorithm1(std::unique_ptr<linear_process> process, task_assignment initial,
+             algorithm1_config config = {});
 
-  void step() override;
-
-  [[nodiscard]] const std::vector<weight_t>& loads() const override {
-    return loads_;
-  }
   [[nodiscard]] std::vector<weight_t> real_loads() const override {
     return tasks_.real_loads();
   }
-  [[nodiscard]] const graph& topology() const override {
-    return process_->topology();
-  }
-  [[nodiscard]] const speed_vector& speeds() const override {
-    return process_->speeds();
-  }
-  [[nodiscard]] round_t rounds_executed() const override { return t_; }
-  [[nodiscard]] weight_t dummy_created() const override {
-    return dummy_created_;
-  }
   [[nodiscard]] std::string name() const override {
-    return "alg1-flow-imitation(" + process_->name() + ")";
+    return "alg1-flow-imitation(" + reference_->name() + ")";
   }
 
   /// Dynamic arrivals: `count` unit tasks land on node i, mirrored into the
@@ -87,25 +71,8 @@ class algorithm1 final : public discrete_process,
   /// in both directions, so the imitation stays valid).
   weight_t drain_tokens(node_id i, weight_t count) override;
 
-  /// The internally simulated continuous process A (read-only).
-  [[nodiscard]] const continuous_process& continuous() const {
-    return *process_;
-  }
-
   /// w_max used by the transfer loop.
   [[nodiscard]] weight_t wmax() const { return wmax_; }
-
-  /// Discrete cumulative flow f^D_{u,v}(t-1), oriented u→v.
-  [[nodiscard]] weight_t discrete_flow(edge_id e) const {
-    return ledger_.forward(e);
-  }
-
-  /// Flow deviation e_{u,v}(t-1) = f^A - f^D, oriented u→v. Observation 4:
-  /// |e| < w_max at all times.
-  [[nodiscard]] real_t flow_error(edge_id e) const {
-    return process_->cumulative_flow(e) -
-           static_cast<real_t>(ledger_.forward(e));
-  }
 
   /// Weight sent over edge e in the last round, oriented u→v (signed); used
   /// by tests of Observation 5.
@@ -117,7 +84,6 @@ class algorithm1 final : public discrete_process,
   /// Task pools (read-only view).
   [[nodiscard]] const task_assignment& tasks() const { return tasks_; }
 
-  // shardable:
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
@@ -125,18 +91,6 @@ class algorithm1 final : public discrete_process,
   // dummy counter, round counter, and the embedded continuous process.
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override {
-    return process_->topology();
-  }
-  // Also enables sharding on the internal continuous process when it
-  // supports it (flow imitation stays exact either way).
-  void on_sharding_enabled(
-      const std::shared_ptr<const shard_context>& ctx) override;
-  // Forwards the observability probe to the internal continuous process the
-  // same way.
-  void on_probe_attached(const obs::probe& pb) override;
 
  private:
   /// One pending transfer: the task set S_ij in flight over an edge.
@@ -150,21 +104,18 @@ class algorithm1 final : public discrete_process,
     weight_t total = 0;
   };
 
+  weight_t imitate_round() override;
+
   // One round's phases; ranges are one shard's slice of edges/nodes. The
   // send phase returns the shard's dummy-token mint count.
   void deficit_phase(const edge_slice& es);
   [[nodiscard]] weight_t send_phase(node_id i0, node_id i1);
   void receive_phase(node_id i0, node_id i1);
 
-  std::unique_ptr<continuous_process> process_;
   task_assignment tasks_;
   algorithm1_config config_;
   weight_t wmax_ = 1;
-  discrete_flow_ledger ledger_;
-  std::vector<weight_t> loads_;
   std::vector<weight_t> last_sent_;
-  weight_t dummy_created_ = 0;
-  round_t t_ = 0;
   std::vector<real_t> deficit_;           // per-edge ŷ, oriented u→v (reused)
   std::vector<pending_transfer> outbox_;  // per-edge transfer sets (reused)
 };

@@ -8,39 +8,31 @@ namespace dlb {
 
 namespace {
 
-const graph& checked_topology(const continuous_process* p) {
-  DLB_EXPECTS(p != nullptr);
-  return p->topology();
+// x^D(0): the tokens plus any dummy preload, both non-negative.
+std::vector<weight_t> with_preload(std::vector<weight_t> tokens,
+                                   const std::vector<weight_t>& dummy_preload) {
+  for (const weight_t c : tokens) DLB_EXPECTS(c >= 0);
+  if (!dummy_preload.empty()) {
+    DLB_EXPECTS(dummy_preload.size() == tokens.size());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      DLB_EXPECTS(dummy_preload[i] >= 0);
+      tokens[i] += dummy_preload[i];
+    }
+  }
+  return tokens;
 }
 
 }  // namespace
 
-algorithm2::algorithm2(std::unique_ptr<continuous_process> process,
+algorithm2::algorithm2(std::unique_ptr<linear_process> process,
                        std::vector<weight_t> tokens, std::uint64_t seed,
                        std::vector<weight_t> dummy_preload)
-    : process_(std::move(process)),
-      loads_(std::move(tokens)),
-      ledger_(checked_topology(process_.get())),
+    : flow_imitator(std::move(process),
+                    with_preload(std::move(tokens), dummy_preload)),
+      dummies_(dummy_preload.empty() ? std::vector<weight_t>(loads_.size(), 0)
+                                     : std::move(dummy_preload)),
       coin_seed_(derive_seed(seed, /*stream=*/0xA19u)) {
-  const graph& g = process_->topology();
-  DLB_EXPECTS(static_cast<node_id>(loads_.size()) == g.num_nodes());
-  for (const weight_t c : loads_) DLB_EXPECTS(c >= 0);
-  dummies_.assign(loads_.size(), 0);
-  if (!dummy_preload.empty()) {
-    DLB_EXPECTS(dummy_preload.size() == loads_.size());
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      DLB_EXPECTS(dummy_preload[i] >= 0);
-      loads_[i] += dummy_preload[i];
-      dummies_[i] = dummy_preload[i];
-    }
-  }
-
-  std::vector<real_t> x0(loads_.size());
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    x0[i] = static_cast<real_t>(loads_[i]);
-  }
-  process_->reset(std::move(x0));
-  sends_.assign(static_cast<size_t>(g.num_edges()), edge_send{});
+  sends_.assign(static_cast<size_t>(topology().num_edges()), edge_send{});
   sent_.assign(loads_.size(), 0);
   dummy_out_.assign(loads_.size(), 0);
 }
@@ -57,7 +49,7 @@ void algorithm2::inject_tokens(node_id i, weight_t count) {
   DLB_EXPECTS(i >= 0 && i < topology().num_nodes());
   DLB_EXPECTS(count >= 0);
   loads_[static_cast<size_t>(i)] += count;
-  process_->inject_load(i, static_cast<real_t>(count));
+  reference_->inject_load(i, static_cast<real_t>(count));
 }
 
 weight_t algorithm2::drain_tokens(node_id i, weight_t count) {
@@ -67,12 +59,12 @@ weight_t algorithm2::drain_tokens(node_id i, weight_t count) {
   const std::size_t idx = static_cast<size_t>(i);
   const weight_t drained = std::min(count, loads_[idx] - dummies_[idx]);
   loads_[idx] -= drained;
-  process_->inject_load(i, -static_cast<real_t>(drained));
+  reference_->inject_load(i, -static_cast<real_t>(drained));
   return drained;
 }
 
 load_extrema algorithm2::real_load_extrema(node_id begin, node_id end) const {
-  const speed_vector& s = process_->speeds();
+  const speed_vector& s = speeds();
   load_extrema e;
   for (node_id i = begin; i < end; ++i) {
     const std::size_t idx = static_cast<size_t>(i);
@@ -82,33 +74,19 @@ load_extrema algorithm2::real_load_extrema(node_id begin, node_id end) const {
   return e;
 }
 
-void algorithm2::on_sharding_enabled(
-    const std::shared_ptr<const shard_context>& ctx) {
-  try_enable_sharding(*process_, ctx);
-}
-
-void algorithm2::on_probe_attached(const obs::probe& pb) {
-  // The internal continuous reference steps inside this cell too — its
-  // phase spans belong to the same probe.
-  try_attach_probe(*process_, pb);
-}
-
 // Phase 1 (per edge): the positive-deficit direction decides its rounded
 // send Y = ⌊Ŷ⌋ + Bernoulli({Ŷ}). The coin is a counter-based draw keyed
 // (seed, t, e) — a pure function of the edge and round, independent of
 // visit order — and the ledger record is a per-edge write with exactly one
 // writer. Transfers are synchronous: decisions see only round-start state.
 void algorithm2::decide_phase(const edge_slice& es) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   const std::uint64_t round_seed =
       derive_seed(coin_seed_, static_cast<std::uint64_t>(t_));
   es.for_each([&](edge_id e) {
     edge_send& out = sends_[static_cast<size_t>(e)];
     out = edge_send{};
-    real_t deficit = process_->cumulative_flow(e) -
-                     static_cast<real_t>(ledger_.forward(e));
-    const real_t snapped = std::round(deficit);
-    if (std::abs(deficit - snapped) < flow_epsilon) deficit = snapped;
+    const real_t deficit = snapped_deficit(e);
     if (deficit == 0) return;
 
     const edge& ed = g.endpoints(e);
@@ -137,7 +115,7 @@ void algorithm2::decide_phase(const edge_slice& es) {
 // loads/dummies/sent/dummy_out slots, plus the `dummies` slot of edges the
 // node sends on (single writer — each edge has exactly one sender).
 weight_t algorithm2::mint_phase(node_id i0, node_id i1) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   weight_t minted_total = 0;
   for (node_id i = i0; i < i1; ++i) {
     const std::size_t idx = static_cast<size_t>(i);
@@ -176,7 +154,7 @@ weight_t algorithm2::mint_phase(node_id i0, node_id i1) {
 // Phase 3 (per node): apply the synchronous deltas by folding incident
 // edges (integer sums — order-independent, but folded ascending anyway).
 void algorithm2::apply_phase(node_id i0, node_id i1) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   weight_t moved = 0;  // weight delivered to this slice's nodes (obs only)
   for (node_id i = i0; i < i1; ++i) {
     const std::size_t idx = static_cast<size_t>(i);
@@ -199,7 +177,7 @@ void algorithm2::apply_phase(node_id i0, node_id i1) {
 }
 
 void algorithm2::save_state(snapshot::writer& w) const {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   w.section("algorithm2");
   w.u64(static_cast<std::uint64_t>(g.num_nodes()));
   w.u64(static_cast<std::uint64_t>(g.num_edges()));
@@ -209,12 +187,11 @@ void algorithm2::save_state(snapshot::writer& w) const {
   w.vec_int(loads_);
   w.vec_int(dummies_);
   ledger_.save_state(w);
-  snapshot::require_checkpointable(*process_, "algorithm2's continuous process")
-      .save_state(w);
+  reference_->save_state(w);
 }
 
 void algorithm2::restore_state(snapshot::reader& r) {
-  const graph& g = process_->topology();
+  const graph& g = topology();
   r.expect_section("algorithm2");
   r.expect_u64(static_cast<std::uint64_t>(g.num_nodes()), "node count");
   r.expect_u64(static_cast<std::uint64_t>(g.num_edges()), "edge count");
@@ -229,20 +206,16 @@ void algorithm2::restore_state(snapshot::reader& r) {
   loads_ = std::move(loads);
   dummies_ = std::move(dummies);
   ledger_.restore_state(r);
-  snapshot::require_checkpointable(*process_, "algorithm2's continuous process")
-      .restore_state(r);
+  reference_->restore_state(r);
 }
 
-void algorithm2::step() {
-  process_->step();
-
+weight_t algorithm2::imitate_round() {
   edge_phase([&](const edge_slice& es) { decide_phase(es); });
-  dummy_created_ += node_phase_reduce<weight_t>(
+  const weight_t minted = node_phase_reduce<weight_t>(
       0, [&](node_id i0, node_id i1) { return mint_phase(i0, i1); },
       [](weight_t a, weight_t b) { return a + b; });
   node_phase([&](node_id i0, node_id i1) { apply_phase(i0, i1); });
-
-  ++t_;
+  return minted;
 }
 
 }  // namespace dlb

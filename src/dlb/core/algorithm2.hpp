@@ -17,18 +17,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dlb/common/rng.hpp"
-#include "dlb/core/flow_ledger.hpp"
-#include "dlb/core/process.hpp"
-#include "dlb/core/sharding.hpp"
+#include "dlb/core/flow_imitator.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
-class algorithm2 final : public discrete_process,
-                         public sharded_stepper,
+/// The reference, the ledger, the loads and the counters live in
+/// `flow_imitator`.
+class algorithm2 final : public flow_imitator,
                          public snapshot::checkpointable {
  public:
   /// `process` is a fresh continuous process; `tokens[i]` is the number of
@@ -36,28 +36,13 @@ class algorithm2 final : public discrete_process,
   /// `dummy_preload[i]` extra dummy tokens are placed on node i at start (the
   /// Theorem 8(1) device; pass empty for none) — they count toward loads()
   /// but not real_loads().
-  algorithm2(std::unique_ptr<continuous_process> process,
+  algorithm2(std::unique_ptr<linear_process> process,
              std::vector<weight_t> tokens, std::uint64_t seed,
              std::vector<weight_t> dummy_preload = {});
 
-  void step() override;
-
-  [[nodiscard]] const std::vector<weight_t>& loads() const override {
-    return loads_;
-  }
   [[nodiscard]] std::vector<weight_t> real_loads() const override;
-  [[nodiscard]] const graph& topology() const override {
-    return process_->topology();
-  }
-  [[nodiscard]] const speed_vector& speeds() const override {
-    return process_->speeds();
-  }
-  [[nodiscard]] round_t rounds_executed() const override { return t_; }
-  [[nodiscard]] weight_t dummy_created() const override {
-    return dummy_created_;
-  }
   [[nodiscard]] std::string name() const override {
-    return "alg2-randomized-imitation(" + process_->name() + ")";
+    return "alg2-randomized-imitation(" + reference_->name() + ")";
   }
 
   /// Dynamic arrivals: `count` unit tokens land on node i, mirrored into the
@@ -68,29 +53,12 @@ class algorithm2 final : public discrete_process,
   /// mirrored into the continuous process as negative load.
   weight_t drain_tokens(node_id i, weight_t count) override;
 
-  [[nodiscard]] const continuous_process& continuous() const {
-    return *process_;
-  }
-
-  /// Flow deviation E_{u,v}(t) = f^A - F^D, oriented u→v. Observation 9(3):
-  /// always in (-1, 1).
-  [[nodiscard]] real_t flow_error(edge_id e) const {
-    return process_->cumulative_flow(e) -
-           static_cast<real_t>(ledger_.forward(e));
-  }
-
-  /// Discrete cumulative flow F^D_{u,v}(t-1), oriented u→v.
-  [[nodiscard]] weight_t discrete_flow(edge_id e) const {
-    return ledger_.forward(e);
-  }
-
   /// Dummy tokens currently residing on node i.
   [[nodiscard]] weight_t dummies_at(node_id i) const {
     DLB_EXPECTS(i >= 0 && i < topology().num_nodes());
     return dummies_[static_cast<size_t>(i)];
   }
 
-  // shardable:
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
@@ -100,16 +68,6 @@ class algorithm2 final : public discrete_process,
   // fingerprinted and the round counter restores the randomness.
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override {
-    return process_->topology();
-  }
-  void on_sharding_enabled(
-      const std::shared_ptr<const shard_context>& ctx) override;
-  // Forwards the observability probe to the internal continuous process the
-  // same way.
-  void on_probe_attached(const obs::probe& pb) override;
 
  private:
   /// Round-t transfer decision of one edge: `y` tokens from `from_u`'s side
@@ -121,19 +79,16 @@ class algorithm2 final : public discrete_process,
     bool from_u = false;
   };
 
+  weight_t imitate_round() override;
+
   // One round's phases; ranges are one shard's slice. The mint phase
   // returns the shard's dummy mint count.
   void decide_phase(const edge_slice& es);
   [[nodiscard]] weight_t mint_phase(node_id i0, node_id i1);
   void apply_phase(node_id i0, node_id i1);
 
-  std::unique_ptr<continuous_process> process_;
-  std::vector<weight_t> loads_;    // token counts incl. dummies
   std::vector<weight_t> dummies_;  // dummy tokens residing per node
-  discrete_flow_ledger ledger_;
   std::uint64_t coin_seed_;
-  weight_t dummy_created_ = 0;
-  round_t t_ = 0;
   std::vector<edge_send> sends_;      // per-edge decisions (reused)
   std::vector<weight_t> sent_;        // per-node outgoing totals (reused)
   std::vector<weight_t> dummy_out_;   // per-node dummy attribution (reused)

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dlb/common/contracts.hpp"
+#include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/obs/metrics.hpp"
 #include "dlb/obs/recorder.hpp"
@@ -11,26 +12,18 @@
 namespace dlb {
 
 real_t round_discrepancy(const discrete_process& d) {
-  const auto* sh = dynamic_cast<const shardable*>(&d);
-  if (sh == nullptr) return max_min_discrepancy(d.real_loads(), d.speeds());
-  const std::shared_ptr<const shard_context> ctx = sh->sharding();
+  const std::shared_ptr<const shard_context> ctx = d.sharding();
   const load_extrema e = chunked_reduce(
       ctx.get(), d.speeds().size(), phase_chunk_items, load_extrema{},
-      [sh](std::size_t lo, std::size_t hi) {
-        return sh->real_load_extrema(static_cast<node_id>(lo),
-                                     static_cast<node_id>(hi));
+      [&d](std::size_t lo, std::size_t hi) {
+        return d.real_load_extrema(static_cast<node_id>(lo),
+                                   static_cast<node_id>(hi));
       },
       load_extrema::merge);
   return e.hi - e.lo;
 }
 
 namespace {
-
-std::shared_ptr<const shard_context> sharding_of(
-    const continuous_process& a) {
-  const auto* sh = dynamic_cast<const shardable*>(&a);
-  return sh != nullptr ? sh->sharding() : nullptr;
-}
 
 // Total speed — an integer sum, so any grouping is exact. Invariant across a
 // run; measure_balancing_time computes it once instead of per probe round.
@@ -50,7 +43,7 @@ weight_t total_speed_of(const speed_vector& s, const shard_context* ctx) {
 // O(n) per-node check both spread over the shard pool. Identical bits with
 // or without a context: the sum goes through blocked_sum (whose grouping
 // depends only on n) and the check folds with boolean AND.
-bool balanced_against(const continuous_process& a, weight_t total_speed,
+bool balanced_against(const linear_process& a, weight_t total_speed,
                       real_t tol, const shard_context* ctx) {
   const std::vector<real_t>& x = a.loads();
   const speed_vector& s = a.speeds();
@@ -72,20 +65,20 @@ bool balanced_against(const continuous_process& a, weight_t total_speed,
 
 }  // namespace
 
-bool is_balanced(const continuous_process& a, real_t tol) {
-  const std::shared_ptr<const shard_context> ctx = sharding_of(a);
+bool is_balanced(const linear_process& a, real_t tol) {
+  const std::shared_ptr<const shard_context> ctx = a.sharding();
   return balanced_against(a, total_speed_of(a.speeds(), ctx.get()), tol,
                           ctx.get());
 }
 
-balancing_time_result measure_balancing_time(continuous_process& a,
+balancing_time_result measure_balancing_time(linear_process& a,
                                              const std::vector<real_t>& x0,
                                              round_t cap,
                                              const obs::probe& pb) {
   DLB_EXPECTS(cap >= 0);
   a.reset(std::vector<real_t>(x0));
   // Speeds never change across the probe loop; sum them once, not per round.
-  const std::shared_ptr<const shard_context> ctx = sharding_of(a);
+  const std::shared_ptr<const shard_context> ctx = a.sharding();
   const weight_t total_speed = total_speed_of(a.speeds(), ctx.get());
   balancing_time_result r;
   const auto balanced = [&] {
@@ -194,7 +187,7 @@ dynamic_result run_dynamic(discrete_process& d,
 }
 
 experiment_result run_experiment(discrete_process& d,
-                                 const continuous_process& reference_template,
+                                 const linear_process& reference_template,
                                  round_t cap,
                                  const round_observer& obs,
                                  const obs::probe& pb) {
@@ -203,17 +196,15 @@ experiment_result run_experiment(discrete_process& d,
   for (std::size_t i = 0; i < x0.size(); ++i) {
     x0[i] = static_cast<real_t>(d.loads()[i]);
   }
-  auto reference = reference_template.clone_fresh();
+  const std::unique_ptr<linear_process> reference =
+      reference_template.clone_fresh();
   // The T^A probe steps the same topology as `d`; when `d` runs sharded,
   // step the probe over the same shard context too (clone_fresh starts
   // sequential, so the context must be re-attached here). The observability
   // probe re-attaches the same way, so the reference's phases report to the
   // cell that owns this run.
-  if (const auto* sh = dynamic_cast<const shardable*>(&d);
-      sh != nullptr && sh->sharding() != nullptr) {
-    try_enable_sharding(*reference, sh->sharding());
-  }
-  if (pb.active()) try_attach_probe(*reference, pb);
+  if (d.sharding() != nullptr) reference->enable_sharded_stepping(d.sharding());
+  if (pb.active()) reference->set_probe(pb);
   const balancing_time_result bt =
       measure_balancing_time(*reference, x0, cap, pb);
 

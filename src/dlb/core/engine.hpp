@@ -9,6 +9,7 @@
 #include <functional>
 #include <vector>
 
+#include "dlb/core/linear_process.hpp"
 #include "dlb/core/metrics.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/obs/probe.hpp"
@@ -35,21 +36,20 @@ inline constexpr real_t balanced_tolerance = 1.0;
 /// attributes per-round spans to the caller's cell — observation only, the
 /// measured T^A is byte-identical with or without it.
 [[nodiscard]] balancing_time_result measure_balancing_time(
-    continuous_process& a, const std::vector<real_t>& x0, round_t cap,
+    linear_process& a, const std::vector<real_t>& x0, round_t cap,
     const obs::probe& pb = {});
 
 /// True iff every node of `a` is within `tol` of its balanced share.
-[[nodiscard]] bool is_balanced(const continuous_process& a,
+[[nodiscard]] bool is_balanced(const linear_process& a,
                                real_t tol = balanced_tolerance);
 
 /// Max-min discrepancy of `d`'s current real loads — the one discrepancy
-/// entry point of the engine drivers. Shardable processes fold their
-/// real_load_extrema through chunked_reduce (on the shards when `d` steps
-/// sharded, on the caller otherwise) without materializing real_loads();
-/// min/max folds are exact, so the value equals
-/// max_min_discrepancy(d.real_loads(), d.speeds()) bit for bit. run_dynamic
-/// and the event-driven run_async sample their per-round metrics through
-/// this.
+/// entry point of the engine drivers. It folds `d`'s real_load_extrema
+/// through chunked_reduce (on the shards when `d` steps sharded, on the
+/// caller otherwise) without materializing real_loads(); min/max folds are
+/// exact, so the value equals max_min_discrepancy(d.real_loads(),
+/// d.speeds()) bit for bit. run_dynamic and the event-driven run_async
+/// sample their per-round metrics through this.
 [[nodiscard]] real_t round_discrepancy(const discrete_process& d);
 
 /// Per-round observation hook; `d` has just completed round `t` (1-based
@@ -109,7 +109,7 @@ struct experiment_result {
 /// against the original total load (dummy weight excluded), matching the
 /// paper's reporting convention.
 [[nodiscard]] experiment_result run_experiment(
-    discrete_process& d, const continuous_process& reference_template,
+    discrete_process& d, const linear_process& reference_template,
     round_t cap, const round_observer& obs = nullptr,
     const obs::probe& pb = {});
 

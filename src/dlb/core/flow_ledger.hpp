@@ -1,11 +1,13 @@
-// Cumulative per-edge flow bookkeeping f_{i,j}(t) (paper §3).
+// Cumulative per-edge flow bookkeeping f^D_{i,j}(t) of a discrete process
+// (paper §3).
 //
 // Flows are antisymmetric: f_{i,j}(t) = -f_{j,i}(t). We store one signed
-// value per edge, positive in the u→v direction of the normalized endpoints.
-// Continuous processes use real flows, discrete ones exact integers.
+// integer per edge, positive in the u→v direction of the normalized
+// endpoints. (The continuous reference keeps its real f^A inside
+// linear_process.)
 #pragma once
 
-#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "dlb/common/contracts.hpp"
@@ -15,31 +17,28 @@
 
 namespace dlb {
 
-template <typename T>
-class basic_flow_ledger {
+class discrete_flow_ledger {
  public:
-  explicit basic_flow_ledger(const graph& g)
-      : g_(&g), flow_(static_cast<size_t>(g.num_edges()), T{0}) {}
-
-  /// Resets all flows to zero (f_{i,j}(-1) = 0).
-  void reset() { std::fill(flow_.begin(), flow_.end(), T{0}); }
+  /// All flows start at zero (f_{i,j}(-1) = 0).
+  explicit discrete_flow_ledger(const graph& g)
+      : g_(&g), flow_(static_cast<size_t>(g.num_edges()), 0) {}
 
   /// f oriented u→v (positive means net u→v transfer so far).
-  [[nodiscard]] T forward(edge_id e) const {
+  [[nodiscard]] weight_t forward(edge_id e) const {
     DLB_EXPECTS(e >= 0 && e < g_->num_edges());
     return flow_[static_cast<size_t>(e)];
   }
 
   /// f_{from,·}(t) over edge e: +forward if `from` is u, else -forward.
-  [[nodiscard]] T from(edge_id e, node_id from_node) const {
+  [[nodiscard]] weight_t from(edge_id e, node_id from_node) const {
     const edge& ed = g_->endpoints(e);
     DLB_EXPECTS(ed.u == from_node || ed.v == from_node);
-    return ed.u == from_node ? forward(e) : static_cast<T>(-forward(e));
+    return ed.u == from_node ? forward(e) : -forward(e);
   }
 
   /// Records a transfer of `amount` >= 0 from `from_node` over edge e.
-  void record(edge_id e, node_id from_node, T amount) {
-    DLB_EXPECTS(amount >= T{0});
+  void record(edge_id e, node_id from_node, weight_t amount) {
+    DLB_EXPECTS(amount >= 0);
     const edge& ed = g_->endpoints(e);
     DLB_EXPECTS(ed.u == from_node || ed.v == from_node);
     if (ed.u == from_node) {
@@ -49,40 +48,22 @@ class basic_flow_ledger {
     }
   }
 
-  [[nodiscard]] const graph& topology() const { return *g_; }
-
-  /// Checkpointing: the per-edge cumulative flows (integers exactly, reals
-  /// as IEEE-754 bit patterns).
+  /// Checkpointing: the per-edge cumulative flows, exactly.
   void save_state(snapshot::writer& w) const {
     w.section("ledger");
-    if constexpr (std::is_floating_point_v<T>) {
-      w.vec_f64(flow_);
-    } else {
-      w.vec_int(flow_);
-    }
+    w.vec_int(flow_);
   }
 
   void restore_state(snapshot::reader& r) {
     r.expect_section("ledger");
-    std::vector<T> flow;
-    if constexpr (std::is_floating_point_v<T>) {
-      flow = r.vec_f64();
-    } else {
-      flow = r.vec_int<T>();
-    }
+    std::vector<weight_t> flow = r.vec_int<weight_t>();
     DLB_EXPECTS(static_cast<edge_id>(flow.size()) == g_->num_edges());
     flow_ = std::move(flow);
   }
 
  private:
   const graph* g_;
-  std::vector<T> flow_;
+  std::vector<weight_t> flow_;
 };
-
-/// Integer ledger for discrete processes (f^D).
-using discrete_flow_ledger = basic_flow_ledger<weight_t>;
-
-/// Real ledger for continuous processes (f^A).
-using continuous_flow_ledger = basic_flow_ledger<real_t>;
 
 }  // namespace dlb

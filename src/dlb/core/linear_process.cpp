@@ -207,21 +207,6 @@ void linear_process::step() {
   ++t_;
 }
 
-load_extrema linear_process::real_load_extrema(node_id begin,
-                                               node_id end) const {
-  load_extrema e;
-  for (node_id i = begin; i < end; ++i) {
-    e.add(x_[static_cast<size_t>(i)] /
-          static_cast<real_t>(s_[static_cast<size_t>(i)]));
-  }
-  return e;
-}
-
-real_t linear_process::cumulative_flow(edge_id e) const {
-  DLB_EXPECTS(e >= 0 && e < g_->num_edges());
-  return cum_flow_[static_cast<size_t>(e)];
-}
-
 void linear_process::save_state(snapshot::writer& w) const {
   w.section("linear_process");
   w.str(name_);
@@ -268,7 +253,7 @@ void linear_process::restore_state(snapshot::reader& r) {
   alphas_cached_ = false;
 }
 
-std::unique_ptr<continuous_process> linear_process::clone_fresh() const {
+std::unique_ptr<linear_process> linear_process::clone_fresh() const {
   return std::make_unique<linear_process>(g_, s_, schedule_->clone(), beta_,
                                           name_);
 }

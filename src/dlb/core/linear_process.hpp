@@ -8,12 +8,20 @@
 #include <string>
 #include <vector>
 
+#include "dlb/common/contracts.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/matching.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
+
+/// Per-edge flows of one round. `forward` is y_{u→v}, `backward` is y_{v→u},
+/// where (u, v) are the normalized endpoints (u < v) of the edge.
+struct directed_flow {
+  real_t forward = 0;
+  real_t backward = 0;
+};
 
 /// Constant per-edge α — the diffusion schedule (FOS/SOS).
 class diffusion_alpha_schedule final : public alpha_schedule {
@@ -105,42 +113,68 @@ class random_matching_schedule final : public alpha_schedule {
 };
 
 /// The general linear process: additive and terminating by construction
-/// (Lemma 1). β = 1 gives first-order behaviour; β in (1, 2] gives SOS.
+/// (Lemma 1). β = 1 gives first-order behaviour; β in (1, 2] gives SOS. It
+/// is the library's continuous process A — FOS, SOS and both matching models
+/// are linear processes over different α schedules.
 ///
 /// Steps in two phases — compute flows (per edge), then apply them (per
 /// node, incident edges in ascending id order) — through the shared
 /// `sharded_stepper` protocol, so the round can be sharded over a thread
 /// pool via `enable_sharded_stepping` with bit-identical results at any
 /// shard count (see core/sharding.hpp).
-class linear_process final : public continuous_process,
-                             public sharded_stepper,
+class linear_process final : public sharded_stepper,
                              public snapshot::checkpointable {
  public:
   linear_process(std::shared_ptr<const graph> g, speed_vector s,
                  std::unique_ptr<alpha_schedule> schedule, real_t beta,
                  std::string process_name);
 
-  void reset(std::vector<real_t> x0) override;
-  void step() override;
+  /// Starts (or restarts) the process from load vector `x0` (size n, >= 0).
+  void reset(std::vector<real_t> x0);
+
+  /// Executes one synchronous round. Requires reset() first.
+  void step();
 
   [[nodiscard]] const graph& topology() const override { return *g_; }
-  [[nodiscard]] const speed_vector& speeds() const override { return s_; }
-  [[nodiscard]] const std::vector<real_t>& loads() const override {
-    return x_;
+  [[nodiscard]] const speed_vector& speeds() const { return s_; }
+
+  /// Load vector x(t) at the current time.
+  [[nodiscard]] const std::vector<real_t>& loads() const { return x_; }
+
+  /// Number of rounds executed since reset.
+  [[nodiscard]] round_t rounds_executed() const { return t_; }
+
+  /// Cumulative flow f^A_{u,v}(t-1) over edge e, oriented u→v positive,
+  /// where t-1 is the last executed round (paper §3: f includes all rounds
+  /// up to and including the last one).
+  [[nodiscard]] real_t cumulative_flow(edge_id e) const {
+    DLB_EXPECTS(e >= 0 && e < g_->num_edges());
+    return cum_flow_[static_cast<size_t>(e)];
   }
-  [[nodiscard]] round_t rounds_executed() const override { return t_; }
-  [[nodiscard]] real_t cumulative_flow(edge_id e) const override;
-  [[nodiscard]] const std::vector<directed_flow>& last_flows() const override {
+
+  /// Flows y of the most recently executed round.
+  [[nodiscard]] const std::vector<directed_flow>& last_flows() const {
     return y_prev_;
   }
-  [[nodiscard]] bool negative_load_detected() const override {
-    return negative_load_;
-  }
-  [[nodiscard]] std::unique_ptr<continuous_process> clone_fresh()
-      const override;
-  void inject_load(node_id i, real_t amount) override;
-  [[nodiscard]] std::string name() const override { return name_; }
 
+  /// True if some round violated Definition 1, i.e. a node's total outgoing
+  /// demand exceeded its load (only SOS can trigger this; paper §3).
+  [[nodiscard]] bool negative_load_detected() const { return negative_load_; }
+
+  /// Fresh, un-reset copy with identical configuration (including any
+  /// randomness seed, so copies are coupled). It starts sequential and
+  /// unobserved.
+  [[nodiscard]] std::unique_ptr<linear_process> clone_fresh() const;
+
+  /// Adds `amount` load to node i mid-run (dynamic arrivals). By additivity
+  /// (Definition 3) the process keeps balancing the enlarged load; flow
+  /// imitators inject into their reference through this hook. `amount` may
+  /// be negative — that is how departures (service completions) are
+  /// mirrored; the load may then transiently dip below a node's balanced
+  /// share, which additivity also absorbs.
+  void inject_load(node_id i, real_t amount);
+
+  [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] real_t beta() const { return beta_; }
   [[nodiscard]] const alpha_schedule& schedule() const { return *schedule_; }
 
@@ -149,13 +183,6 @@ class linear_process final : public continuous_process,
   // not stored — restore into a freshly constructed identical process.
   void save_state(snapshot::writer& w) const override;
   void restore_state(snapshot::reader& r) override;
-
-  // shardable:
-  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
-                                               node_id end) const override;
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
 
  private:
   // One round's phases; `es` / [i0, i1) are one slice's ranges. The apply
@@ -178,6 +205,10 @@ class linear_process final : public continuous_process,
   bool alphas_cached_ = false;  // alpha_buf_ valid for every round (diffusion)
   std::vector<directed_flow> y_next_;  // this round's flows (reused buffer)
 };
+
+/// A second name for linear_process, kept only because the frozen scale
+/// benchmark (perfbench/) still uses it.
+using continuous_process = linear_process;
 
 // ---- Factory helpers (the concrete processes of the paper) ----------------
 

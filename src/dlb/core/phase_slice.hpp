@@ -7,9 +7,10 @@
 // pre-round state writing only their own edge's slots, so the set of edges
 // a slice visits — never the visit order — determines the result.
 //
-// This header is deliberately tiny: alpha schedules (core/process.hpp) fill
-// per-edge coefficients through slices too, and must not drag the full
-// sharding/observability headers into every process interface.
+// Alpha schedules (core/process.hpp) fill per-edge coefficients through
+// slices too. process.hpp includes core/sharding.hpp, since every process
+// derives from sharded_stepper, and sharding.hpp includes this header: the
+// slice type keeps a small header of its own that reads standalone.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,15 @@
-// Core interfaces: continuous balancing processes and their discrete
-// counterparts.
+// Core interfaces: the α schedules that define continuous balancing
+// processes, and the discrete processes that move whole tasks.
 //
 // A continuous process A (paper §2.1, §3) evolves a real load vector x(t) by
 // transferring y_{i,j}(t) >= 0 over edges each round. The paper's framework
-// applies to any *additive terminating* A (Definitions 2-3); every process we
-// ship is an instance of the general linear recurrence, eqs. (10)-(11):
+// applies to any *additive terminating* A (Definitions 2-3); the library's A
+// is `linear_process` (core/linear_process.hpp), the general linear
+// recurrence of eqs. (10)-(11):
 //     y_{i,j}(0) = P_{i,j}(0) · x_i(0)
 //     y_{i,j}(t) = (β-1) · y_{i,j}(t-1) + β · P_{i,j}(t) · x_i(t),
 // with P_{i,j}(t) = α_{i,j}(t) / s_i, which is additive and terminating by
-// Lemma 1.
+// Lemma 1. A new A is a new `alpha_schedule` (examples/custom_process.cpp).
 //
 // A discrete process moves whole tasks; discrete loads are exact integers.
 #pragma once
@@ -19,17 +20,11 @@
 
 #include "dlb/common/types.hpp"
 #include "dlb/core/phase_slice.hpp"
+#include "dlb/core/sharding.hpp"
 #include "dlb/graph/graph.hpp"
 #include "dlb/graph/spectral.hpp"  // speed_vector
 
 namespace dlb {
-
-/// Per-edge flows of one round. `forward` is y_{u→v}, `backward` is y_{v→u},
-/// where (u, v) are the normalized endpoints (u < v) of the edge.
-struct directed_flow {
-  real_t forward = 0;
-  real_t backward = 0;
-};
 
 /// Provides the α_{i,j}(t) coefficients of the round-t balancing matrix.
 ///
@@ -83,60 +78,11 @@ class alpha_schedule {
   }
 };
 
-/// A continuous neighbourhood load balancing process.
-class continuous_process {
+/// A discrete neighbourhood load balancing process over whole tasks. It
+/// steps through the sharded_stepper protocol, which also supplies
+/// topology(), the shard context and the probe.
+class discrete_process : public sharded_stepper {
  public:
-  virtual ~continuous_process() = default;
-
-  /// Starts (or restarts) the process from load vector `x0` (size n, >= 0).
-  virtual void reset(std::vector<real_t> x0) = 0;
-
-  /// Executes one synchronous round. Requires reset() first.
-  virtual void step() = 0;
-
-  [[nodiscard]] virtual const graph& topology() const = 0;
-  [[nodiscard]] virtual const speed_vector& speeds() const = 0;
-
-  /// Load vector x(t) at the current time.
-  [[nodiscard]] virtual const std::vector<real_t>& loads() const = 0;
-
-  /// Number of rounds executed since reset.
-  [[nodiscard]] virtual round_t rounds_executed() const = 0;
-
-  /// Cumulative flow f^A_{u,v}(t-1) over edge e, oriented u→v positive,
-  /// where t-1 is the last executed round (paper §3: f includes all rounds
-  /// up to and including the last one).
-  [[nodiscard]] virtual real_t cumulative_flow(edge_id e) const = 0;
-
-  /// Flows y of the most recently executed round.
-  [[nodiscard]] virtual const std::vector<directed_flow>& last_flows()
-      const = 0;
-
-  /// True if some round violated Definition 1, i.e. a node's total outgoing
-  /// demand exceeded its load (only SOS can trigger this; paper §3).
-  [[nodiscard]] virtual bool negative_load_detected() const = 0;
-
-  /// Fresh, un-reset copy with identical configuration (including any
-  /// randomness seed, so copies are coupled).
-  [[nodiscard]] virtual std::unique_ptr<continuous_process> clone_fresh()
-      const = 0;
-
-  /// Adds `amount` load to node i mid-run (dynamic arrivals). By additivity
-  /// (Definition 3) the process keeps balancing the enlarged load;
-  /// flow-imitating discretizers inject into their internal continuous copy
-  /// through this hook. `amount` may be negative — that is how departures
-  /// (service completions) are mirrored; the load may then transiently dip
-  /// below a node's balanced share, which additivity also absorbs.
-  virtual void inject_load(node_id i, real_t amount) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// A discrete neighbourhood load balancing process over whole tasks.
-class discrete_process {
- public:
-  virtual ~discrete_process() = default;
-
   /// Executes one synchronous round.
   virtual void step() = 0;
 
@@ -148,9 +94,13 @@ class discrete_process {
   /// create dummies.
   [[nodiscard]] virtual std::vector<weight_t> real_loads() const = 0;
 
-  [[nodiscard]] virtual const graph& topology() const = 0;
   [[nodiscard]] virtual const speed_vector& speeds() const = 0;
   [[nodiscard]] virtual round_t rounds_executed() const = 0;
+
+  /// Min/max load-per-speed over nodes [begin, end). Real loads, dummies
+  /// eliminated — the quantity the engine's per-round discrepancy folds.
+  [[nodiscard]] virtual load_extrema real_load_extrema(node_id begin,
+                                                       node_id end) const = 0;
 
   /// Total dummy weight drawn from the infinite source so far (0 for
   /// processes without a dummy source).

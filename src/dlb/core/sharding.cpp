@@ -96,8 +96,8 @@ void sharded_stepper::enable_sharded_stepping(
     std::shared_ptr<const shard_context> ctx) {
   DLB_EXPECTS(ctx != nullptr);
   DLB_EXPECTS(ctx->steal != nullptr);
-  DLB_EXPECTS(ctx->plan.num_nodes() == shard_topology().num_nodes());
-  DLB_EXPECTS(ctx->plan.num_edges() == shard_topology().num_edges());
+  DLB_EXPECTS(ctx->plan.num_nodes() == topology().num_nodes());
+  DLB_EXPECTS(ctx->plan.num_edges() == topology().num_edges());
   shard_ = ctx;
   on_sharding_enabled(shard_);
 }
@@ -179,7 +179,7 @@ void sharded_stepper::fill_round_alphas(const alpha_schedule& schedule,
                                         round_t t, std::vector<real_t>& alpha,
                                         bool& cached) const {
   if (cached) return;
-  const edge_id m = shard_topology().num_edges();
+  const edge_id m = topology().num_edges();
   alpha.resize(static_cast<std::size_t>(m));
   {
     // The sequential prologue (the random matching draw) gets its own span,
@@ -200,7 +200,7 @@ void sharded_stepper::add_tokens_moved(std::uint64_t n) const noexcept {
 void sharded_stepper::edge_phase(
     const std::function<void(const edge_slice&)>& body) const {
   run_phase(phase_kind::edge,
-            static_cast<std::size_t>(shard_topology().num_edges()),
+            static_cast<std::size_t>(topology().num_edges()),
             [&](std::size_t lo, std::size_t hi) {
               body(edge_slice(static_cast<edge_id>(lo),
                               static_cast<edge_id>(hi)));
@@ -210,7 +210,7 @@ void sharded_stepper::edge_phase(
 void sharded_stepper::node_phase(
     const std::function<void(node_id, node_id)>& body) const {
   run_phase(phase_kind::node,
-            static_cast<std::size_t>(shard_topology().num_nodes()),
+            static_cast<std::size_t>(topology().num_nodes()),
             [&](std::size_t lo, std::size_t hi) {
               body(static_cast<node_id>(lo), static_cast<node_id>(hi));
             });

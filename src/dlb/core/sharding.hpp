@@ -18,10 +18,12 @@
 // order. With no context the same chunks run on the caller.
 //
 // `sharded_stepper` is the shared protocol every process in the repo steps
-// through: derived classes express their round as edge_phase()/node_phase()
-// calls (plus node_phase_reduce for order-independent folds), and the base
-// runs them chunk by chunk — on the caller when sequential, on the shards
-// when a context is installed — same bits either way.
+// through — the base of `linear_process` and of `discrete_process`, so the
+// engine reaches any process's context, probe and topology without a cast:
+// derived classes express their round as edge_phase()/node_phase() calls
+// (plus node_phase_reduce for order-independent folds), and the base runs
+// them chunk by chunk — on the caller when sequential, on the shards when a
+// context is installed — same bits either way.
 //
 // Determinism contract (docs/ARCHITECTURE.md, "Sharded stepping" and "Round
 // kernels & chunked execution"): a sharded step must be *bit-identical* to
@@ -53,6 +55,7 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dlb/common/types.hpp"
@@ -226,43 +229,31 @@ struct load_extrema {
   }
 };
 
-/// Mixin for processes that support sharded stepping. Enabling is a pure
-/// execution-strategy switch: all observable state (loads, flows, pools, RNG
-/// streams) evolves bit-identically to the sequential path.
-class shardable {
+/// The shared protocol base of every process — `linear_process` and, through
+/// `discrete_process`, every discrete one: it owns the shard context and the
+/// probe, and gives derived processes the three phase primitives their
+/// step() is built from. Every phase runs chunk by chunk through run_chunks
+/// — on the calling thread with no context installed, on the context's
+/// shards otherwise, the steal runner's return being the barrier. Enabling
+/// a context is a pure execution-strategy switch: all observable state
+/// (loads, flows, pools, RNG streams) evolves bit-identically to the
+/// sequential path. Derived classes only have to uphold the phase purity
+/// rules in the header comment above; docs/ARCHITECTURE.md's porting guide
+/// walks through a port.
+class sharded_stepper {
  public:
-  virtual ~shardable() = default;
+  virtual ~sharded_stepper() = default;
+
+  /// The graph this process steps on; a shard plan must describe it.
+  [[nodiscard]] virtual const graph& topology() const = 0;
 
   /// Switches step() to sharded execution. The context's plan must describe
-  /// this process's topology (node/edge counts are checked) and it must
-  /// carry a steal runner.
-  virtual void enable_sharded_stepping(
-      std::shared_ptr<const shard_context> ctx) = 0;
+  /// topology() (node/edge counts are checked) and it must carry a steal
+  /// runner.
+  void enable_sharded_stepping(std::shared_ptr<const shard_context> ctx);
 
   /// The active context, or nullptr when stepping sequentially.
-  [[nodiscard]] virtual std::shared_ptr<const shard_context> sharding()
-      const = 0;
-
-  /// Min/max load-per-speed over nodes [begin, end). Real loads, dummies
-  /// eliminated — the quantity the engine's per-round discrepancy reads.
-  [[nodiscard]] virtual load_extrema real_load_extrema(node_id begin,
-                                                       node_id end) const = 0;
-};
-
-/// The shared protocol base: implements the `shardable` plumbing once and
-/// gives derived processes the three phase primitives their step() is built
-/// from. Every phase runs chunk by chunk through run_chunks — on the calling
-/// thread with no context installed, on the context's shards otherwise, the
-/// steal runner's return being the barrier. Derived classes only have to
-/// uphold the phase purity rules in the header comment above — the "make
-/// your process shardable" guide in docs/ARCHITECTURE.md walks through a
-/// port.
-class sharded_stepper : public shardable {
- public:
-  void enable_sharded_stepping(
-      std::shared_ptr<const shard_context> ctx) final;
-  [[nodiscard]] std::shared_ptr<const shard_context> sharding()
-      const final {
+  [[nodiscard]] std::shared_ptr<const shard_context> sharding() const {
     return shard_;
   }
 
@@ -279,19 +270,16 @@ class sharded_stepper : public shardable {
   [[nodiscard]] const obs::probe& probe() const noexcept { return probe_; }
 
  protected:
-  /// The topology the shard plan must match (checked on enable).
-  [[nodiscard]] virtual const graph& shard_topology() const = 0;
-
-  /// Called after a context is installed — the hook flow imitators use to
-  /// forward the same context to their internal continuous reference.
+  /// Called after a context is installed — the hook flow_imitator uses to
+  /// forward the same context to its continuous reference.
   virtual void on_sharding_enabled(
       const std::shared_ptr<const shard_context>& ctx) {
     (void)ctx;
   }
 
-  /// Called after a probe is attached — the parallel hook: flow imitators
-  /// forward the probe to their internal continuous reference so its phases
-  /// report to the same cell.
+  /// Called after a probe is attached — the parallel hook: flow_imitator
+  /// forwards the probe to its continuous reference so the reference's
+  /// phases report to the same cell.
   virtual void on_probe_attached(const obs::probe& pb) { (void)pb; }
 
   /// Credits `n` tokens physically transferred across edges to the attached
@@ -328,7 +316,7 @@ class sharded_stepper : public shardable {
   T node_phase_reduce(T init,
                       const std::function<T(node_id, node_id)>& body,
                       Fold fold) const {
-    const auto n = static_cast<std::size_t>(shard_topology().num_nodes());
+    const auto n = static_cast<std::size_t>(topology().num_nodes());
     phase_probe pp(*this, phase_kind::reduce, n);
     const T acc = chunked_reduce(
         shard_.get(), n, phase_chunk_items, init,
@@ -377,29 +365,19 @@ class sharded_stepper : public shardable {
   obs::probe probe_;  // default = observability off
 };
 
-/// Enables sharded stepping when the process implements `shardable`; returns
-/// false (leaving the process sequential) otherwise. Works for both
-/// continuous_process and discrete_process.
-template <typename Process>
-bool try_enable_sharding(Process& p,
-                         std::shared_ptr<const shard_context> ctx) {
-  if (auto* sh = dynamic_cast<shardable*>(&p)) {
-    sh->enable_sharded_stepping(std::move(ctx));
-    return true;
-  }
-  return false;
+/// p.enable_sharded_stepping(ctx), returning true. Kept for the frozen scale
+/// benchmark (perfbench/); the library and the tests call the member.
+inline bool try_enable_sharding(sharded_stepper& p,
+                                std::shared_ptr<const shard_context> ctx) {
+  p.enable_sharded_stepping(std::move(ctx));
+  return true;
 }
 
-/// Attaches an observability probe when the process steps through
-/// sharded_stepper; returns false (leaving it unobserved) otherwise. The
-/// probe counterpart of try_enable_sharding.
-template <typename Process>
-bool try_attach_probe(Process& p, const obs::probe& pb) {
-  if (auto* st = dynamic_cast<sharded_stepper*>(&p)) {
-    st->set_probe(pb);
-    return true;
-  }
-  return false;
+/// p.set_probe(pb), returning true. Kept for the frozen scale benchmark
+/// (perfbench/); the library and the tests call the member.
+inline bool try_attach_probe(sharded_stepper& p, const obs::probe& pb) {
+  p.set_probe(pb);
+  return true;
 }
 
 /// Min/max load-per-speed over nodes [begin, end) — the shared body of the

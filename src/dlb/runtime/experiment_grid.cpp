@@ -183,8 +183,8 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
   };
   const shard_rig rig = make_shard_rig(*gc.g, spec.shard_threads, pb.rec);
   auto d = comp.build(gc.g, s, tokens, spec.comm_model, cell.seed);
-  if (rig.ctx != nullptr) try_enable_sharding(*d, rig.ctx);
-  if (pb.active()) try_attach_probe(*d, pb);
+  if (rig.ctx != nullptr) d->enable_sharded_stepping(rig.ctx);
+  if (pb.active()) d->set_probe(pb);
   if (spec.kind == grid_kind::static_balancing) {
     auto reference =
         workload::make_continuous(spec.comm_model, gc.g, s, cell.seed);

@@ -577,7 +577,7 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
     };
     const auto sample_continuous = [&](std::unique_ptr<linear_process> p) {
       p->reset(x0);
-      sample(*p, [](const continuous_process& q) -> const std::vector<real_t>& {
+      sample(*p, [](const linear_process& q) -> const std::vector<real_t>& {
         return q.loads();
       });
     };
@@ -933,7 +933,7 @@ grid_spec balancing_time_grid(const grid_options& opts,
     std::vector<real_t> x0(static_cast<std::size_t>(n), 0.0);
     x0[0] = static_cast<real_t>(100 * n);
 
-    std::unique_ptr<continuous_process> p;
+    std::unique_ptr<linear_process> p;
     real_t predictor = 0;
     switch (k) {
       case process_kind::fos:
@@ -1032,33 +1032,41 @@ constexpr grid_entry registry[] = {
 };
 
 /// Refuses a grid whose cells would be asked to create more than
-/// max_cell_tokens tokens, naming the flag that sets the count. Products are
-/// compared by division, so no count can overflow.
+/// max_cell_tokens tokens, naming the flag that sets the count.
 void check_cell_tokens(const grid_spec& spec) {
-  const auto check = [](const char* flag, weight_t tokens, std::int64_t times,
-                        const std::string& what) {
-    if (tokens <= max_cell_tokens / times) return;
-    throw contract_violation(
-        std::string("argument '") + flag + "': " + std::to_string(tokens) +
-        " tokens × " + std::to_string(times) + " " + what +
-        " exceeds the cap of " + std::to_string(max_cell_tokens) +
-        " tokens per cell");
-  };
   for (const workload::graph_case& gc : spec.graphs) {
-    check("spike-per-node", spec.spike_per_node, gc.g->num_nodes(),
-          "nodes of " + gc.name);
+    require_cell_tokens("spike-per-node", spec.spike_per_node,
+                        {gc.g->num_nodes()}, "nodes of " + gc.name);
   }
   if (spec.kind != grid_kind::dynamic_arrivals) return;
   const round_t rounds = spec.dynamic_rounds;
   if (spec.arrivals == arrival_pattern::uniform) {
-    check("arrivals-per-round", spec.arrivals_per_round, rounds, "rounds");
+    require_cell_tokens("arrivals-per-round", spec.arrivals_per_round,
+                        {rounds}, "rounds");
   } else {
-    check("burst-size", spec.burst_size, (rounds - 1) / spec.burst_period + 1,
-          "bursts");
+    require_cell_tokens("burst-size", spec.burst_size,
+                        {(rounds - 1) / spec.burst_period + 1}, "bursts");
   }
 }
 
 }  // namespace
+
+void require_cell_tokens(const char* flag, weight_t tokens,
+                         std::initializer_list<std::int64_t> factors,
+                         const std::string& what) {
+  weight_t room = max_cell_tokens;
+  std::string product;
+  for (const std::int64_t f : factors) {
+    room /= std::max<std::int64_t>(f, 1);
+    product += " × " + std::to_string(f);
+  }
+  if (tokens <= room) return;
+  throw contract_violation(std::string("argument '") + flag + "': " +
+                           std::to_string(tokens) + " tokens" + product + " " +
+                           what + " exceeds the cap of " +
+                           std::to_string(max_cell_tokens) +
+                           " tokens per cell");
+}
 
 std::vector<grid_info> list_grids() {
   std::vector<grid_info> infos;

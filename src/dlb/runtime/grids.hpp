@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -73,5 +74,15 @@ struct grid_info {
 [[nodiscard]] grid_spec make_named_grid(const std::string& name,
                                         const grid_options& opts,
                                         std::uint64_t master_seed);
+
+/// Refuses a cell asked to create `tokens` × every factor in `factors`
+/// tokens when that exceeds max_cell_tokens: one contract_violation naming
+/// the argument `flag`, e.g. "argument 'spike-per-node': 5000 tokens ×
+/// 65536 nodes of torus exceeds the cap of 268435456 tokens per cell"
+/// (`what` names the product). The cap is divided by each factor instead of
+/// multiplying them, so no product overflows.
+void require_cell_tokens(const char* flag, weight_t tokens,
+                         std::initializer_list<std::int64_t> factors,
+                         const std::string& what);
 
 }  // namespace dlb::runtime

@@ -13,6 +13,24 @@
 
 namespace dlb::workload {
 
+namespace {
+
+// The reference process's name per model. Snapshots fingerprint it, so it
+// keeps the names of the make_fos / make_*_matching_process factories.
+const char* continuous_name(model m) {
+  switch (m) {
+    case model::diffusion:
+      return "FOS";
+    case model::periodic_matching:
+      return "dimension-exchange-periodic";
+    case model::random_matching:
+      return "dimension-exchange-random";
+  }
+  return "?";
+}
+
+}  // namespace
+
 std::string model_name(model m) {
   switch (m) {
     case model::diffusion:
@@ -32,22 +50,6 @@ model parse_model(const std::string& name) {
   throw contract_violation("unknown model: " + name);
 }
 
-std::unique_ptr<continuous_process> make_continuous(
-    model m, std::shared_ptr<const graph> g, const speed_vector& s,
-    std::uint64_t seed) {
-  switch (m) {
-    case model::diffusion:
-      return make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree));
-    case model::periodic_matching: {
-      const edge_coloring c = misra_gries_edge_coloring(*g);
-      return make_periodic_matching_process(g, s, to_matchings(*g, c));
-    }
-    case model::random_matching:
-      return make_random_matching_process(g, s, seed);
-  }
-  return nullptr;
-}
-
 std::unique_ptr<alpha_schedule> make_schedule(model m, const graph& g,
                                               const speed_vector& s,
                                               std::uint64_t seed) {
@@ -64,6 +66,15 @@ std::unique_ptr<alpha_schedule> make_schedule(model m, const graph& g,
       return std::make_unique<random_matching_schedule>(g, s, seed);
   }
   return nullptr;
+}
+
+std::unique_ptr<linear_process> make_continuous(
+    model m, std::shared_ptr<const graph> g, const speed_vector& s,
+    std::uint64_t seed) {
+  DLB_EXPECTS(g != nullptr);
+  auto schedule = make_schedule(m, *g, s, seed);
+  return std::make_unique<linear_process>(std::move(g), s, std::move(schedule),
+                                          /*beta=*/1.0, continuous_name(m));
 }
 
 std::vector<competitor> standard_competitors(bool diffusion_model) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "dlb/core/linear_process.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/graph/graph.hpp"
 
@@ -27,14 +28,16 @@ enum class model { diffusion, periodic_matching, random_matching };
 /// anything else.
 [[nodiscard]] model parse_model(const std::string& name);
 
-/// Builds the continuous reference process for a model.
-[[nodiscard]] std::unique_ptr<continuous_process> make_continuous(
-    model m, std::shared_ptr<const graph> g, const speed_vector& s,
-    std::uint64_t seed);
-
-/// Builds the per-round α schedule for a model (for the local baselines).
+/// Builds the per-round α schedule for a model — the one place a model maps
+/// to its schedule (the local baselines step it directly).
 [[nodiscard]] std::unique_ptr<alpha_schedule> make_schedule(
     model m, const graph& g, const speed_vector& s, std::uint64_t seed);
+
+/// Builds the continuous reference process for a model: a first-order
+/// linear_process over make_schedule(m, *g, s, seed).
+[[nodiscard]] std::unique_ptr<linear_process> make_continuous(
+    model m, std::shared_ptr<const graph> g, const speed_vector& s,
+    std::uint64_t seed);
 
 /// One competitor row of the comparison tables.
 struct competitor {

@@ -530,7 +530,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
   for (const std::size_t shards : {1u, 8u}) {
     algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
     if (shards > 1) {
-      ASSERT_TRUE(try_enable_sharding(ref_p, serial_shard_context(*g, shards)));
+      ref_p.enable_sharded_stepping(serial_shard_context(*g, shards));
     }
     async_run reference(ref_p, poisson_sources(), opts);
     reference.advance();
@@ -542,7 +542,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
       // must still produce the full run.
       algorithm1 doomed_p(fos_on(g), task_assignment::tokens(tokens));
       if (shards > 1) {
-        try_enable_sharding(doomed_p, serial_shard_context(*g, shards));
+        doomed_p.enable_sharded_stepping(serial_shard_context(*g, shards));
       }
       async_run doomed(doomed_p, poisson_sources(), opts);
       if (r > 0) doomed.advance({.max_rounds = r});
@@ -554,7 +554,7 @@ TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
       // from the snapshot payload alone.
       algorithm1 resumed_p(fos_on(g), task_assignment::tokens(tokens));
       if (shards > 1) {
-        try_enable_sharding(resumed_p, serial_shard_context(*g, shards));
+        resumed_p.enable_sharded_stepping(serial_shard_context(*g, shards));
       }
       async_run resumed(resumed_p, poisson_sources(), opts);
       snapshot::reader rd(w.payload());

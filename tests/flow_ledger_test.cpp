@@ -21,17 +21,6 @@ TEST(FlowLedgerTest, OrientationAndAntisymmetry) {
   EXPECT_EQ(ledger.from(0, 1), -3);
 }
 
-TEST(FlowLedgerTest, ResetZeroes) {
-  const graph g = generators::cycle(4);
-  continuous_flow_ledger ledger(g);
-  ledger.record(2, g.endpoints(2).v, 1.5);
-  EXPECT_LT(ledger.forward(2), 0);
-  ledger.reset();
-  for (edge_id e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(ledger.forward(e), 0.0);
-  }
-}
-
 TEST(FlowLedgerTest, RejectsNegativeAmount) {
   const graph g = generators::path(2);
   discrete_flow_ledger ledger(g);

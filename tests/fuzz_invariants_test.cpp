@@ -65,7 +65,7 @@ std::shared_ptr<const graph> random_case_graph(std::uint64_t seed) {
   }
 }
 
-std::unique_ptr<continuous_process> random_case_process(
+std::unique_ptr<linear_process> random_case_process(
     std::shared_ptr<const graph> g, const speed_vector& s,
     std::uint64_t seed) {
   rng_t rng = make_rng(seed, 0xF0F0u);

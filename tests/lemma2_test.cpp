@@ -43,7 +43,7 @@ std::shared_ptr<const graph> make_case_graph(int which) {
   }
 }
 
-std::unique_ptr<continuous_process> build(process_kind k,
+std::unique_ptr<linear_process> build(process_kind k,
                                           std::shared_ptr<const graph> g,
                                           speed_vector s) {
   switch (k) {

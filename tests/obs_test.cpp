@@ -120,7 +120,7 @@ TEST(ObsSpanTest, ShardedPhasesEmitPerShardAndBarrierSpans) {
   obs::recorder rec;
   obs::metrics met;
   const std::uint64_t cell = rec.register_cell("t", "ring", "algorithm1", 0);
-  ASSERT_TRUE(try_attach_probe(p, obs::probe{&rec, &met, cell}));
+  p.set_probe(obs::probe{&rec, &met, cell});
   for (int t = 0; t < 10; ++t) p.step();
 
   std::map<std::string, int> shards_seen;  // name → distinct shard count
@@ -184,6 +184,53 @@ TEST(ObsSpanTest, AlphaDrawSpanPerFill) {
   EXPECT_EQ(draws(*make_fos(
                 g, s, make_alphas(*g, alpha_scheme::half_max_degree))),
             1);
+}
+
+// run_experiment measures T^A on a fresh clone of the continuous reference,
+// and a clone starts sequential and unobserved: the engine re-attaches the
+// cell's shard context and probe to it. Each `tA_round` span must then
+// enclose the clone's sharded phases — a `barrier:edge_phase` span of the
+// same cell — and T^A must equal that of an unsharded, unprobed run.
+TEST(ObsSpanTest, BalancingTimeProbeStepsOnTheCellsShardsAndProbe) {
+  const auto g = make_g(generators::torus_2d(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 12);
+  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
+  constexpr round_t cap = 100000;
+  algorithm1 plain(make_fos(g, s, alpha), task_assignment::tokens(tokens));
+  const experiment_result want =
+      run_experiment(plain, plain.continuous(), cap);
+  ASSERT_TRUE(want.continuous_converged);
+  ASSERT_GT(want.rounds, 0);
+
+  algorithm1 d(make_fos(g, s, alpha), task_assignment::tokens(tokens));
+  d.enable_sharded_stepping(serial_shard_context(*g, 3));
+  obs::recorder rec;
+  const std::uint64_t cell = rec.register_cell("t", "torus", d.name(), 0);
+  const obs::probe pb{&rec, nullptr, cell};
+  const experiment_result got =
+      run_experiment(d, d.continuous(), cap, nullptr, pb);
+  EXPECT_EQ(got.rounds, want.rounds);
+
+  const std::vector<obs::span_record> events = rec.events();
+  const auto encloses_edge_barrier = [&](const obs::span_record& round) {
+    return std::any_of(
+        events.begin(), events.end(), [&](const obs::span_record& b) {
+          return std::string(b.name) == "barrier:edge_phase" &&
+                 b.cell == cell && b.ts_ns >= round.ts_ns &&
+                 b.ts_ns + b.dur_ns <= round.ts_ns + round.dur_ns;
+        });
+  };
+  round_t probe_rounds = 0;
+  for (const obs::span_record& span : events) {
+    if (std::string(span.name) != "tA_round") continue;
+    ++probe_rounds;
+    EXPECT_EQ(span.cell, cell);
+    EXPECT_TRUE(encloses_edge_barrier(span))
+        << "probe round " << probe_rounds
+        << " stepped without the cell's shards or probe";
+  }
+  EXPECT_EQ(probe_rounds, want.rounds);
 }
 
 TEST(ObsSpanTest, SpanNestingIsWellFormedPerThread) {
@@ -262,7 +309,7 @@ TEST(ObsCountersTest, TokensMovedMatchesReceiverAccounting) {
   algorithm1 p(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
                task_assignment::tokens(workload::point_mass(2, 0, 10)));
   obs::metrics met;
-  ASSERT_TRUE(try_attach_probe(p, obs::probe{nullptr, &met, obs::no_cell}));
+  p.set_probe(obs::probe{nullptr, &met, obs::no_cell});
   p.step();
   const weight_t received = p.loads()[1];
   EXPECT_GT(received, 0);
@@ -280,7 +327,7 @@ TEST(ObsCountersTest, CountersAreShardCountIndependent) {
     algorithm1 p(make_fos(g, s, alpha), task_assignment::tokens(tokens));
     if (shards > 1) p.enable_sharded_stepping(serial_shard_context(*g, shards));
     obs::metrics met;
-    try_attach_probe(p, obs::probe{nullptr, &met, obs::no_cell});
+    p.set_probe(obs::probe{nullptr, &met, obs::no_cell});
     for (int t = 0; t < 25; ++t) p.step();
     return met.take();
   };

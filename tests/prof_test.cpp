@@ -176,7 +176,7 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
   const obs::prof::profiler pf;
   obs::recorder rec(&pf);
   const std::uint64_t cell = rec.register_cell("t", "ring", "algorithm1", 0);
-  ASSERT_TRUE(try_attach_probe(p, obs::probe{&rec, nullptr, cell}));
+  p.set_probe(obs::probe{&rec, nullptr, cell});
   for (int t = 0; t < 10; ++t) p.step();
 
   const obs::prof::profile_report report = obs::prof::analyze_profile(rec);

@@ -118,8 +118,7 @@ TEST_P(ShardedCompetitorsTest, BitIdenticalAtShardCounts128) {
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const auto sharded = GetParam().build(g, s, tokens, seed);
-    ASSERT_TRUE(try_enable_sharding(*sharded, serial_shard_context(*g, shards)))
-        << GetParam().name << " is not shardable";
+    sharded->enable_sharded_stepping(serial_shard_context(*g, shards));
     std::size_t checkpoint = 0;
     for (int t = 0; t < 40; ++t) {
       if (t == 10) sharded->inject_tokens(3, 17);
@@ -145,7 +144,7 @@ TEST_P(ShardedCompetitorsTest, EveryRoundMatchesAtFiveShards) {
 
   const auto reference = GetParam().build(g, s, tokens, seed);
   const auto sharded = GetParam().build(g, s, tokens, seed);
-  ASSERT_TRUE(try_enable_sharding(*sharded, serial_shard_context(*g, 5)));
+  sharded->enable_sharded_stepping(serial_shard_context(*g, 5));
   for (int t = 0; t < 30; ++t) {
     reference->step();
     sharded->step();

@@ -359,9 +359,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
   for (const std::size_t shards : {1u, 8u}) {
     const auto reference = GetParam().build(g, s, tokens, seed);
     if (shards > 1) {
-      ASSERT_TRUE(
-          try_enable_sharding(*reference, serial_shard_context(*g, shards)))
-          << GetParam().name << " is not shardable";
+      reference->enable_sharded_stepping(serial_shard_context(*g, shards));
     }
     drive(*reference, 0, rounds);
     const std::vector<std::uint8_t> want = state_bytes(*reference);
@@ -371,7 +369,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
       // survives is the snapshot payload.
       const auto doomed = GetParam().build(g, s, tokens, seed);
       if (shards > 1) {
-        try_enable_sharding(*doomed, serial_shard_context(*g, shards));
+        doomed->enable_sharded_stepping(serial_shard_context(*g, shards));
       }
       drive(*doomed, 0, r);
       snapshot::writer w;
@@ -381,7 +379,7 @@ TEST_P(SnapshotCrashTest, ResumeAtEveryRoundIsBitExact) {
       // restore, continue to the end.
       const auto resumed = GetParam().build(g, s, tokens, seed);
       if (shards > 1) {
-        try_enable_sharding(*resumed, serial_shard_context(*g, shards));
+        resumed->enable_sharded_stepping(serial_shard_context(*g, shards));
       }
       snapshot::reader rd(w.payload());
       snapshot::require_checkpointable(*resumed, "process").restore_state(rd);

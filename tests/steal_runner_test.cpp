@@ -159,8 +159,7 @@ TEST_P(StealRunnerCompetitorsTest, BitIdenticalOnRealPoolAt128) {
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const auto stolen = GetParam().build(g, s, tokens, seed);
-    ASSERT_TRUE(try_enable_sharding(*stolen, pool_context(*g, shards)))
-        << GetParam().name << " is not shardable";
+    stolen->enable_sharded_stepping(pool_context(*g, shards));
     std::size_t checkpoint = 0;
     for (int t = 0; t < 40; ++t) {
       if (t == 10) stolen->inject_tokens(3, 17);
@@ -192,7 +191,7 @@ TEST_P(StealRunnerCompetitorsTest, RoundDiscrepancyEqualsRealLoadScan) {
   std::vector<std::unique_ptr<discrete_process>> sharded;
   for (const std::size_t shards : shard_counts) {
     sharded.push_back(GetParam().build(g, s, tokens, seed));
-    ASSERT_TRUE(try_enable_sharding(*sharded.back(), pool_context(*g, shards)));
+    sharded.back()->enable_sharded_stepping(pool_context(*g, shards));
   }
   for (int t = 0; t < 8; ++t) {
     if (t == 3) {
@@ -281,13 +280,7 @@ class alpha_fill_stepper final : public sharded_stepper {
     return alpha_;
   }
 
-  [[nodiscard]] load_extrema real_load_extrema(node_id,
-                                               node_id) const override {
-    return {};
-  }
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+  [[nodiscard]] const graph& topology() const override { return *g_; }
 
  private:
   std::shared_ptr<const graph> g_;
@@ -380,13 +373,7 @@ class edge_run_stepper final : public sharded_stepper {
     return runs;
   }
 
-  [[nodiscard]] load_extrema real_load_extrema(node_id,
-                                               node_id) const override {
-    return {};
-  }
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+  [[nodiscard]] const graph& topology() const override { return *g_; }
 
  private:
   std::shared_ptr<const graph> g_;
@@ -452,13 +439,7 @@ class skewed_stepper final : public sharded_stepper {
     });
   }
 
-  [[nodiscard]] load_extrema real_load_extrema(node_id,
-                                               node_id) const override {
-    return {};
-  }
-
- protected:
-  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+  [[nodiscard]] const graph& topology() const override { return *g_; }
 
  private:
   std::shared_ptr<const graph> g_;
