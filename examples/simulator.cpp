@@ -136,8 +136,6 @@ int main(int argc, char** argv) {
         d * wmax);
 
     std::unique_ptr<discrete_process> proc;
-    std::unique_ptr<linear_process> reference =
-        build_process(process, g, s, seed);
     if (algo == "alg1") {
       auto tasks = wmax == 1 ? task_assignment::tokens(tokens)
                              : workload::decompose_uniform_weights(
@@ -173,12 +171,20 @@ int main(int argc, char** argv) {
       trace.record(row);
     };
 
+    // Alg1/Alg2 gate the run on the process they imitate; a baseline gets
+    // the continuous process built here as its T^A probe's template.
+    std::unique_ptr<linear_process> reference;
+    if (proc->imitated() == nullptr) {
+      reference = build_process(process, g, s, seed);
+    }
+    const linear_process& continuous =
+        reference != nullptr ? *reference : *proc->imitated();
     const experiment_result r =
-        run_experiment(*proc, *reference, /*cap=*/2'000'000, obs);
+        run_experiment(*proc, continuous, /*cap=*/2'000'000, obs);
 
     std::cout << "graph      : " << family << " (n=" << g->num_nodes()
               << ", m=" << g->num_edges() << ", d=" << d << ")\n"
-              << "process    : " << reference->name() << "\n"
+              << "process    : " << continuous.name() << "\n"
               << "algorithm  : " << proc->name() << "\n"
               << "T^A        : " << r.rounds
               << (r.continuous_converged ? "" : " (cap hit!)") << "\n"

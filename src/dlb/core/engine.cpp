@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/core/linear_process.hpp"
@@ -26,7 +27,7 @@ real_t round_discrepancy(const discrete_process& d) {
 namespace {
 
 // Total speed — an integer sum, so any grouping is exact. Invariant across a
-// run; measure_balancing_time computes it once instead of per probe round.
+// run; the T^A loop computes it once instead of per round.
 weight_t total_speed_of(const speed_vector& s, const shard_context* ctx) {
   return chunked_reduce(
       ctx, s.size(), phase_chunk_items, weight_t{0},
@@ -63,6 +64,39 @@ bool balanced_against(const linear_process& a, weight_t total_speed,
   return all_within != 0;
 }
 
+// The T^A loop of both entry points. Before each round it stops when `a` is
+// balanced (converged) or has run `cap` rounds; otherwise `advance()` moves
+// `a` one round — directly, or through the discrete process imitating it.
+// `a` must start at round 0.
+template <class Advance>
+balancing_time_result balancing_time_loop(const linear_process& a,
+                                          round_t cap, const obs::probe& pb,
+                                          const Advance& advance) {
+  DLB_EXPECTS(cap >= 0 && a.rounds_executed() == 0);
+  // Speeds never change across the loop; sum them once, not per round.
+  const std::shared_ptr<const shard_context> ctx = a.sharding();
+  const weight_t total_speed = total_speed_of(a.speeds(), ctx.get());
+  const auto balanced = [&] {
+    const obs::scoped_span span(pb.rec, "tA_check", -1, pb.cell);
+    return balanced_against(a, total_speed, balanced_tolerance, ctx.get());
+  };
+  bool converged = balanced();
+  while (!converged && a.rounds_executed() < cap) {
+    advance();
+    converged = balanced();
+  }
+  return {a.rounds_executed(), converged, a.negative_load_detected()};
+}
+
+// One round of a separate T^A probe, in a `tA_round` span of the cell.
+void probe_round(linear_process& a, const obs::probe& pb) {
+  {
+    const obs::scoped_span span(pb.rec, "tA_round", -1, pb.cell);
+    a.step();
+  }
+  if (pb.met != nullptr) pb.met->add_round();
+}
+
 }  // namespace
 
 bool is_balanced(const linear_process& a, real_t tol) {
@@ -75,33 +109,8 @@ balancing_time_result measure_balancing_time(linear_process& a,
                                              const std::vector<real_t>& x0,
                                              round_t cap,
                                              const obs::probe& pb) {
-  DLB_EXPECTS(cap >= 0);
   a.reset(std::vector<real_t>(x0));
-  // Speeds never change across the probe loop; sum them once, not per round.
-  const std::shared_ptr<const shard_context> ctx = a.sharding();
-  const weight_t total_speed = total_speed_of(a.speeds(), ctx.get());
-  balancing_time_result r;
-  const auto balanced = [&] {
-    const obs::scoped_span span(pb.rec, "tA_check", -1, pb.cell);
-    return balanced_against(a, total_speed, balanced_tolerance, ctx.get());
-  };
-  while (!balanced()) {
-    if (a.rounds_executed() >= cap) {
-      r.rounds = cap;
-      r.converged = false;
-      r.negative_load = a.negative_load_detected();
-      return r;
-    }
-    {
-      const obs::scoped_span span(pb.rec, "tA_round", -1, pb.cell);
-      a.step();
-    }
-    if (pb.met != nullptr) pb.met->add_round();
-  }
-  r.rounds = a.rounds_executed();
-  r.converged = true;
-  r.negative_load = a.negative_load_detected();
-  return r;
+  return balancing_time_loop(a, cap, pb, [&] { probe_round(a, pb); });
 }
 
 void run_rounds(discrete_process& d, round_t rounds,
@@ -191,24 +200,26 @@ experiment_result run_experiment(discrete_process& d,
                                  round_t cap,
                                  const round_observer& obs,
                                  const obs::probe& pb) {
-  // Balancing time of the continuous reference from the discrete start.
-  std::vector<real_t> x0(d.loads().size());
-  for (std::size_t i = 0; i < x0.size(); ++i) {
-    x0[i] = static_cast<real_t>(d.loads()[i]);
+  // Only a fresh imitator's reference sits at x^A(0) = x^D(0).
+  DLB_EXPECTS(d.rounds_executed() == 0);
+  // T^A is read off the A that `d` imitates, in lockstep with `d`. A process
+  // that imitates none gets a separate probe: a fresh clone of the template
+  // from the discrete start. clone_fresh starts sequential and unobserved,
+  // so the probe is re-attached to `d`'s shard context and to the cell's
+  // observability probe, and steps on the same shards as `d`.
+  const linear_process* a = d.imitated();
+  std::unique_ptr<linear_process> probe;
+  if (a == nullptr) {
+    probe = reference_template.clone_fresh();
+    if (d.sharding() != nullptr) probe->enable_sharded_stepping(d.sharding());
+    if (pb.active()) probe->set_probe(pb);
+    probe->reset({d.loads().begin(), d.loads().end()});
+    a = probe.get();
   }
-  const std::unique_ptr<linear_process> reference =
-      reference_template.clone_fresh();
-  // The T^A probe steps the same topology as `d`; when `d` runs sharded,
-  // step the probe over the same shard context too (clone_fresh starts
-  // sequential, so the context must be re-attached here). The observability
-  // probe re-attaches the same way, so the reference's phases report to the
-  // cell that owns this run.
-  if (d.sharding() != nullptr) reference->enable_sharded_stepping(d.sharding());
-  if (pb.active()) reference->set_probe(pb);
-  const balancing_time_result bt =
-      measure_balancing_time(*reference, x0, cap, pb);
-
-  run_rounds(d, bt.rounds, obs, pb);
+  const balancing_time_result bt = balancing_time_loop(*a, cap, pb, [&] {
+    if (probe != nullptr) probe_round(*probe, pb);
+    run_rounds(d, 1, obs, pb);
+  });
 
   experiment_result r;
   r.rounds = bt.rounds;

@@ -2,8 +2,9 @@
 //
 // The paper's guarantees are stated *at the balancing time of the continuous
 // process*, T^A = min{ t : ∀i, |x_i(t) - W·s_i/S| <= 1 } (§3). The engine
-// measures T^A on a fresh copy of A, then drives any discrete_process for
-// exactly that many rounds, recording metrics along the way.
+// drives any discrete_process for exactly T^A rounds in one lockstep loop,
+// recording metrics along the way: a flow imitator's T^A is read off the A it
+// steps anyway, any other process's off a separate probe stepped beside it.
 #pragma once
 
 #include <functional>
@@ -27,7 +28,7 @@ struct balancing_time_result {
 
 /// The paper's T^A membership tolerance: balanced means every node within 1
 /// of its share (§3). One constant shared by is_balanced's default and the
-/// measure_balancing_time probe loop, so the two can never drift apart.
+/// engine's T^A loop, so the two can never drift apart.
 inline constexpr real_t balanced_tolerance = 1.0;
 
 /// Runs `a` (reset to x0) until every node is within balanced_tolerance of
@@ -103,11 +104,16 @@ struct experiment_result {
   std::vector<weight_t> final_real_loads;  ///< dummies eliminated
 };
 
-/// Measures T^A with `reference` (a fresh clone of the continuous process
-/// underlying `d`, or any process whose T should gate the run), then runs `d`
-/// for T rounds and reports final metrics. The max-avg figure is computed
-/// against the original total load (dummy weight excluded), matching the
-/// paper's reporting convention.
+/// Runs `d`, which must be fresh (no round executed), for T^A rounds (or
+/// `cap`) and reports final metrics. One loop checks balance before each
+/// round and then steps `d`. When `d` imitates a continuous process
+/// (discrete_process::imitated()), T^A is read off that process in lockstep
+/// and `reference_template` is ignored. Otherwise a fresh clone of
+/// `reference_template` (the continuous process whose T should gate the
+/// run), started from d's loads on d's shard context, steps beside `d` in
+/// `tA_round` spans. The max-avg figure is computed against the original
+/// total load (dummy weight excluded), matching the paper's reporting
+/// convention.
 [[nodiscard]] experiment_result run_experiment(
     discrete_process& d, const linear_process& reference_template,
     round_t cap, const round_observer& obs = nullptr,

@@ -50,6 +50,9 @@ class flow_imitator : public discrete_process {
   [[nodiscard]] const linear_process& continuous() const {
     return *reference_;
   }
+  [[nodiscard]] const linear_process* imitated() const final {
+    return reference_.get();
+  }
 
   /// Discrete cumulative flow f^D_{u,v}(t-1), oriented u→v.
   [[nodiscard]] weight_t discrete_flow(edge_id e) const {

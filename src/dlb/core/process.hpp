@@ -26,6 +26,8 @@
 
 namespace dlb {
 
+class linear_process;
+
 /// Provides the α_{i,j}(t) coefficients of the round-t balancing matrix.
 ///
 /// α is symmetric (α_{i,j} = α_{j,i}) and per-edge; P_{i,j}(t) = α_e(t)/s_i.
@@ -122,6 +124,13 @@ class discrete_process : public sharded_stepper {
     (void)i;
     (void)count;
     return 0;
+  }
+
+  /// The continuous process this process imitates, stepped inside step()
+  /// from x^A(0) = x^D(0), or nullptr for a process that imitates none.
+  /// run_experiment reads T^A off it instead of probing a second copy.
+  [[nodiscard]] virtual const linear_process* imitated() const {
+    return nullptr;
   }
 
   [[nodiscard]] virtual std::string name() const = 0;

@@ -172,9 +172,10 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
 
   const speed_vector s = uniform_speeds(n);
   const auto tokens = workload::spike_workload(*gc.g, s, spec.spike_per_node);
-  // Only the engine call is timed; process/reference construction (graph
-  // coloring etc.) and the shard pool/plan setup are identical per
-  // competitor and would swamp fast cells.
+  // Only the engine call is timed — for a static cell that is the whole T^A
+  // loop: the imitator's own rounds, or a baseline's probe rounds beside its
+  // own. Process/reference construction (graph coloring etc.) and the shard
+  // pool/plan setup are identical per competitor and would swamp fast cells.
   const auto timed = [&row](const auto& engine_call) {
     const wall_timer timer;
     const auto result = engine_call();
@@ -186,10 +187,19 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
   if (rig.ctx != nullptr) d->enable_sharded_stepping(rig.ctx);
   if (pb.active()) d->set_probe(pb);
   if (spec.kind == grid_kind::static_balancing) {
-    auto reference =
-        workload::make_continuous(spec.comm_model, gc.g, s, cell.seed);
+    // A flow imitator's T^A comes off its own reference (run_experiment
+    // ignores the template then); only a baseline builds the continuous
+    // process its T^A probe is cloned from.
+    std::unique_ptr<linear_process> reference;
+    if (d->imitated() == nullptr) {
+      reference =
+          workload::make_continuous(spec.comm_model, gc.g, s, cell.seed);
+    }
+    const linear_process& reference_template =
+        reference != nullptr ? *reference : *d->imitated();
     const experiment_result r = timed([&] {
-      return run_experiment(*d, *reference, spec.round_cap, nullptr, pb);
+      return run_experiment(*d, reference_template, spec.round_cap, nullptr,
+                            pb);
     });
     row.rounds = r.rounds;
     row.converged = r.continuous_converged;

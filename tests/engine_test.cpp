@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "dlb/common/contracts.hpp"
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
+#include "dlb/core/sharding.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/workload/competitors.hpp"
 #include "dlb/workload/initial_load.hpp"
 
 namespace dlb {
@@ -88,6 +93,135 @@ TEST(EngineTest, RunExperimentReportsConsistentFields) {
   weight_t real_total = 0;
   for (const weight_t x : r.final_real_loads) real_total += x;
   EXPECT_EQ(real_total, 80 + 3 * 8);
+}
+
+// ------------------------------------------------ the lockstep T^A loop
+
+// The static competitors run_experiment tells apart, built as the grids
+// build them: the two flow imitators carry the continuous process they
+// imitate, and the round-down baseline imitates none, so it gets a separate
+// T^A probe.
+std::vector<workload::competitor> lockstep_competitors(workload::model m) {
+  return workload::competitor_subset(m == workload::model::diffusion,
+                                     {"round-down", "Alg1", "Alg2"});
+}
+
+std::vector<real_t> start_of(const discrete_process& d) {
+  return {d.loads().begin(), d.loads().end()};
+}
+
+// The two-pass answer run_experiment must reproduce: T^A measured on a
+// fresh clone of the reference — the process `d` imitates, else the
+// template — from x^D(0).
+balancing_time_result two_pass_tA(const discrete_process& d,
+                                  const linear_process& reference_template,
+                                  round_t cap) {
+  const linear_process& a =
+      d.imitated() != nullptr ? *d.imitated() : reference_template;
+  return measure_balancing_time(*a.clone_fresh(), start_of(d), cap);
+}
+
+// An imitator's T^A is read off its own reference in lockstep, a baseline's
+// off a separate probe stepped beside it; either way it is the T^A of the
+// two-pass route, and `d` has stepped exactly that many rounds — on every
+// communication model, sequential or sharded.
+TEST(EngineTest, LockstepTAEqualsTheTwoPassProbe) {
+  const auto g = make_g(generators::torus_2d(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 12);
+  constexpr std::uint64_t seed = 9;
+  constexpr round_t cap = 100000;
+  for (const workload::model m :
+       {workload::model::diffusion, workload::model::periodic_matching,
+        workload::model::random_matching}) {
+    const auto reference = workload::make_continuous(m, g, s, seed);
+    for (const workload::competitor& comp : lockstep_competitors(m)) {
+      for (const std::size_t shards : {1u, 3u}) {
+        const std::string where = workload::model_name(m) + "/" +
+                                  comp.name + "/s" + std::to_string(shards);
+        const auto d = comp.build(g, s, tokens, m, seed);
+        EXPECT_EQ(d->imitated() != nullptr, comp.name.starts_with("Alg"))
+            << where;
+        if (shards > 1) {
+          d->enable_sharded_stepping(serial_shard_context(*g, shards));
+        }
+        const balancing_time_result want = two_pass_tA(*d, *reference, cap);
+        ASSERT_TRUE(want.converged) << where;
+        ASSERT_GT(want.rounds, 0) << where;
+        const experiment_result got = run_experiment(*d, *reference, cap);
+        EXPECT_EQ(got.rounds, want.rounds) << where;
+        EXPECT_EQ(got.continuous_converged, want.converged) << where;
+        EXPECT_EQ(got.continuous_negative_load, want.negative_load) << where;
+        EXPECT_EQ(d->rounds_executed(), got.rounds) << where;
+      }
+    }
+  }
+}
+
+// A cap below T^A stops both routes after exactly `cap` rounds of `d`.
+TEST(EngineTest, LockstepCapStopsTheImitatorAndTheBaseline) {
+  const auto g = make_g(generators::torus_2d(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 12);
+  const workload::model m = workload::model::diffusion;
+  const auto reference = workload::make_continuous(m, g, s, 3);
+  for (const workload::competitor& comp : lockstep_competitors(m)) {
+    const auto d = comp.build(g, s, tokens, m, 3);
+    const round_t t_a = two_pass_tA(*d, *reference, 100000).rounds;
+    ASSERT_GT(t_a, 4) << comp.name;
+    const round_t cap = t_a / 2;
+    const experiment_result got = run_experiment(*d, *reference, cap);
+    EXPECT_EQ(got.rounds, cap) << comp.name;
+    EXPECT_FALSE(got.continuous_converged) << comp.name;
+    EXPECT_EQ(d->rounds_executed(), cap) << comp.name;
+  }
+}
+
+// The ablation grid's removal rows: Alg1 over SOS with β = 1.95 from a
+// point mass, where A's outgoing demand overshoots a node's load
+// (Definition 1). The lockstep loop reads that flag off Alg1's own
+// reference; the two-pass route — a separate probe to T^A, then T^A rounds
+// of a twin — must report the same flag, T^A and final loads.
+TEST(EngineTest, LockstepReportsTheReferencesNegativeLoad) {
+  const auto g = make_g(generators::torus_2d(6));
+  const node_id n = g->num_nodes();
+  const speed_vector s = uniform_speeds(n);
+  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
+  const auto make = [&] {
+    return algorithm1(make_sos(g, s, alpha, 1.95),
+                      task_assignment::tokens(
+                          workload::point_mass(n, 0, 100 * weight_t{n})));
+  };
+  algorithm1 twin = make();
+  const balancing_time_result bt =
+      measure_balancing_time(*twin.continuous().clone_fresh(),
+                             start_of(twin), 200000);
+  run_rounds(twin, bt.rounds);
+  ASSERT_TRUE(bt.negative_load) << "the setup no longer overshoots";
+
+  algorithm1 alg = make();
+  const experiment_result r = run_experiment(alg, alg.continuous(), 200000);
+  EXPECT_EQ(r.continuous_negative_load, bt.negative_load);
+  EXPECT_EQ(r.continuous_converged, bt.converged);
+  EXPECT_EQ(r.rounds, bt.rounds);
+  EXPECT_EQ(r.final_loads, twin.loads());
+}
+
+// Only a fresh imitator's reference sits at x^A(0) = x^D(0), so a process
+// that has already stepped is refused — imitator and baseline alike.
+TEST(EngineTest, RunExperimentRequiresAFreshProcess) {
+  const auto g = make_g(generators::cycle(8));
+  const speed_vector s = uniform_speeds(8);
+  const auto tokens = workload::point_mass(8, 0, 80);
+  const workload::model m = workload::model::diffusion;
+  const auto reference = workload::make_continuous(m, g, s, 1);
+  for (const workload::competitor& comp : lockstep_competitors(m)) {
+    const auto d = comp.build(g, s, tokens, m, 1);
+    d->step();
+    EXPECT_THROW((void)run_experiment(*d, *reference, 1000),
+                 contract_violation)
+        << comp.name;
+  }
 }
 
 TEST(EngineTest, IsBalancedToleranceRespected) {

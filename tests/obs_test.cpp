@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "dlb/baselines/local_rounding.hpp"
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/engine.hpp"
@@ -98,6 +99,31 @@ TEST(ObsRowsTest, ObsExtrasAreDeterministicAcrossShardThreads) {
   EXPECT_NE(one.find("obs_rounds"), std::string::npos);
   EXPECT_EQ(one.find("barrier"), std::string::npos)
       << "timing-derived values must never reach rows";
+}
+
+// A static cell steps the continuous process once per round when it
+// imitates it — Alg1/Alg2 read T^A off their own reference — and twice for
+// a baseline, whose separate T^A probe steps beside it. obs_rounds counts
+// every round a cell steps, the probe's included.
+TEST(ObsRowsTest, ObsRoundsCountTheTAProbeOnlyForBaselines) {
+  for (const char* grid : {"table1", "table2-periodic"}) {
+    runtime::grid_spec spec =
+        runtime::make_named_grid(grid, tiny_options(1), 5);
+    spec.obs_extras = true;
+    runtime::thread_pool pool(2);
+    int imitators = 0;
+    int baselines = 0;
+    for (const runtime::result_row& row : runtime::run_grid(spec, 5, pool)) {
+      ASSERT_GT(row.rounds, 0) << grid << " " << row.process;
+      const bool imitator = row.process.rfind("Alg", 0) == 0;
+      ++(imitator ? imitators : baselines);
+      EXPECT_EQ(row.extra_value("obs_rounds", -1),
+                static_cast<real_t>((imitator ? 1 : 2) * row.rounds))
+          << grid << " " << row.process;
+    }
+    EXPECT_GT(imitators, 0) << grid;
+    EXPECT_GT(baselines, 0) << grid;
+  }
 }
 
 TEST(ObsRowsTest, ExtrasWorkWithoutARecorder) {
@@ -186,51 +212,94 @@ TEST(ObsSpanTest, AlphaDrawSpanPerFill) {
             1);
 }
 
-// run_experiment measures T^A on a fresh clone of the continuous reference,
-// and a clone starts sequential and unobserved: the engine re-attaches the
-// cell's shard context and probe to it. Each `tA_round` span must then
-// enclose the clone's sharded phases — a `barrier:edge_phase` span of the
-// same cell — and T^A must equal that of an unsharded, unprobed run.
+/// The number of `name` spans in `events`. Each must belong to `cell` and
+/// enclose a same-cell `barrier:edge_phase` span: what it timed stepped on
+/// the cell's shards and reported to the cell's probe.
+round_t sharded_spans(const std::vector<obs::span_record>& events,
+                      const std::string& name, std::uint64_t cell) {
+  const auto encloses_edge_barrier = [&](const obs::span_record& outer) {
+    return std::any_of(
+        events.begin(), events.end(), [&](const obs::span_record& b) {
+          return std::string(b.name) == "barrier:edge_phase" &&
+                 b.cell == cell && b.ts_ns >= outer.ts_ns &&
+                 b.ts_ns + b.dur_ns <= outer.ts_ns + outer.dur_ns;
+        });
+  };
+  round_t count = 0;
+  for (const obs::span_record& span : events) {
+    if (span.name != name) continue;
+    ++count;
+    EXPECT_EQ(span.cell, cell);
+    EXPECT_TRUE(encloses_edge_barrier(span))
+        << name << " " << count
+        << " stepped without the cell's shards or probe";
+  }
+  return count;
+}
+
+// A baseline imitates no continuous process, so run_experiment steps a
+// separate T^A probe: a fresh clone of the template, which starts sequential
+// and unobserved, so the engine re-attaches the cell's shard context and
+// probe to it. Each `tA_round` span must then enclose the clone's sharded
+// phases — a `barrier:edge_phase` span of the same cell — and T^A must equal
+// that of an unsharded, unprobed run.
 TEST(ObsSpanTest, BalancingTimeProbeStepsOnTheCellsShardsAndProbe) {
   const auto g = make_g(generators::torus_2d(6));
   const speed_vector s = uniform_speeds(g->num_nodes());
   const auto tokens = workload::spike_workload(*g, s, 12);
-  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
+  const auto reference =
+      make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree));
+  const auto round_down = [&] {
+    return local_rounding_process(g, s, reference->schedule().clone(),
+                                  rounding_policy::round_down, tokens, 1);
+  };
   constexpr round_t cap = 100000;
-  algorithm1 plain(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  const experiment_result want =
-      run_experiment(plain, plain.continuous(), cap);
+  local_rounding_process plain = round_down();
+  const experiment_result want = run_experiment(plain, *reference, cap);
   ASSERT_TRUE(want.continuous_converged);
   ASSERT_GT(want.rounds, 0);
 
-  algorithm1 d(make_fos(g, s, alpha), task_assignment::tokens(tokens));
+  local_rounding_process d = round_down();
   d.enable_sharded_stepping(serial_shard_context(*g, 3));
   obs::recorder rec;
   const std::uint64_t cell = rec.register_cell("t", "torus", d.name(), 0);
   const obs::probe pb{&rec, nullptr, cell};
   const experiment_result got =
+      run_experiment(d, *reference, cap, nullptr, pb);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(sharded_spans(rec.events(), "tA_round", cell), want.rounds);
+}
+
+// An imitator's T^A is read off its own reference in lockstep: an Alg1 cell
+// (sharded and probed as run_cell sets it up) steps no separate probe, so it
+// emits no `tA_round` span, and each of its T^A `round` spans encloses
+// sharded phases of the cell. T^A must equal measure_balancing_time on a
+// fresh clone of the reference from x^D(0).
+TEST(ObsSpanTest, ImitatorReadsTAOffItsOwnReference) {
+  const auto g = make_g(generators::torus_2d(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 12);
+  constexpr round_t cap = 100000;
+  algorithm1 d(make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
+               task_assignment::tokens(tokens));
+  const balancing_time_result want =
+      measure_balancing_time(*d.continuous().clone_fresh(),
+                             std::vector<real_t>(tokens.begin(), tokens.end()),
+                             cap);
+  ASSERT_TRUE(want.converged);
+  ASSERT_GT(want.rounds, 0);
+
+  d.enable_sharded_stepping(serial_shard_context(*g, 3));
+  obs::recorder rec;
+  const std::uint64_t cell = rec.register_cell("t", "torus", d.name(), 0);
+  const obs::probe pb{&rec, nullptr, cell};
+  d.set_probe(pb);
+  const experiment_result got =
       run_experiment(d, d.continuous(), cap, nullptr, pb);
   EXPECT_EQ(got.rounds, want.rounds);
-
   const std::vector<obs::span_record> events = rec.events();
-  const auto encloses_edge_barrier = [&](const obs::span_record& round) {
-    return std::any_of(
-        events.begin(), events.end(), [&](const obs::span_record& b) {
-          return std::string(b.name) == "barrier:edge_phase" &&
-                 b.cell == cell && b.ts_ns >= round.ts_ns &&
-                 b.ts_ns + b.dur_ns <= round.ts_ns + round.dur_ns;
-        });
-  };
-  round_t probe_rounds = 0;
-  for (const obs::span_record& span : events) {
-    if (std::string(span.name) != "tA_round") continue;
-    ++probe_rounds;
-    EXPECT_EQ(span.cell, cell);
-    EXPECT_TRUE(encloses_edge_barrier(span))
-        << "probe round " << probe_rounds
-        << " stepped without the cell's shards or probe";
-  }
-  EXPECT_EQ(probe_rounds, want.rounds);
+  EXPECT_EQ(sharded_spans(events, "tA_round", cell), 0);
+  EXPECT_EQ(sharded_spans(events, "round", cell), want.rounds);
 }
 
 TEST(ObsSpanTest, SpanNestingIsWellFormedPerThread) {
