@@ -117,27 +117,6 @@ void excess_token_process::apply_phase(node_id i0, node_id i1) {
   add_tokens_moved(static_cast<std::uint64_t>(moved));
 }
 
-void excess_token_process::save_state(snapshot::writer& w) const {
-  w.section("excess_tokens");
-  w.u64(static_cast<std::uint64_t>(g_->num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g_->num_edges()));
-  w.u64(draw_seed_);
-  w.i64(t_);
-  w.vec_int(loads_);
-}
-
-void excess_token_process::restore_state(snapshot::reader& r) {
-  r.expect_section("excess_tokens");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_edges()), "edge count");
-  r.expect_u64(draw_seed_, "draw seed");
-  t_ = r.i64();
-  std::vector<weight_t> loads = r.vec_int<weight_t>();
-  DLB_EXPECTS(t_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(loads.size()) == g_->num_nodes());
-  loads_ = std::move(loads);
-}
-
 void excess_token_process::step() {
   edge_phase([&](const edge_slice& es) { clear_phase(es); });
   node_phase([&](node_id i0, node_id i1) { send_phase(i0, i1); });

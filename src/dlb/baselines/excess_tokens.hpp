@@ -21,12 +21,10 @@
 #include "dlb/common/rng.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/core/sharding.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
-class excess_token_process final : public discrete_process,
-                                   public snapshot::checkpointable {
+class excess_token_process final : public discrete_process {
  public:
   excess_token_process(std::shared_ptr<const graph> g, speed_vector s,
                        std::vector<real_t> alpha, std::vector<weight_t> tokens,
@@ -54,12 +52,6 @@ class excess_token_process final : public discrete_process,
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
-
-  // checkpointable: loads and the round counter — the in-flight slots are
-  // per-round scratch (cleared before every send phase), and the excess
-  // draws are counter-based on (seed, t, i).
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   /// Tokens in flight on one edge this round, split by direction (u→v and

@@ -127,38 +127,6 @@ local_rounding_process::negativity local_rounding_process::apply_phase(
   return neg;
 }
 
-void local_rounding_process::save_state(snapshot::writer& w) const {
-  w.section("local_rounding");
-  w.str(name());
-  w.u64(static_cast<std::uint64_t>(g_->num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g_->num_edges()));
-  w.u64(coin_seed_);
-  w.i64(t_);
-  w.i64(negative_events_);
-  w.i64(min_load_seen_);
-  w.vec_int(loads_);
-  w.vec_f64(accumulated_error_);
-}
-
-void local_rounding_process::restore_state(snapshot::reader& r) {
-  r.expect_section("local_rounding");
-  r.expect_str(name(), "process name");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_edges()), "edge count");
-  r.expect_u64(coin_seed_, "coin seed");
-  t_ = r.i64();
-  negative_events_ = r.i64();
-  min_load_seen_ = r.i64();
-  std::vector<weight_t> loads = r.vec_int<weight_t>();
-  std::vector<real_t> err = r.vec_f64();
-  DLB_EXPECTS(t_ >= 0 && negative_events_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(loads.size()) == g_->num_nodes());
-  DLB_EXPECTS(static_cast<edge_id>(err.size()) == g_->num_edges());
-  loads_ = std::move(loads);
-  accumulated_error_ = std::move(err);
-  alphas_cached_ = false;
-}
-
 void local_rounding_process::step() {
   fill_round_alphas(*schedule_, t_, alpha_buf_, alphas_cached_);
   edge_phase([&](const edge_slice& es) { round_phase(es); });

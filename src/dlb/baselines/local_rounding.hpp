@@ -37,7 +37,6 @@
 #include "dlb/common/rng.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/core/sharding.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -50,8 +49,7 @@ enum class rounding_policy {
 
 [[nodiscard]] std::string to_string(rounding_policy p);
 
-class local_rounding_process final : public discrete_process,
-                                     public snapshot::checkpointable {
+class local_rounding_process final : public discrete_process {
  public:
   /// `schedule` defines the per-round α (diffusion or matching model);
   /// `tokens[i]` unit tasks start on node i; `seed` drives random roundings.
@@ -105,11 +103,6 @@ class local_rounding_process final : public discrete_process,
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
-
-  // checkpointable: loads, the quasirandom accumulated error Δ̂ (genuine
-  // state for that policy), negativity counters, round counter.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   // One round's phases; ranges are one shard's slice. The apply phase

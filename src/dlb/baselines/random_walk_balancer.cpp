@@ -207,40 +207,6 @@ void random_walk_balancer::fine_step() {
       [](std::int64_t a, std::int64_t b) { return a + b; });
 }
 
-void random_walk_balancer::save_state(snapshot::writer& w) const {
-  w.section("random_walk");
-  w.u64(static_cast<std::uint64_t>(g_->num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g_->num_edges()));
-  w.u64(walk_seed_);
-  w.i64(t_);
-  w.i64(negative_events_);
-  w.i64(threshold_);
-  w.u8(tokens_marked_ ? 1 : 0);
-  w.vec_int(loads_);
-  w.vec_int(positive_);
-  w.vec_int(negative_);
-}
-
-void random_walk_balancer::restore_state(snapshot::reader& r) {
-  r.expect_section("random_walk");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_edges()), "edge count");
-  r.expect_u64(walk_seed_, "walk seed");
-  t_ = r.i64();
-  negative_events_ = r.i64();
-  threshold_ = r.i64();
-  tokens_marked_ = r.u8() != 0;
-  std::vector<weight_t> loads = r.vec_int<weight_t>();
-  std::vector<weight_t> pos = r.vec_int<weight_t>();
-  std::vector<weight_t> neg = r.vec_int<weight_t>();
-  DLB_EXPECTS(t_ >= 0 && negative_events_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(loads.size()) == g_->num_nodes());
-  DLB_EXPECTS(pos.size() == loads.size() && neg.size() == loads.size());
-  loads_ = std::move(loads);
-  positive_ = std::move(pos);
-  negative_ = std::move(neg);
-}
-
 void random_walk_balancer::step() {
   if (t_ < cfg_.phase1_rounds) {
     coarse_step();

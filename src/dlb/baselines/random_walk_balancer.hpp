@@ -30,7 +30,6 @@
 #include "dlb/common/rng.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/core/sharding.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -40,8 +39,7 @@ struct random_walk_config {
   double laziness = 0.5;      ///< probability a walker stays put
 };
 
-class random_walk_balancer final : public discrete_process,
-                                   public snapshot::checkpointable {
+class random_walk_balancer final : public discrete_process {
  public:
   random_walk_balancer(std::shared_ptr<const graph> g, speed_vector s,
                        std::vector<real_t> alpha,
@@ -88,11 +86,6 @@ class random_walk_balancer final : public discrete_process,
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
-
-  // checkpointable: loads, walker counters (positive/negative residency),
-  // the fine-phase threshold and marked flag, round counter.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   void coarse_step();

@@ -146,41 +146,6 @@ weight_t algorithm1::imitate_round() {
   return minted;
 }
 
-void algorithm1::save_state(snapshot::writer& w) const {
-  const graph& g = topology();
-  w.section("algorithm1");
-  w.u64(static_cast<std::uint64_t>(g.num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g.num_edges()));
-  w.u64(static_cast<std::uint64_t>(wmax_));
-  w.i64(t_);
-  w.i64(dummy_created_);
-  w.vec_int(loads_);
-  w.vec_int(last_sent_);
-  ledger_.save_state(w);
-  tasks_.save_state(w);
-  reference_->save_state(w);
-}
-
-void algorithm1::restore_state(snapshot::reader& r) {
-  const graph& g = topology();
-  r.expect_section("algorithm1");
-  r.expect_u64(static_cast<std::uint64_t>(g.num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g.num_edges()), "edge count");
-  r.expect_u64(static_cast<std::uint64_t>(wmax_), "w_max");
-  t_ = r.i64();
-  dummy_created_ = r.i64();
-  std::vector<weight_t> loads = r.vec_int<weight_t>();
-  std::vector<weight_t> sent = r.vec_int<weight_t>();
-  DLB_EXPECTS(t_ >= 0 && dummy_created_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(loads.size()) == g.num_nodes());
-  DLB_EXPECTS(static_cast<edge_id>(sent.size()) == g.num_edges());
-  loads_ = std::move(loads);
-  last_sent_ = std::move(sent);
-  ledger_.restore_state(r);
-  tasks_.restore_state(r);
-  reference_->restore_state(r);
-}
-
 load_extrema algorithm1::real_load_extrema(node_id begin, node_id end) const {
   return tasks_.real_load_extrema(begin, end, speeds());
 }

@@ -24,7 +24,6 @@
 
 #include "dlb/core/flow_imitator.hpp"
 #include "dlb/core/tasks.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -44,8 +43,7 @@ struct algorithm1_config {
 /// bit-identical to the sequential round (the pool push/pop order per node
 /// is preserved exactly; see core/sharding.hpp). The reference, the ledger,
 /// the loads and the counters live in `flow_imitator`.
-class algorithm1 final : public flow_imitator,
-                         public snapshot::checkpointable {
+class algorithm1 final : public flow_imitator {
  public:
   /// `process` is a *fresh* continuous process (it will be reset to the
   /// total-weight load vector of `initial` and stepped internally).
@@ -86,11 +84,6 @@ class algorithm1 final : public flow_imitator,
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
-
-  // checkpointable: task pools (in LIFO storage order), ledger, loads,
-  // dummy counter, round counter, and the embedded continuous process.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   /// One pending transfer: the task set S_ij in flight over an edge.

@@ -176,39 +176,6 @@ void algorithm2::apply_phase(node_id i0, node_id i1) {
   add_tokens_moved(static_cast<std::uint64_t>(moved));
 }
 
-void algorithm2::save_state(snapshot::writer& w) const {
-  const graph& g = topology();
-  w.section("algorithm2");
-  w.u64(static_cast<std::uint64_t>(g.num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g.num_edges()));
-  w.u64(coin_seed_);
-  w.i64(t_);
-  w.i64(dummy_created_);
-  w.vec_int(loads_);
-  w.vec_int(dummies_);
-  ledger_.save_state(w);
-  reference_->save_state(w);
-}
-
-void algorithm2::restore_state(snapshot::reader& r) {
-  const graph& g = topology();
-  r.expect_section("algorithm2");
-  r.expect_u64(static_cast<std::uint64_t>(g.num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g.num_edges()), "edge count");
-  r.expect_u64(coin_seed_, "coin seed");
-  t_ = r.i64();
-  dummy_created_ = r.i64();
-  std::vector<weight_t> loads = r.vec_int<weight_t>();
-  std::vector<weight_t> dummies = r.vec_int<weight_t>();
-  DLB_EXPECTS(t_ >= 0 && dummy_created_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(loads.size()) == g.num_nodes());
-  DLB_EXPECTS(dummies.size() == loads.size());
-  loads_ = std::move(loads);
-  dummies_ = std::move(dummies);
-  ledger_.restore_state(r);
-  reference_->restore_state(r);
-}
-
 weight_t algorithm2::imitate_round() {
   edge_phase([&](const edge_slice& es) { decide_phase(es); });
   const weight_t minted = node_phase_reduce<weight_t>(

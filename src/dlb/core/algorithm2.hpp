@@ -22,14 +22,12 @@
 
 #include "dlb/common/rng.hpp"
 #include "dlb/core/flow_imitator.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
 /// The reference, the ledger, the loads and the counters live in
 /// `flow_imitator`.
-class algorithm2 final : public flow_imitator,
-                         public snapshot::checkpointable {
+class algorithm2 final : public flow_imitator {
  public:
   /// `process` is a fresh continuous process; `tokens[i]` is the number of
   /// unit tasks initially on node i; `seed` drives the rounding coins.
@@ -61,13 +59,6 @@ class algorithm2 final : public flow_imitator,
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
-
-  // checkpointable: token counts, dummy residency, ledger, round counter,
-  // and the embedded continuous process. The rounding coins are counter-based
-  // draws keyed (coin_seed_, t, e), so no RNG state is stored — the seed is
-  // fingerprinted and the round counter restores the randomness.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   /// Round-t transfer decision of one edge: `y` tokens from `from_u`'s side

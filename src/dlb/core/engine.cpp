@@ -126,37 +126,6 @@ void run_rounds(discrete_process& d, round_t rounds,
   }
 }
 
-void save_checkpoint(const discrete_process& d, const std::string& path) {
-  snapshot::writer w;
-  w.section("dlb-process-checkpoint");
-  snapshot::require_checkpointable(d, "process").save_state(w);
-  w.save_file(path);
-}
-
-round_t restore_checkpoint(discrete_process& d, const std::string& path) {
-  snapshot::reader r = snapshot::reader::from_file(path);
-  r.expect_section("dlb-process-checkpoint");
-  snapshot::require_checkpointable(d, "process").restore_state(r);
-  return d.rounds_executed();
-}
-
-void run_rounds_checkpointed(discrete_process& d, round_t target,
-                             const checkpoint_options& ckpt,
-                             const round_observer& obs, const obs::probe& pb) {
-  DLB_EXPECTS(target >= 0 && !ckpt.path.empty() && ckpt.every >= 0);
-  if (ckpt.resume) restore_checkpoint(d, ckpt.path);
-  DLB_EXPECTS(d.rounds_executed() <= target);
-  round_t since = 0;
-  while (d.rounds_executed() < target) {
-    run_rounds(d, 1, obs, pb);
-    if (ckpt.every > 0 && ++since == ckpt.every) {
-      save_checkpoint(d, ckpt.path);
-      since = 0;
-    }
-  }
-  save_checkpoint(d, ckpt.path);
-}
-
 dynamic_result run_dynamic(discrete_process& d,
                            const workload::arrival_schedule& sched,
                            round_t rounds, const round_observer& obs,

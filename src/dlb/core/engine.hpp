@@ -14,7 +14,6 @@
 #include "dlb/core/metrics.hpp"
 #include "dlb/core/process.hpp"
 #include "dlb/obs/probe.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 #include "dlb/workload/arrival.hpp"
 
 namespace dlb {
@@ -61,36 +60,6 @@ using round_observer = std::function<void(round_t t, const discrete_process& d)>
 void run_rounds(discrete_process& d, round_t rounds,
                 const round_observer& obs = nullptr,
                 const obs::probe& pb = {});
-
-/// Checkpointing knobs for run_rounds_checkpointed / the async driver's
-/// checkpointed entry point.
-struct checkpoint_options {
-  std::string path;   ///< snapshot file (written atomically: tmp + rename)
-  round_t every = 0;  ///< write a snapshot every `every` completed rounds
-                      ///< (0 = only at the end)
-  bool resume = false;  ///< restore from `path` before running (the file
-                        ///< must exist and match the process configuration)
-};
-
-/// Writes a snapshot of `d`'s complete state to `path` (atomic). `d` must
-/// implement snapshot::checkpointable (every shipped competitor does).
-void save_checkpoint(const discrete_process& d, const std::string& path);
-
-/// Restores `d` from a snapshot written by save_checkpoint. `d` must be a
-/// freshly constructed process of the identical configuration; fingerprint
-/// mismatches throw contract_violation. Returns the restored round count.
-round_t restore_checkpoint(discrete_process& d, const std::string& path);
-
-/// Runs `d` until rounds_executed() == `target` (a no-op when already
-/// there), writing a snapshot to ckpt.path every ckpt.every completed rounds
-/// and once at the end. With ckpt.resume, the state is first restored from
-/// ckpt.path — so a run killed at any round and relaunched with the same
-/// arguments produces exactly the state of an uninterrupted run (the
-/// crash-at-every-round contract, tests/snapshot_test.cpp).
-void run_rounds_checkpointed(discrete_process& d, round_t target,
-                             const checkpoint_options& ckpt,
-                             const round_observer& obs = nullptr,
-                             const obs::probe& pb = {});
 
 /// Aggregate outcome of one discrete experiment.
 struct experiment_result {

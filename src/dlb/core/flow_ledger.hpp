@@ -7,13 +7,11 @@
 // linear_process.)
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/types.hpp"
 #include "dlb/graph/graph.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -46,19 +44,6 @@ class discrete_flow_ledger {
     } else {
       flow_[static_cast<size_t>(e)] -= amount;
     }
-  }
-
-  /// Checkpointing: the per-edge cumulative flows, exactly.
-  void save_state(snapshot::writer& w) const {
-    w.section("ledger");
-    w.vec_int(flow_);
-  }
-
-  void restore_state(snapshot::reader& r) {
-    r.expect_section("ledger");
-    std::vector<weight_t> flow = r.vec_int<weight_t>();
-    DLB_EXPECTS(static_cast<edge_id>(flow.size()) == g_->num_edges());
-    flow_ = std::move(flow);
   }
 
  private:

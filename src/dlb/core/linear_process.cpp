@@ -84,9 +84,6 @@ random_matching_schedule::random_matching_schedule(
     : g_(g), seed_(seed), edge_alpha_(std::move(edge_alpha)) {}
 
 void random_matching_schedule::begin_round(round_t t) const {
-  if (drawn_round_ == t) {
-    return;  // same round re-entered (restart after restore re-fills)
-  }
   rng_t rng = make_rng(seed_, static_cast<std::uint64_t>(t));
   draw_random_maximal_matching(*g_, rng, draw_);
   drawn_round_ = t;
@@ -205,52 +202,6 @@ void linear_process::step() {
 
   y_prev_.swap(y_next_);
   ++t_;
-}
-
-void linear_process::save_state(snapshot::writer& w) const {
-  w.section("linear_process");
-  w.str(name_);
-  w.u64(static_cast<std::uint64_t>(g_->num_nodes()));
-  w.u64(static_cast<std::uint64_t>(g_->num_edges()));
-  w.u8(started_ ? 1 : 0);
-  w.u8(negative_load_ ? 1 : 0);
-  w.i64(t_);
-  w.vec_f64(x_);
-  // y(t-1) flattened as (forward, backward) pairs.
-  std::vector<real_t> flows;
-  flows.reserve(y_prev_.size() * 2);
-  for (const directed_flow& y : y_prev_) {
-    flows.push_back(y.forward);
-    flows.push_back(y.backward);
-  }
-  w.vec_f64(flows);
-  w.vec_f64(cum_flow_);
-}
-
-void linear_process::restore_state(snapshot::reader& r) {
-  r.expect_section("linear_process");
-  r.expect_str(name_, "continuous process name");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_nodes()), "node count");
-  r.expect_u64(static_cast<std::uint64_t>(g_->num_edges()), "edge count");
-  started_ = r.u8() != 0;
-  negative_load_ = r.u8() != 0;
-  t_ = r.i64();
-  std::vector<real_t> x = r.vec_f64();
-  std::vector<real_t> flows = r.vec_f64();
-  std::vector<real_t> cum = r.vec_f64();
-  const auto m = static_cast<std::size_t>(g_->num_edges());
-  DLB_EXPECTS(t_ >= 0);
-  DLB_EXPECTS(static_cast<node_id>(x.size()) == g_->num_nodes());
-  DLB_EXPECTS(flows.size() == 2 * m && cum.size() == m);
-  x_ = std::move(x);
-  y_prev_.resize(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    y_prev_[e] = directed_flow{flows[2 * e], flows[2 * e + 1]};
-  }
-  cum_flow_ = std::move(cum);
-  // The α cache keys off the *current* round; drop it so the next step
-  // refetches (time-invariant schedules recompute the identical vector).
-  alphas_cached_ = false;
 }
 
 std::unique_ptr<linear_process> linear_process::clone_fresh() const {

@@ -12,7 +12,6 @@
 #include "dlb/core/process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/matching.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -122,8 +121,7 @@ class random_matching_schedule final : public alpha_schedule {
 /// `sharded_stepper` protocol, so the round can be sharded over a thread
 /// pool via `enable_sharded_stepping` with bit-identical results at any
 /// shard count (see core/sharding.hpp).
-class linear_process final : public sharded_stepper,
-                             public snapshot::checkpointable {
+class linear_process final : public sharded_stepper {
  public:
   linear_process(std::shared_ptr<const graph> g, speed_vector s,
                  std::unique_ptr<alpha_schedule> schedule, real_t beta,
@@ -177,12 +175,6 @@ class linear_process final : public sharded_stepper,
   [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] real_t beta() const { return beta_; }
   [[nodiscard]] const alpha_schedule& schedule() const { return *schedule_; }
-
-  // checkpointable: loads, previous-round flows, cumulative flows, round
-  // counter. Configuration (graph, speeds, schedule, β) is fingerprinted,
-  // not stored — restore into a freshly constructed identical process.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   // One round's phases; `es` / [i0, i1) are one slice's ranges. The apply

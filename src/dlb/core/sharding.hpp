@@ -304,7 +304,7 @@ class sharded_stepper {
   /// stepper's edge phase into `alpha` (resized to m; every slot is written,
   /// so no clear is needed). Skipped while `cached` holds; sets it after a
   /// time-invariant schedule's fill, so diffusion fills once. Callers clear
-  /// `cached` on reset and restore.
+  /// `cached` on reset.
   void fill_round_alphas(const alpha_schedule& schedule, round_t t,
                          std::vector<real_t>& alpha, bool& cached) const;
 

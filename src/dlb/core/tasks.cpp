@@ -69,37 +69,6 @@ weight_t task_assignment::max_task_weight() const {
   return wmax;
 }
 
-void task_pool::save_state(snapshot::writer& w) const {
-  w.vec_int(real_);
-  w.vec_int(origins_);
-  w.i64(dummy_count_);
-}
-
-void task_pool::restore_state(snapshot::reader& r) {
-  real_ = r.vec_int<weight_t>();
-  origins_ = r.vec_int<node_id>();
-  const weight_t dummies = r.i64();
-  DLB_EXPECTS(real_.size() == origins_.size() && dummies >= 0);
-  dummy_count_ = dummies;
-  total_ = dummy_count_;
-  for (const weight_t w : real_) {
-    DLB_EXPECTS(w >= 1);
-    total_ += w;
-  }
-}
-
-void task_assignment::save_state(snapshot::writer& w) const {
-  w.section("tasks");
-  w.u64(pools_.size());
-  for (const task_pool& p : pools_) p.save_state(w);
-}
-
-void task_assignment::restore_state(snapshot::reader& r) {
-  r.expect_section("tasks");
-  r.expect_u64(pools_.size(), "task_assignment node count");
-  for (task_pool& p : pools_) p.restore_state(r);
-}
-
 void add_dummy_preload(task_assignment& a, const std::vector<weight_t>& s,
                        weight_t ell) {
   DLB_EXPECTS(static_cast<node_id>(s.size()) == a.num_nodes());

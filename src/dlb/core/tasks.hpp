@@ -11,7 +11,6 @@
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/types.hpp"
 #include "dlb/core/sharding.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb {
 
@@ -114,11 +113,6 @@ class task_pool {
     return origins_;
   }
 
-  /// Checkpointing: the pool's exact contents, *in storage order* — removal
-  /// is LIFO, so the order is state, not an implementation detail.
-  void save_state(snapshot::writer& w) const;
-  void restore_state(snapshot::reader& r);
-
  private:
   std::vector<weight_t> real_;  // weights; removal order is LIFO ("arbitrary")
   std::vector<node_id> origins_;  // parallel to real_
@@ -172,11 +166,6 @@ class task_assignment {
   /// an O(n) load vector per round.
   [[nodiscard]] load_extrema real_load_extrema(
       node_id begin, node_id end, const std::vector<weight_t>& speeds) const;
-
-  /// Checkpointing: every pool, in node order. restore_state requires the
-  /// assignment to span the same node count it was saved with.
-  void save_state(snapshot::writer& w) const;
-  void restore_state(snapshot::reader& r);
 
  private:
   std::vector<task_pool> pools_;

@@ -49,10 +49,6 @@ struct async_result {
                              ///< rounds (run_dynamic's exact convention)
   real_t peak_max_min = 0;   ///< worst post-warmup discrepancy
   real_t final_max_min = 0;
-  /// Time-weighted post-warmup mean: each sample weighted by the virtual
-  /// time to the next round. The discrete state is piecewise constant
-  /// between rounds, so at unit round spacing this equals mean_max_min.
-  real_t time_weighted_mean_max_min = 0;
   // Queue-depth percentiles (nearest-rank over the final real loads):
   weight_t depth_p50 = 0;
   weight_t depth_p90 = 0;
@@ -65,107 +61,16 @@ struct async_result {
   [[nodiscard]] dynamic_result dynamics() const;
 };
 
-/// A pause budget for one async_run::advance call. Budgets bound *this
-/// invocation*, not the whole simulation: an exhausted budget pauses the run
-/// at a round/event boundary, and a later advance (in this process or, via
-/// snapshot restore, in another one) continues exactly where it stopped —
-/// the final result is byte-identical no matter where the pauses landed.
-struct async_budget {
-  /// Pause after this many additional balancing rounds (0 = unbounded).
-  round_t max_rounds = 0;
-  /// Pause before processing the event that would exceed this many
-  /// additional events (0 = unbounded).
-  std::uint64_t max_events = 0;
-  /// Pause at the next round/event boundary once this much wall-clock time
-  /// has elapsed in this call (0 = unbounded). Wall time only chooses the
-  /// pause point — never the results.
-  std::int64_t max_wall_ms = 0;
-};
-
-/// The resumable core of run_async: the same event loop, restructured so
-/// the complete mid-run state — process, pending queue entries, per-source
-/// cursors, metric accumulators, the virtual clock — can be captured with
-/// save_state and restored into a freshly constructed run (identical
-/// process/sources/options) in another invocation. Continuing a restored
-/// run is bit-exact: result() of an interrupted-and-resumed run equals the
-/// uninterrupted run's, at any shard count (tests/events_test.cpp).
-class async_run final : public snapshot::checkpointable {
- public:
-  /// `d` is borrowed and must outlive the run. Sources are merged through a
-  /// stable (time, sequence) queue: one pending event per source, pulled in
-  /// source order and refilled after the previous event fired, so equal-time
-  /// events across sources interleave deterministically.
-  async_run(discrete_process& d,
-            std::vector<std::unique_ptr<event_source>> sources,
-            const async_options& opts);
-
-  /// Advances the simulation until the round horizon (opts.rounds) or an
-  /// exhausted budget, whichever comes first. Returns finished().
-  bool advance(const async_budget& budget = {},
-               const round_observer& obs = nullptr);
-
-  /// True once all opts.rounds balancing rounds have executed.
-  [[nodiscard]] bool finished() const { return t_ >= opts_.rounds; }
-
-  /// Balancing rounds executed so far.
-  [[nodiscard]] round_t round() const { return t_; }
-
-  /// Events processed so far (arrivals + services, over all advances).
-  [[nodiscard]] std::uint64_t events_processed() const { return events_; }
-
-  /// The run's outcome. Precondition: finished().
-  [[nodiscard]] async_result result() const;
-
-  // checkpointable: driver accumulators, the event queue, every source's
-  // cursor, and the process itself (which must be checkpointable too).
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
-
- private:
-  void refill(std::size_t s);
-  void prime();
-  void dispatch(const event_queue::entry& e);
-
-  discrete_process* d_;
-  std::vector<std::unique_ptr<event_source>> sources_;
-  async_options opts_;
-  round_t warmup_ = 0;
-  sim_time horizon_ = 0;
-
-  // Mutable run state (everything save_state captures, plus *d_):
-  bool primed_ = false;
-  round_t t_ = 0;
-  std::uint64_t events_ = 0;
-  event_queue queue_;
-  weight_t total_arrived_ = 0;
-  weight_t service_attempts_ = 0;
-  weight_t tokens_served_ = 0;
-  real_t sum_ = 0;
-  real_t weighted_sum_ = 0;
-  sim_time weight_total_ = 0;
-  round_t samples_ = 0;
-  real_t peak_max_min_ = 0;
-};
-
 /// Drives `d` for opts.rounds balancing rounds while the event streams of
 /// `sources` fire on the virtual clock. Arrival events inject tokens;
 /// service events drain them (departures) via discrete_process::
-/// drain_tokens. Equivalent to async_run(...).advance() + result().
+/// drain_tokens. Sources are merged through a stable (time, sequence)
+/// queue: one pending event per source, pulled in source order and refilled
+/// after the previous event fired, so equal-time events across sources
+/// interleave deterministically.
 [[nodiscard]] async_result run_async(
     discrete_process& d,
     std::vector<std::unique_ptr<event_source>> sources,
     const async_options& opts, const round_observer& obs = nullptr);
-
-/// run_async with checkpoint-every-k-rounds and restore-from-file: writes a
-/// snapshot of the full run (driver + queue + sources + process) to
-/// ckpt.path every ckpt.every rounds and at the end; with ckpt.resume the
-/// run first restores from ckpt.path. A run killed at any round and
-/// relaunched with identical arguments returns exactly the uninterrupted
-/// run's result.
-[[nodiscard]] async_result run_async_checkpointed(
-    discrete_process& d,
-    std::vector<std::unique_ptr<event_source>> sources,
-    const async_options& opts, const checkpoint_options& ckpt,
-    const round_observer& obs = nullptr);
 
 }  // namespace dlb::events

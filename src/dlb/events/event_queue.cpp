@@ -34,43 +34,4 @@ event_queue::entry event_queue::pop() {
   return out;
 }
 
-void event_queue::save_state(snapshot::writer& w) const {
-  w.section("event_queue");
-  w.u64(next_seq_);
-  w.u64(heap_.size());
-  for (const entry& e : heap_) {
-    w.f64(e.ev.time);
-    w.u8(static_cast<std::uint8_t>(e.ev.kind));
-    w.i64(e.ev.node);
-    w.i64(e.ev.count);
-    w.u64(e.seq);
-    w.u64(e.source);
-  }
-}
-
-void event_queue::restore_state(snapshot::reader& r) {
-  r.expect_section("event_queue");
-  next_seq_ = r.u64();
-  const std::uint64_t count = r.u64();
-  std::vector<entry> heap;
-  heap.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    entry e;
-    e.ev.time = r.f64();
-    const std::uint8_t kind = r.u8();
-    DLB_EXPECTS(kind <= static_cast<std::uint8_t>(event_kind::service));
-    e.ev.kind = static_cast<event_kind>(kind);
-    e.ev.node = static_cast<node_id>(r.i64());
-    e.ev.count = r.i64();
-    e.seq = r.u64();
-    e.source = static_cast<std::size_t>(r.u64());
-    DLB_EXPECTS(e.seq < next_seq_);
-    heap.push_back(e);
-  }
-  // The array is stored in heap order, so the invariant holds verbatim —
-  // but verify rather than trust the file.
-  DLB_EXPECTS(std::is_heap(heap.begin(), heap.end(), fires_later));
-  heap_ = std::move(heap);
-}
-
 }  // namespace dlb::events

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dlb/common/types.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb::events {
 
@@ -65,12 +64,6 @@ class event_queue {
 
   /// Removes and returns top(). Precondition: !empty().
   entry pop();
-
-  /// Checkpointing: the pending entries in exact heap-array order plus the
-  /// sequence counter — restoring reproduces the identical pop order (ties
-  /// included), which the async resume-exactness contract depends on.
-  void save_state(snapshot::writer& w) const;
-  void restore_state(snapshot::reader& r);
 
  private:
   std::vector<entry> heap_;  // binary min-heap on (time, seq)

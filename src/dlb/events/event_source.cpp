@@ -60,25 +60,6 @@ std::optional<event> poisson_source::next() {
   return event{now_, kind_, node, 1};
 }
 
-std::string poisson_source::name() const {
-  return (kind_ == event_kind::arrival ? "poisson-arrivals" : "poisson-service");
-}
-
-void poisson_source::save_state(snapshot::writer& w) const {
-  w.section("poisson_source");
-  w.u64(seed_);
-  w.u64(draws_);
-  w.f64(now_);
-}
-
-void poisson_source::restore_state(snapshot::reader& r) {
-  r.expect_section("poisson_source");
-  r.expect_u64(seed_, "poisson seed");
-  draws_ = r.u64();
-  now_ = r.f64();
-  DLB_EXPECTS(now_ >= 0);
-}
-
 // ------------------------------------------------------------ trace_source
 
 trace_source::trace_source(std::istream& in, std::string label)
@@ -145,19 +126,6 @@ void trace_source::summarize() {
 std::optional<event> trace_source::next() {
   if (pos_ >= events_->size()) return std::nullopt;
   return (*events_)[pos_++];
-}
-
-void trace_source::save_state(snapshot::writer& w) const {
-  w.section("trace_source");
-  w.u64(events_->size());
-  w.u64(pos_);
-}
-
-void trace_source::restore_state(snapshot::reader& r) {
-  r.expect_section("trace_source");
-  r.expect_u64(events_->size(), "trace event count");
-  pos_ = static_cast<std::size_t>(r.u64());
-  DLB_EXPECTS(pos_ <= events_->size());
 }
 
 std::unique_ptr<trace_source> load_trace(const std::string& path) {

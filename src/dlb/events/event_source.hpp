@@ -17,24 +17,19 @@
 
 #include "dlb/common/types.hpp"
 #include "dlb/events/event_queue.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 
 namespace dlb::events {
 
-/// A deterministic stream of events in nondecreasing time order. Sources are
-/// checkpointable: their entire replay position is a small cursor (event
-/// index / virtual clock), because every stream is a pure function of its
-/// construction parameters — restore rebuilds the source from config and
-/// loads just the cursor.
-class event_source : public snapshot::checkpointable {
+/// A deterministic stream of events in nondecreasing time order.
+class event_source {
  public:
+  virtual ~event_source() = default;
+
   /// The next event of the stream, or nullopt when exhausted. Successive
   /// calls return nondecreasing times. Infinite streams (Poisson) never
   /// return nullopt — the driver stops pulling once an event lands at or
   /// beyond its horizon.
   [[nodiscard]] virtual std::optional<event> next() = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// A seeded Poisson process over the nodes of an n-node network: events fire
@@ -58,12 +53,6 @@ class poisson_source final : public event_source {
                  event_kind kind = event_kind::arrival);
 
   [[nodiscard]] std::optional<event> next() override;
-  [[nodiscard]] std::string name() const override;
-
-  // checkpointable: the cursor (events emitted, virtual clock). Each event
-  // is a pure function of (seed, event index), so nothing else is state.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   node_id draw_node();
@@ -100,7 +89,6 @@ class trace_source final : public event_source {
                         std::string label = "trace");
 
   [[nodiscard]] std::optional<event> next() override;
-  [[nodiscard]] std::string name() const override { return label_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return events_->size(); }
 
@@ -121,11 +109,6 @@ class trace_source final : public event_source {
   /// Parse time cannot know the topology, so range validation is the
   /// replayer's job — callers check `max_node() < n` before driving a run.
   [[nodiscard]] node_id max_node() const noexcept { return max_node_; }
-
-  // checkpointable: the replay cursor (the parsed events are immutable
-  // config, fingerprinted by count).
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   void summarize();  // fills the has_service_/max_node_ caches

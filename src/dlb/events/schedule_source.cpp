@@ -24,23 +24,4 @@ std::optional<event> schedule_source::next() {
                a.count};
 }
 
-void schedule_source::save_state(snapshot::writer& w) const {
-  w.section("schedule_source");
-  w.u64(static_cast<std::uint64_t>(rounds_));
-  w.i64(t_);
-  w.u64(pos_);
-  w.u64(batch_.size());
-}
-
-void schedule_source::restore_state(snapshot::reader& r) {
-  r.expect_section("schedule_source");
-  r.expect_u64(static_cast<std::uint64_t>(rounds_), "schedule rounds");
-  t_ = r.i64();
-  pos_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t batch_size = r.u64();
-  DLB_EXPECTS(t_ >= 0 && t_ <= rounds_);
-  batch_ = t_ > 0 ? sched_->arrivals(t_ - 1) : std::vector<workload::arrival>{};
-  DLB_EXPECTS(batch_.size() == batch_size && pos_ <= batch_.size());
-}
-
 }  // namespace dlb::events

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dlb/events/event_source.hpp"
@@ -23,15 +22,6 @@ class schedule_source final : public event_source {
                   round_t rounds);
 
   [[nodiscard]] std::optional<event> next() override;
-  [[nodiscard]] std::string name() const override {
-    return "schedule(" + sched_->name() + ")";
-  }
-
-  // checkpointable: the (round, in-batch) cursor. Schedules are
-  // deterministic functions of the round, so the in-flight batch is rebuilt
-  // by replaying arrivals(t-1) instead of being stored.
-  void save_state(snapshot::writer& w) const override;
-  void restore_state(snapshot::reader& r) override;
 
  private:
   std::unique_ptr<workload::arrival_schedule> sched_;

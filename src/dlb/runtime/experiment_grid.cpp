@@ -164,7 +164,7 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
   if (spec.custom_cell) {
     // Custom cells own their whole body, so wall_ns covers construction too.
     const wall_timer timer;
-    spec.custom_cell(spec, cell, row);
+    spec.custom_cell(spec, cell, row, pb);
     row.wall_ns = timer.elapsed_ns();
     if (spec.annotate) spec.annotate(spec, cell, row);
     return row;
@@ -238,8 +238,6 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     row.extra.push_back({"served", static_cast<real_t>(r.tokens_served)});
     row.extra.push_back(
         {"service_attempts", static_cast<real_t>(r.service_attempts)});
-    // time_weighted_mean_max_min is deliberately not a column: at unit round
-    // spacing it equals mean_max_min exactly (async_driver.hpp).
     row.extra.push_back({"depth_p50", static_cast<real_t>(r.depth_p50)});
     row.extra.push_back({"depth_p90", static_cast<real_t>(r.depth_p90)});
     row.extra.push_back({"depth_p99", static_cast<real_t>(r.depth_p99)});

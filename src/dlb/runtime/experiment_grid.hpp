@@ -114,8 +114,12 @@ struct grid_spec {
   /// grid, scenario, process, model, n, seed), times the call for wall_ns,
   /// and the hook fills every metric field (including `extra`). The
   /// competitor's `build` member is unused by such grids. Must be
-  /// deterministic given (spec, cell) — no global RNG, no clocks.
-  std::function<void(const grid_spec&, const grid_cell&, result_row&)>
+  /// deterministic given (spec, cell) — no global RNG, no clocks. The probe
+  /// is the cell's observability attachment, as the standard drivers get
+  /// it: the hook attaches it to the processes it builds (set_probe) and
+  /// passes it to the engine calls it makes.
+  std::function<void(const grid_spec&, const grid_cell&, result_row&,
+                     const obs::probe&)>
       custom_cell;
 
   /// Post-driver annotation hook (standard and custom cells alike): append

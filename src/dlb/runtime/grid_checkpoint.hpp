@@ -1,9 +1,9 @@
 // Grid-level checkpoint/resume: completed result rows persisted per cell.
 //
-// Process snapshots (dlb/snapshot) capture one run mid-flight; a *grid*
-// checkpoint works at the coarser granularity the CLI needs — every finished
-// cell's row is persisted (as its canonical JSON line, the format whose
-// parse_row(to_json(r)) == r round trip is exact), so a killed `dlb_run
+// Every row is a pure function of (seed, config), so the finished rows are
+// all a run needs to keep. Each finished cell's row is persisted as its
+// canonical JSON line (the format whose parse_row(to_json(r)) == r round
+// trip is exact) in the dlb/snapshot framing, so a killed `dlb_run
 // --checkpoint` relaunched with `--resume` recomputes only the cells that
 // had not finished and emits byte-identical output to an uninterrupted run.
 //

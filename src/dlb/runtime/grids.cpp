@@ -22,6 +22,8 @@
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
 #include "dlb/graph/spectral.hpp"
+#include "dlb/obs/metrics.hpp"
+#include "dlb/obs/recorder.hpp"
 #include "dlb/workload/initial_load.hpp"
 
 namespace dlb::runtime {
@@ -63,6 +65,26 @@ workload::graph_case ring_of_cliques_case(node_id target, node_id clique) {
   return make_case("ring-of-cliques(k=" + std::to_string(k) +
                        ",q=" + std::to_string(clique) + ")",
                    "arbitrary", generators::ring_of_cliques(k, clique));
+}
+
+/// run_experiment for a study cell's flow imitator, reporting to the cell's
+/// probe: T^A comes off the imitator's own reference.
+experiment_result run_imitator(flow_imitator& alg, round_t cap,
+                               const obs::probe& pb) {
+  alg.set_probe(pb);
+  return run_experiment(alg, alg.continuous(), cap, nullptr, pb);
+}
+
+/// One round of a study cell's process in a `round` span of the cell,
+/// counted as run_rounds counts one — for loops that sample state between
+/// rounds, continuous processes included.
+template <class Process>
+void observed_round(Process& p, const obs::probe& pb) {
+  {
+    const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
+    p.step();
+  }
+  if (pb.met != nullptr) pb.met->add_round();
 }
 
 /// Copies the standard experiment_result fields into a row.
@@ -307,7 +329,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
   spec.repeats = opts.repeats;
 
   spec.custom_cell = [variants](const grid_spec& s, const grid_cell& cell,
-                                result_row& row) {
+                                result_row& row, const obs::probe& pb) {
     const hetero_variant v = variants[cell.process_index];
     const auto g = s.graphs[cell.graph_index].g;
     const node_id n = g->num_nodes();
@@ -324,7 +346,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
                            loads, v.wmax, derive_seed(cell.seed, 3)),
                        {.removal = removal_policy::real_first,
                         .wmax_override = v.wmax});
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"w_max", static_cast<real_t>(v.wmax)});
         row.extra.push_back(
             {"bound", static_cast<real_t>(2 * d * v.wmax + 2)});
@@ -340,7 +362,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
             workload::point_mass(n, 0, 100 * n), sp, d);
         algorithm1 alg(make_fos(g, sp, default_alphas(*g)),
                        task_assignment::tokens(tokens));
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"s_max", static_cast<real_t>(v.smax)});
         row.extra.push_back(
             {"total_speed", static_cast<real_t>(total_speed)});
@@ -360,7 +382,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
                                                 derive_seed(cell.seed, 5)),
             {.removal = removal_policy::real_first,
              .wmax_override = v.wmax});
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.model = workload::model_name(v.m);
         row.extra.push_back({"w_max", static_cast<real_t>(v.wmax)});
         row.extra.push_back({"s_max", static_cast<real_t>(v.smax)});
@@ -438,7 +460,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
   spec.repeats = opts.repeats;
 
   spec.custom_cell = [variants](const grid_spec& s, const grid_cell& cell,
-                                result_row& row) {
+                                result_row& row, const obs::probe& pb) {
     const threshold_variant v = variants[cell.process_index];
     const auto g = s.graphs[cell.graph_index].g;
     const node_id n = g->num_nodes();
@@ -453,7 +475,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
             workload::point_mass(n, /*at=*/1, 60 * n), sp, ell);
         algorithm1 alg(make_fos(g, sp, default_alphas(*g)),
                        task_assignment::tokens(tokens));
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"floor", static_cast<real_t>(ell)});
         row.extra.push_back({"threshold", static_cast<real_t>(d)});
         push_outcomes(row);
@@ -464,7 +486,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
             workload::point_mass(n, 0, 60 * n), sp, v.offset);
         algorithm2 alg(make_fos(g, sp, default_alphas(*g)), tokens,
                        cell.seed);
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         const real_t dr = static_cast<real_t>(d);
         row.extra.push_back({"floor", static_cast<real_t>(v.offset)});
         row.extra.push_back(
@@ -477,7 +499,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
         algorithm1 alg(
             make_sos(g, sp, default_alphas(*g), v.beta),
             task_assignment::tokens(workload::point_mass(n, 0, 100 * n)));
-        const auto r = run_experiment(alg, alg.continuous(), s.round_cap);
+        const auto r = run_imitator(alg, s.round_cap, pb);
         apply_static(row, r);
         row.extra.push_back({"beta", v.beta});
         row.extra.push_back(
@@ -490,7 +512,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
             task_assignment::tokens(workload::point_mass(n, 0, 80 * n));
         add_dummy_preload(tasks, sp, d);
         algorithm1 alg(make_fos(g, sp, default_alphas(*g)), std::move(tasks));
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"preload_per_speed", static_cast<real_t>(d)});
         row.extra.push_back({"bound", static_cast<real_t>(2 * d + 2)});
         push_outcomes(row);
@@ -549,7 +571,8 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
 
   spec.custom_cell = [variants, anchors](const grid_spec& s,
                                          const grid_cell& cell,
-                                         result_row& row) {
+                                         result_row& row,
+                                         const obs::probe& pb) {
     const trace_kind k = variants[cell.process_index];
     const trace_anchor& anchor = anchors[cell.graph_index];
     const auto g = s.graphs[cell.graph_index].g;
@@ -566,13 +589,14 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
 
     std::vector<real_t> series;
     const auto sample = [&](auto& p, const auto& loads_of) {
+      p.set_probe(pb);
       std::size_t next = 0;
       for (round_t t = 0; t <= T; ++t) {
         while (next < checkpoints.size() && t == checkpoints[next]) {
           series.push_back(max_min_discrepancy(loads_of(p), sp));
           ++next;
         }
-        if (t < T) p.step();
+        if (t < T) observed_round(p, pb);
       }
     };
     const auto sample_continuous = [&](std::unique_ptr<linear_process> p) {
@@ -640,7 +664,7 @@ grid_spec locality_grid(const grid_options& opts, std::uint64_t /*master*/) {
   spec.pairs = {{0, 0}, {0, 1}, {1, 0}};
 
   spec.custom_cell = [](const grid_spec& s, const grid_cell& cell,
-                        result_row& row) {
+                        result_row& row, const obs::probe& pb) {
     const auto g = s.graphs[cell.graph_index].g;
     const node_id n = g->num_nodes();
     const speed_vector sp = uniform_speeds(n);
@@ -652,7 +676,7 @@ grid_spec locality_grid(const grid_options& opts, std::uint64_t /*master*/) {
         workload::make_continuous(workload::model::diffusion, g, sp,
                                   cell.seed),
         task_assignment::tokens(loads));
-    apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+    apply_static(row, run_imitator(alg, s.round_cap, pb));
     const auto stats = analysis::task_locality(*g, alg.tasks());
     row.extra.push_back({"T_A", static_cast<real_t>(row.rounds)});
     row.extra.push_back({"max_min", row.final_max_min});
@@ -729,7 +753,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
   }
 
   spec.custom_cell = [variants](const grid_spec& s, const grid_cell& cell,
-                                result_row& row) {
+                                result_row& row, const obs::probe& pb) {
     const ablation_variant v = variants[cell.process_index];
     const auto g = s.graphs[cell.graph_index].g;
     const node_id n = g->num_nodes();
@@ -741,7 +765,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
             make_sos(g, sp, default_alphas(*g), 1.95),
             task_assignment::tokens(workload::point_mass(n, 0, 100 * n)),
             {.removal = v.policy, .wmax_override = 0});
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"beta", 1.95});
         push_outcomes(row);
         break;
@@ -751,7 +775,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
         const auto tokens = workload::spike_workload(*g, sp, 50);
         algorithm1 alg(make_fos(g, sp, alpha),
                        task_assignment::tokens(tokens));
-        apply_static(row, run_experiment(alg, alg.continuous(), s.round_cap));
+        apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"lambda", diffusion_lambda(*g, sp, alpha)});
         row.extra.push_back({"T_fos", static_cast<real_t>(row.rounds)});
         row.extra.push_back({"max_min", row.final_max_min});
@@ -762,9 +786,10 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
                                     ? misra_gries_edge_coloring(*g)
                                     : greedy_edge_coloring(*g);
         auto p = make_periodic_matching_process(g, sp, to_matchings(*g, c));
+        p->set_probe(pb);
         std::vector<real_t> x0(static_cast<std::size_t>(n), 0.0);
         x0[0] = static_cast<real_t>(100 * n);
-        const auto bt = measure_balancing_time(*p, x0, s.round_cap);
+        const auto bt = measure_balancing_time(*p, x0, s.round_cap, pb);
         row.rounds = bt.rounds;
         row.converged = bt.converged;
         row.model = workload::model_name(workload::model::periodic_matching);
@@ -777,7 +802,8 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
         random_walk_balancer p(
             g, sp, default_alphas(*g), workload::point_mass(n, 0, 100 * n),
             cell.seed, {.phase1_rounds = 200, .slack = 1, .laziness = v.laziness});
-        for (int t = 0; t < 2200; ++t) p.step();
+        p.set_probe(pb);
+        run_rounds(p, 2200, nullptr, pb);
         row.rounds = 2200;
         row.final_max_min = max_min_discrepancy(p.loads(), sp);
         row.extra.push_back({"laziness", v.laziness});
@@ -923,7 +949,7 @@ grid_spec balancing_time_grid(const grid_options& opts,
   add("random matchings", process_kind::random);
 
   spec.custom_cell = [variants](const grid_spec& s, const grid_cell& cell,
-                                result_row& row) {
+                                result_row& row, const obs::probe& pb) {
     const process_kind k = variants[cell.process_index];
     const auto g = s.graphs[cell.graph_index].g;
     const node_id n = g->num_nodes();
@@ -957,7 +983,8 @@ grid_spec balancing_time_grid(const grid_options& opts,
         row.model = workload::model_name(workload::model::random_matching);
         break;
     }
-    const auto bt = measure_balancing_time(*p, x0, s.round_cap);
+    p->set_probe(pb);
+    const auto bt = measure_balancing_time(*p, x0, s.round_cap, pb);
     row.rounds = bt.rounds;
     row.converged = bt.converged;
     row.extra.push_back({"lambda", lambda});

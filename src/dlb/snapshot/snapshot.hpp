@@ -1,21 +1,5 @@
-// dlb::snapshot — versioned, self-describing binary snapshot/restore of
-// complete run state (ROADMAP item 5: long-lived service mode).
-//
-// A snapshot is a byte-exact capture of everything a process mutates while
-// stepping: token pools, ledgers, auxiliary per-node state, round counters,
-// and (for event-driven runs) the virtual clock and pending event-queue
-// entries. RNG *engines* never appear in a snapshot — every draw in the repo
-// is a counter-based pure function of (seed, round, entity), so restoring
-// the round counter restores the randomness (docs/ARCHITECTURE.md).
-//
-// The exactness contract: restoring a snapshot into a freshly constructed
-// process of the identical configuration and continuing yields bit-identical
-// state — and therefore byte-identical result rows — to the uninterrupted
-// run, at any shard count. Configuration (graph, speeds, schedules, seeds)
-// is NOT serialized; the caller reconstructs it, and every writer embeds
-// fingerprint fields (type tag, n, m, seeds) that restore verifies, so a
-// snapshot loaded into the wrong object fails with one line instead of
-// silently diverging.
+// dlb::snapshot — versioned, checksummed binary framing. The grid
+// checkpoint (runtime/grid_checkpoint.hpp) stores its finished rows in it.
 //
 // Wire format, all little-endian fixed width:
 //   [8-byte magic "DLBSNAP\0"] [u32 version] [u64 payload size]
@@ -41,7 +25,7 @@ namespace dlb::snapshot {
 inline constexpr char magic[8] = {'D', 'L', 'B', 'S', 'N', 'A', 'P', '\0'};
 
 /// Format version. Bump on any wire-format change; readers reject other
-/// versions with a one-line error (tests pin this and a golden fixture).
+/// versions with a one-line error (tests pin it).
 inline constexpr std::uint32_t format_version = 1;
 
 /// Field type tags (1 byte before every payload value).
@@ -67,7 +51,7 @@ class writer {
   void u8(std::uint8_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
-  /// Doubles are stored as their IEEE-754 bit pattern — restore is bit-exact.
+  /// Doubles are stored as their IEEE-754 bit pattern, so reads are bit-exact.
   void f64(double v);
   void str(std::string_view s);
   void vec_f64(const std::vector<double>& v);
@@ -162,48 +146,7 @@ class reader {
   std::size_t pos_ = 0;
 };
 
-/// Implemented by every component whose mutable run state can be captured:
-/// the five discrete competitors, the continuous linear process they embed,
-/// event sources, the event queue, and the async driver. `save_state` writes
-/// the complete mutable state (plus configuration fingerprints);
-/// `restore_state` loads it into a freshly constructed object of the
-/// identical configuration, verifying the fingerprints. See
-/// docs/ARCHITECTURE.md ("Checkpoint/resume") for how to implement it on a
-/// new process.
-class checkpointable {
- public:
-  virtual ~checkpointable() = default;
-
-  virtual void save_state(writer& w) const = 0;
-  virtual void restore_state(reader& r) = 0;
-};
-
 /// FNV-1a 64-bit over a byte range (the payload checksum).
 [[nodiscard]] std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size);
-
-/// Cross-casts `obj` to checkpointable, or throws a one-line
-/// contract_violation naming `what` — the error a caller sees when trying
-/// to checkpoint a run built around a non-checkpointable component.
-template <typename T>
-[[nodiscard]] checkpointable& require_checkpointable(T& obj,
-                                                     std::string_view what) {
-  auto* c = dynamic_cast<checkpointable*>(&obj);
-  if (c == nullptr) {
-    throw contract_violation("snapshot: " + std::string(what) +
-                             " is not checkpointable");
-  }
-  return *c;
-}
-
-template <typename T>
-[[nodiscard]] const checkpointable& require_checkpointable(
-    const T& obj, std::string_view what) {
-  const auto* c = dynamic_cast<const checkpointable*>(&obj);
-  if (c == nullptr) {
-    throw contract_violation("snapshot: " + std::string(what) +
-                             " is not checkpointable");
-  }
-  return *c;
-}
 
 }  // namespace dlb::snapshot

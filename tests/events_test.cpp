@@ -5,9 +5,7 @@
 // any runtime thread or shard-thread count.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -21,7 +19,6 @@
 #include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
-#include "dlb/core/sharding.hpp"
 #include "dlb/events/async_driver.hpp"
 #include "dlb/events/event_queue.hpp"
 #include "dlb/events/event_source.hpp"
@@ -310,8 +307,6 @@ TEST(AsyncDriverTest, OpenServiceModelConservesTokens) {
   EXPECT_LE(r.depth_p50, r.depth_p90);
   EXPECT_LE(r.depth_p90, r.depth_p99);
   EXPECT_LE(r.depth_p99, r.depth_max);
-  // Unit round spacing: the time-weighted mean equals the per-round mean.
-  EXPECT_EQ(r.time_weighted_mean_max_min, r.mean_max_min);
 }
 
 TEST(AsyncDriverTest, TraceEventsLandInTheirRoundInterval) {
@@ -478,272 +473,6 @@ TEST(AsyncGridTest, PreParsedTraceMatchesPerCellLoading) {
   auto direct = runtime::run_cell(spec, cells[3]);  // per-cell file load
   direct.wall_ns = rows[3].wall_ns;
   EXPECT_EQ(direct, rows[3]);
-}
-
-// ------------------------------------------- async resume exactness
-
-using events::async_budget;
-using events::async_run;
-
-/// Field-by-field bit-exact comparison (EXPECT_EQ on the doubles, never
-/// EXPECT_NEAR): a resumed run must not merely approximate the
-/// uninterrupted one.
-void expect_same_result(const async_result& got, const async_result& want) {
-  EXPECT_EQ(got.rounds, want.rounds);
-  EXPECT_EQ(got.total_arrived, want.total_arrived);
-  EXPECT_EQ(got.service_attempts, want.service_attempts);
-  EXPECT_EQ(got.tokens_served, want.tokens_served);
-  EXPECT_EQ(got.mean_max_min, want.mean_max_min);
-  EXPECT_EQ(got.peak_max_min, want.peak_max_min);
-  EXPECT_EQ(got.final_max_min, want.final_max_min);
-  EXPECT_EQ(got.time_weighted_mean_max_min, want.time_weighted_mean_max_min);
-  EXPECT_EQ(got.depth_p50, want.depth_p50);
-  EXPECT_EQ(got.depth_p90, want.depth_p90);
-  EXPECT_EQ(got.depth_p99, want.depth_p99);
-  EXPECT_EQ(got.depth_max, want.depth_max);
-  const dynamic_result gs = got.dynamics(), ws = want.dynamics();
-  EXPECT_EQ(gs.rounds, ws.rounds);
-  EXPECT_EQ(gs.total_arrived, ws.total_arrived);
-  EXPECT_EQ(gs.mean_max_min, ws.mean_max_min);
-  EXPECT_EQ(gs.peak_max_min, ws.peak_max_min);
-  EXPECT_EQ(gs.final_max_min, ws.final_max_min);
-}
-
-std::vector<std::unique_ptr<events::event_source>> poisson_sources() {
-  std::vector<std::unique_ptr<events::event_source>> sources;
-  sources.push_back(std::make_unique<events::poisson_source>(
-      16, /*total_rate=*/8.0, /*seed=*/3, event_kind::arrival));
-  sources.push_back(std::make_unique<events::poisson_source>(
-      16, /*total_rate=*/6.0, /*seed=*/4, event_kind::service));
-  return sources;
-}
-
-// Kill a Poisson-driven run at every round, resume in a fresh process +
-// fresh sources + fresh driver from the snapshot alone, and demand the
-// exact bytes of the uninterrupted result — at shard-thread counts 1 and 8.
-TEST(AsyncResumeTest, PoissonKillAtEveryRoundIsBitExact) {
-  constexpr round_t rounds = 40;
-  auto g = make_g(generators::hypercube(4));
-  const auto tokens = workload::point_mass(16, 0, 64);
-  const async_options opts{.rounds = rounds, .warmup = -1, .probe = {}};
-
-  for (const std::size_t shards : {1u, 8u}) {
-    algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
-    if (shards > 1) {
-      ref_p.enable_sharded_stepping(serial_shard_context(*g, shards));
-    }
-    async_run reference(ref_p, poisson_sources(), opts);
-    reference.advance();
-    const async_result want = reference.result();
-
-    for (round_t r = 0; r <= rounds; ++r) {
-      // The doomed invocation: r rounds, then the process dies. r = 0
-      // snapshots a run that never advanced (not even primed) — resume
-      // must still produce the full run.
-      algorithm1 doomed_p(fos_on(g), task_assignment::tokens(tokens));
-      if (shards > 1) {
-        doomed_p.enable_sharded_stepping(serial_shard_context(*g, shards));
-      }
-      async_run doomed(doomed_p, poisson_sources(), opts);
-      if (r > 0) doomed.advance({.max_rounds = r});
-      ASSERT_EQ(doomed.round(), r);
-      snapshot::writer w;
-      doomed.save_state(w);
-
-      // The relaunch: everything rebuilt from configuration, state loaded
-      // from the snapshot payload alone.
-      algorithm1 resumed_p(fos_on(g), task_assignment::tokens(tokens));
-      if (shards > 1) {
-        resumed_p.enable_sharded_stepping(serial_shard_context(*g, shards));
-      }
-      async_run resumed(resumed_p, poisson_sources(), opts);
-      snapshot::reader rd(w.payload());
-      resumed.restore_state(rd);
-      EXPECT_TRUE(rd.exhausted());
-      EXPECT_TRUE(resumed.advance());
-      expect_same_result(resumed.result(), want);
-      ASSERT_EQ(resumed_p.loads(), ref_p.loads())
-          << "shards=" << shards << " killed at round " << r;
-    }
-  }
-}
-
-TEST(AsyncResumeTest, TraceKillMidStreamIsBitExact) {
-  auto g = make_g(generators::path(4));
-  const std::vector<weight_t> tokens = {9, 3, 1, 1};
-  const std::vector<events::event> evs = {
-      {0.25, event_kind::arrival, 0, 5}, {1.5, event_kind::service, 0, 2},
-      {2.0, event_kind::arrival, 1, 7},  {3.25, event_kind::service, 1, 4},
-      {3.75, event_kind::arrival, 2, 11}, {5.5, event_kind::arrival, 3, 2},
-  };
-  const async_options opts{.rounds = 8, .warmup = -1, .probe = {}};
-
-  algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
-  async_run reference(ref_p,
-                      [&] {
-                        std::vector<std::unique_ptr<events::event_source>> s;
-                        s.push_back(
-                            std::make_unique<events::trace_source>(evs));
-                        return s;
-                      }(),
-                      opts);
-  reference.advance();
-  const async_result want = reference.result();
-
-  for (round_t r = 1; r < 8; ++r) {
-    algorithm1 doomed_p(fos_on(g), task_assignment::tokens(tokens));
-    std::vector<std::unique_ptr<events::event_source>> ds;
-    ds.push_back(std::make_unique<events::trace_source>(evs));
-    async_run doomed(doomed_p, std::move(ds), opts);
-    doomed.advance({.max_rounds = r});
-    snapshot::writer w;
-    doomed.save_state(w);
-
-    algorithm1 resumed_p(fos_on(g), task_assignment::tokens(tokens));
-    std::vector<std::unique_ptr<events::event_source>> rs;
-    rs.push_back(std::make_unique<events::trace_source>(evs));
-    async_run resumed(resumed_p, std::move(rs), opts);
-    snapshot::reader rd(w.payload());
-    resumed.restore_state(rd);
-    EXPECT_TRUE(resumed.advance());
-    expect_same_result(resumed.result(), want);
-    EXPECT_EQ(resumed_p.loads(), ref_p.loads()) << "killed at round " << r;
-  }
-}
-
-TEST(AsyncResumeTest, MismatchedSourcesOrOptionsAreRejected) {
-  auto g = make_g(generators::hypercube(4));
-  const auto tokens = workload::point_mass(16, 0, 24);
-  algorithm1 p(fos_on(g), task_assignment::tokens(tokens));
-  async_run run(p, poisson_sources(), {.rounds = 10, .warmup = -1, .probe = {}});
-  run.advance({.max_rounds = 2});
-  snapshot::writer w;
-  run.save_state(w);
-
-  // Different horizon.
-  algorithm1 q(fos_on(g), task_assignment::tokens(tokens));
-  async_run other(q, poisson_sources(), {.rounds = 12, .warmup = -1, .probe = {}});
-  snapshot::reader rd(w.payload());
-  EXPECT_THROW(other.restore_state(rd), contract_violation);
-
-  // Different source seed (the poisson fingerprint).
-  algorithm1 q2(fos_on(g), task_assignment::tokens(tokens));
-  std::vector<std::unique_ptr<events::event_source>> wrong;
-  wrong.push_back(std::make_unique<events::poisson_source>(
-      16, 8.0, /*seed=*/999, event_kind::arrival));
-  wrong.push_back(std::make_unique<events::poisson_source>(
-      16, 6.0, /*seed=*/4, event_kind::service));
-  async_run other2(q2, std::move(wrong), {.rounds = 10, .warmup = -1, .probe = {}});
-  snapshot::reader rd2(w.payload());
-  EXPECT_THROW(other2.restore_state(rd2), contract_violation);
-}
-
-// ------------------------------------------------------- pause budgets
-
-TEST(AsyncBudgetTest, EventBudgetPausesAndResumesExactly) {
-  auto g = make_g(generators::hypercube(4));
-  const auto tokens = workload::point_mass(16, 0, 64);
-  const async_options opts{.rounds = 50, .warmup = -1, .probe = {}};
-
-  algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
-  async_run reference(ref_p, poisson_sources(), opts);
-  reference.advance();
-  const async_result want = reference.result();
-  ASSERT_GT(reference.events_processed(), 50u);
-
-  algorithm1 p(fos_on(g), task_assignment::tokens(tokens));
-  async_run run(p, poisson_sources(), opts);
-  int pauses = 0;
-  while (!run.advance({.max_events = 7})) {
-    // Paused strictly at the budget (never past the horizon): each call
-    // processes at most 7 events.
-    ++pauses;
-    ASSERT_LT(pauses, 10'000) << "event budget failed to make progress";
-  }
-  EXPECT_GT(pauses, 0);
-  EXPECT_EQ(run.events_processed(), reference.events_processed());
-  expect_same_result(run.result(), want);
-  EXPECT_EQ(p.loads(), ref_p.loads());
-}
-
-TEST(AsyncBudgetTest, WallClockBudgetTerminatesWithIdenticalResults) {
-  auto g = make_g(generators::hypercube(4));
-  const auto tokens = workload::point_mass(16, 0, 64);
-  const async_options opts{.rounds = 60, .warmup = -1, .probe = {}};
-
-  algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
-  async_run reference(ref_p, poisson_sources(), opts);
-  reference.advance();
-
-  // Wall time may pause the run anywhere (or nowhere, on a fast machine);
-  // either way the loop terminates and the results carry identical bytes —
-  // the clock chooses pause points, never outcomes.
-  algorithm1 p(fos_on(g), task_assignment::tokens(tokens));
-  async_run run(p, poisson_sources(), opts);
-  int calls = 0;
-  while (!run.advance({.max_wall_ms = 1})) {
-    ++calls;
-    ASSERT_LT(calls, 1'000'000) << "wall budget starved the run";
-  }
-  expect_same_result(run.result(), reference.result());
-  EXPECT_EQ(p.loads(), ref_p.loads());
-}
-
-TEST(AsyncBudgetTest, RoundBudgetCountsPerCallNotPerRun) {
-  auto g = make_g(generators::hypercube(4));
-  algorithm1 p(fos_on(g),
-               task_assignment::tokens(workload::point_mass(16, 0, 12)));
-  async_run run(p, poisson_sources(), {.rounds = 10, .warmup = -1, .probe = {}});
-  EXPECT_FALSE(run.advance({.max_rounds = 4}));
-  EXPECT_EQ(run.round(), 4);
-  EXPECT_FALSE(run.advance({.max_rounds = 4}));
-  EXPECT_EQ(run.round(), 8);
-  EXPECT_TRUE(run.advance({.max_rounds = 4}));  // clipped at the horizon
-  EXPECT_EQ(run.round(), 10);
-  EXPECT_TRUE(run.finished());
-}
-
-TEST(AsyncBudgetTest, CheckpointedRunSurvivesAKillAtTheFileLevel) {
-  const std::string path = ::testing::TempDir() + "async_resume.ckpt";
-  auto g = make_g(generators::hypercube(4));
-  const auto tokens = workload::point_mass(16, 0, 64);
-  const async_options opts{.rounds = 30, .warmup = -1, .probe = {}};
-
-  algorithm1 ref_p(fos_on(g), task_assignment::tokens(tokens));
-  const async_result want = run_async(ref_p, poisson_sources(), opts);
-
-  // First invocation: checkpoint every 4 rounds, die after 13 (the last
-  // file on disk then holds round 12's state).
-  {
-    algorithm1 p(fos_on(g), task_assignment::tokens(tokens));
-    async_run run(p, poisson_sources(), opts);
-    run.advance({.max_rounds = 4});
-    snapshot::writer w;
-    w.section("dlb-async-checkpoint");
-    run.save_state(w);
-    w.save_file(path);
-    run.advance({.max_rounds = 9});  // dies with 13 rounds done, unsaved
-  }
-
-  // Relaunch with --resume semantics: run_async_checkpointed restores the
-  // file and finishes; the result is the uninterrupted run's, bit for bit.
-  algorithm1 p(fos_on(g), task_assignment::tokens(tokens));
-  const async_result got = events::run_async_checkpointed(
-      p, poisson_sources(), opts,
-      {.path = path, .every = 4, .resume = true});
-  expect_same_result(got, want);
-  EXPECT_EQ(p.loads(), ref_p.loads());
-
-  // The file now holds the finished run: restoring it yields a finished
-  // driver whose result is immediately available.
-  algorithm1 q(fos_on(g), task_assignment::tokens(tokens));
-  async_run final_run(q, poisson_sources(), opts);
-  snapshot::reader rd = snapshot::reader::from_file(path);
-  rd.expect_section("dlb-async-checkpoint");
-  final_run.restore_state(rd);
-  EXPECT_TRUE(final_run.finished());
-  expect_same_result(final_run.result(), want);
-  std::remove(path.c_str());
 }
 
 TEST(AsyncGridTest, ServiceGridServesTokens) {

@@ -7,10 +7,6 @@
 //  I3  discrete loads never negative for the imitators
 //  I4  node deviation: |x^D_i − x^A_i| < d_i·w_max while no dummy used
 //  I5  Observation 5: a positive discrete send never exceeds the deficit
-//
-// Each fuzz case also snapshots the process at a seed-derived round and
-// swaps execution onto a restored fresh copy mid-run — the invariants (and
-// the final state) must hold identically across the restore boundary.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,27 +18,10 @@
 #include "dlb/core/linear_process.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 #include "dlb/workload/initial_load.hpp"
 
 namespace dlb {
 namespace {
-
-/// Snapshot `from`, restore into `into` (a freshly built identical-config
-/// process), and require the round trip to be exact: the restored object's
-/// own serialized state must equal the original payload byte for byte.
-template <typename P>
-void snapshot_swap(const P& from, P& into) {
-  snapshot::writer w;
-  from.save_state(w);
-  snapshot::reader r(w.payload());
-  into.restore_state(r);
-  ASSERT_TRUE(r.exhausted());
-  snapshot::writer back;
-  into.save_state(back);
-  ASSERT_EQ(back.payload(), w.payload())
-      << "restore is not a byte-exact inverse of save";
-}
 
 std::shared_ptr<const graph> random_case_graph(std::uint64_t seed) {
   rng_t rng = make_rng(seed, 0xF022u);
@@ -102,26 +81,11 @@ TEST_P(FuzzInvariantsTest, Algorithm1InvariantsHold) {
       .removal = (seed % 2 == 0) ? removal_policy::real_first
                                  : removal_policy::dummy_first,
       .wmax_override = wmax};
-  const auto build = [&] {
-    return std::make_unique<algorithm1>(
-        random_case_process(g, s, seed),
-        workload::decompose_uniform_weights(loads, wmax, seed), alg_opts);
-  };
-  std::unique_ptr<algorithm1> holder = build();
-  algorithm1* live = holder.get();
-  std::unique_ptr<algorithm1> restored;  // swapped in mid-run
-  const int snap_round = static_cast<int>(seed % 60);
+  algorithm1 alg(random_case_process(g, s, seed),
+                 workload::decompose_uniform_weights(loads, wmax, seed),
+                 alg_opts);
 
   for (int t = 0; t < 60; ++t) {
-    // The fuzzed restore boundary: from round snap_round on, execution
-    // continues on a fresh process rebuilt from config + snapshot alone.
-    if (t == snap_round) {
-      restored = build();
-      snapshot_swap(*live, *restored);
-      live = restored.get();
-      holder.reset();
-    }
-    algorithm1& alg = *live;
     alg.step();
     // I1: conservation with dummy accounting.
     weight_t total = 0;
@@ -171,23 +135,9 @@ TEST_P(FuzzInvariantsTest, Algorithm2InvariantsHold) {
   weight_t initial_total = 0;
   for (const weight_t c : tokens) initial_total += c;
 
-  const auto build = [&] {
-    return std::make_unique<algorithm2>(random_case_process(g, s, seed + 1000),
-                                        tokens, seed);
-  };
-  std::unique_ptr<algorithm2> holder = build();
-  algorithm2* live = holder.get();
-  std::unique_ptr<algorithm2> restored;
-  const int snap_round = static_cast<int>((seed * 7) % 60);
+  algorithm2 alg(random_case_process(g, s, seed + 1000), tokens, seed);
 
   for (int t = 0; t < 60; ++t) {
-    if (t == snap_round) {
-      restored = build();
-      snapshot_swap(*live, *restored);
-      live = restored.get();
-      holder.reset();
-    }
-    algorithm2& alg = *live;
     alg.step();
     weight_t total = 0;
     for (const weight_t x : alg.loads()) {

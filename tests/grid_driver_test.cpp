@@ -1,11 +1,17 @@
 // The one grid driver: run_grid emits rows in canonical cell order from
 // pools whose cells finish out of order, and a grid_checkpoint both
 // short-circuits stored cells and records fresh rows as their cells finish.
+// A checkpoint file is external bytes: every mutant of a real one loads or
+// fails with one line.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,7 +34,7 @@ grid_spec counting_grid(int cells, std::atomic<int>& calls) {
   spec.processes.push_back({"p", /*randomized=*/true, nullptr});
   spec.repeats = cells;
   spec.custom_cell = [&calls](const grid_spec&, const grid_cell& cell,
-                              result_row& row) {
+                              result_row& row, const obs::probe&) {
     calls.fetch_add(1);
     row.rounds = static_cast<round_t>(cell.index);
   };
@@ -140,7 +146,7 @@ TEST(GridCheckpointTest, FreshRowsAreRecordedWhenTheirCellFinishes) {
   std::atomic<int> emits{0};
   std::atomic<bool> on_disk_before_emit{false};
   spec.custom_cell = [&](const grid_spec&, const grid_cell& cell,
-                         result_row&) {
+                         result_row&, const obs::probe&) {
     for (int poll = 0; cell.index == 0 && poll < 20000; ++poll) {
       if (grid_checkpoint::load_or_empty(path, "fp").size() == 5) {
         on_disk_before_emit = emits.load() == 0;
@@ -189,6 +195,97 @@ TEST(GridCheckpointTest, LoadChecksFingerprintPresenceAndRows) {
   // A hand-edited stored row fails at load, before any output.
   write_row(to_json(result_row{}).substr(0, 20));
   EXPECT_THROW((void)grid_checkpoint::load(path, "n=64"), contract_violation);
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Writes `bytes` as a fresh file: the sweep writes thousands of mutants,
+/// and truncating a file in place costs far more than replacing it on some
+/// filesystems.
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::remove(path.c_str());
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Magic, version, payload size and checksum precede the payload.
+constexpr std::size_t header = 28;
+
+/// `bytes` with the frame's payload size (header bytes 12-19) and FNV-1a
+/// checksum (bytes 20-27) rewritten to match its payload, so a mutant passes
+/// every frame check and reaches the field and row parsers.
+std::vector<std::uint8_t> reframed(std::vector<std::uint8_t> bytes) {
+  const std::uint64_t size = bytes.size() - header;
+  const std::uint64_t sum = snapshot::fnv1a(bytes.data() + header, size);
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[12 + b] = static_cast<std::uint8_t>(size >> (8 * b));
+    bytes[20 + b] = static_cast<std::uint8_t>(sum >> (8 * b));
+  }
+  return bytes;
+}
+
+// A real checkpoint, mutated at every payload byte (XOR 0x01, 0x80, 0xFF)
+// and truncated at a stride, each mutant re-framed: load either accepts it
+// or throws one contract_violation whose message is one line. No other
+// exception may escape.
+TEST(GridCheckpointTest, MutatedFilesLoadOrFailWithOneLine) {
+  const std::string path = ::testing::TempDir() + "grid_driver_mutant.ckpt";
+  std::remove(path.c_str());
+  grid_options opts;
+  opts.target_n = 32;
+  opts.repeats = 1;
+  const grid_spec spec = make_named_grid("locality", opts, 3);
+  const std::string fp = checkpoint_fingerprint("locality", 3, opts, false);
+  grid_checkpoint ckpt(fp);
+  ckpt.save_to(path, 1);
+  ASSERT_EQ(emitted(spec, 2, &ckpt).size(), 3u);
+  const std::vector<std::uint8_t> framed = read_bytes(path);
+  ASSERT_GT(framed.size(), header);
+  ASSERT_EQ(reframed(framed), framed);
+  ASSERT_EQ(grid_checkpoint::load(path, fp).size(), 3u);
+
+  int loaded = 0;
+  int refused = 0;
+  const auto attempt = [&](const std::vector<std::uint8_t>& bytes,
+                           const std::string& what) {
+    write_bytes(path, reframed(bytes));
+    try {
+      (void)grid_checkpoint::load(path, fp);
+      ++loaded;
+    } catch (const contract_violation& e) {
+      ++refused;
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << what << ": " << msg;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": escaped as a non-contract exception: "
+                    << e.what();
+    } catch (...) {
+      ADD_FAILURE() << what << ": escaped as a non-std exception";
+    }
+  };
+  for (std::size_t at = header; at < framed.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> mutant = framed;
+      mutant[at] ^= mask;
+      attempt(mutant, "byte " + std::to_string(at) + " ^ " +
+                          std::to_string(mask));
+    }
+  }
+  for (std::size_t keep = header; keep < framed.size(); keep += 7) {
+    attempt({framed.begin(), framed.begin() + static_cast<std::ptrdiff_t>(keep)},
+            "cut to " + std::to_string(keep) + " bytes");
+  }
+  // The sweep reaches both outcomes: it exercises the parsers, not only the
+  // frame check.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointFingerprintTest, RealsKeepEveryDigitThreadsNeverEnter) {

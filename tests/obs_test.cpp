@@ -67,7 +67,7 @@ std::string run_json(const std::string& grid, unsigned shard_threads,
 // table2-random draws a matching every round inside a traced `alpha.draw`
 // span; the draw must come out the same with the recorder attached.
 TEST(ObsRowsTest, PaperTablesByteIdenticalWithRecorderOnAndOff) {
-  for (const char* grid : {"table1", "table2-random"}) {
+  for (const char* grid : {"table1", "table2-random", "ablation"}) {
     const std::string plain = run_json(grid, 1, nullptr);
     obs::recorder rec;
     EXPECT_EQ(plain, run_json(grid, 1, &rec)) << grid;
@@ -123,6 +123,30 @@ TEST(ObsRowsTest, ObsRoundsCountTheTAProbeOnlyForBaselines) {
     }
     EXPECT_GT(imitators, 0) << grid;
     EXPECT_GT(baselines, 0) << grid;
+  }
+}
+
+// Study grids own their cell bodies (grid_spec::custom_cell) and get the
+// cell's probe as the standard drivers do: every row that steps a process
+// counts its rounds and its processes' phases under --obs-extras.
+TEST(ObsRowsTest, CustomCellsReportToTheCellProbe) {
+  for (const char* grid : {"convergence", "weighted-speeds", "dummy-threshold",
+                           "balancing-time", "locality", "ablation"}) {
+    runtime::grid_spec spec =
+        runtime::make_named_grid(grid, tiny_options(1), 5);
+    ASSERT_TRUE(spec.custom_cell) << grid;
+    spec.obs_extras = true;
+    runtime::thread_pool pool(2);
+    int stepped = 0;
+    for (const runtime::result_row& row : runtime::run_grid(spec, 5, pool)) {
+      if (row.rounds == 0) continue;
+      ++stepped;
+      EXPECT_GT(row.extra_value("obs_rounds", -1), 0)
+          << grid << " " << row.process;
+      EXPECT_GT(row.extra_value("obs_phases", -1), 0)
+          << grid << " " << row.process;
+    }
+    EXPECT_GT(stepped, 0) << grid;
   }
 }
 

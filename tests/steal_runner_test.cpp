@@ -37,7 +37,6 @@
 #include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/thread_pool.hpp"
-#include "dlb/snapshot/snapshot.hpp"
 #include "dlb/workload/competitors.hpp"
 #include "dlb/workload/initial_load.hpp"
 
@@ -290,8 +289,7 @@ class alpha_fill_stepper final : public sharded_stepper {
 // The random schedule reuses its draw buffers across rounds, so every fill
 // must mark exactly round t's matching — α_e·[e ∈ random_maximal_matching(g,
 // seed, t)] — whatever rounds were drawn before: re-entered and earlier
-// rounds, a clone (which gets its own buffers), and the owning process
-// restored to an earlier round.
+// rounds, and a clone (which gets its own buffers).
 TEST(ShardedAlphaScheduleTest, RandomFillMarksExactlyTheRoundsMatching) {
   const auto g = make_g(generators::torus_2d(96));
   speed_vector s(static_cast<std::size_t>(g->num_nodes()));
@@ -323,34 +321,6 @@ TEST(ShardedAlphaScheduleTest, RandomFillMarksExactlyTheRoundsMatching) {
   }
   ASSERT_EQ(filler.fill(schedule, 0), expected(0))
       << "a clone's draw leaked into the original";
-
-  // Restore to round 2 while the schedule holds round 5's draw: each
-  // re-stepped round must redraw, and match an uninterrupted twin.
-  const auto tokens = workload::spike_workload(*g, s, 25);
-  const std::vector<real_t> x0(tokens.begin(), tokens.end());
-  auto restored = make_random_matching_process(g, s, seed);
-  auto twin = make_random_matching_process(g, s, seed);
-  restored->enable_sharded_stepping(pool_context(*g, 4));
-  restored->reset(x0);
-  twin->reset(x0);
-  snapshot::writer w;
-  for (round_t t = 0; t < 6; ++t) {
-    if (t == 2) restored->save_state(w);
-    restored->step();
-  }
-  snapshot::reader r(w.payload());
-  restored->restore_state(r);
-  twin->step();
-  twin->step();
-  for (round_t t = 2; t < 6; ++t) {
-    restored->step();
-    twin->step();
-    // The process's schedule already holds round t, so this fill reads the
-    // marks the step used.
-    ASSERT_EQ(filler.fill(restored->schedule(), t), expected(t))
-        << "restored, round " << t;
-    ASSERT_EQ(restored->loads(), twin->loads()) << "restored, round " << t;
-  }
 }
 
 // ------------------------------------------------------- edge phase order

@@ -58,7 +58,7 @@ code shapes that *could* violate the contract, at review time:
 Escape hatch: a finding is suppressed by an allow directive with a
 justification, on the same line or the line directly above:
 
-    // dlb-lint: allow(wall-clock): wall budget only picks pause points
+    // dlb-lint: allow(wall-clock): the value only labels a log line
 
 An allow() with an empty justification is itself an error
 (allow-needs-reason) — suppressions must say why they are sound.
