@@ -41,7 +41,7 @@ int main() {
             << g->max_degree() << ", diameter = " << g->diameter() << "\n"
             << "all " << 200 * n << " tokens start on node 0\n\n";
 
-  algorithm1 alg(make_fos(g, speeds, alpha), task_assignment::tokens(tokens));
+  algorithm1 alg(make_fos(g, speeds, alpha), tokens);
   local_rounding_process down(
       g, speeds, std::make_unique<diffusion_alpha_schedule>(alpha),
       rounding_policy::round_down, tokens, /*seed=*/1);

@@ -87,7 +87,7 @@ int main() {
   const auto tokens = workload::add_speed_multiple(
       workload::point_mass(n, 0, 50 * n), s,
       static_cast<weight_t>(g->max_degree()));
-  algorithm1 alg(std::move(process), task_assignment::tokens(tokens));
+  algorithm1 alg(std::move(process), tokens);
   const experiment_result r =
       run_experiment(alg, alg.continuous(), 1'000'000);
 

@@ -43,7 +43,7 @@ int main() {
                       make_alphas(*g, alpha_scheme::half_max_degree));
 
   // 4. Discretize and run to T^A.
-  algorithm1 alg(std::move(fos), task_assignment::tokens(tokens));
+  algorithm1 alg(std::move(fos), tokens);
   const experiment_result r = run_experiment(alg, alg.continuous(),
                                              /*cap=*/1'000'000);
 

@@ -137,13 +137,18 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<discrete_process> proc;
     if (algo == "alg1") {
-      auto tasks = wmax == 1 ? task_assignment::tokens(tokens)
-                             : workload::decompose_uniform_weights(
-                                   tokens, wmax, seed);
-      proc = std::make_unique<algorithm1>(
-          build_process(process, g, s, seed), std::move(tasks),
-          algorithm1_config{.removal = removal_policy::real_first,
-                            .wmax_override = wmax});
+      // Unit tokens run on the count store; weighted tasks need the task
+      // store.
+      const algorithm1_config config{.removal = removal_policy::real_first,
+                                     .wmax_override = wmax};
+      auto reference = build_process(process, g, s, seed);
+      proc = wmax == 1
+                 ? std::make_unique<algorithm1>(std::move(reference), tokens,
+                                                config)
+                 : std::make_unique<algorithm1>(
+                       std::move(reference),
+                       workload::decompose_uniform_weights(tokens, wmax, seed),
+                       config);
     } else if (algo == "alg2") {
       proc = std::make_unique<algorithm2>(build_process(process, g, s, seed),
                                           tokens, seed);

@@ -84,6 +84,9 @@ class local_rounding_process final : public discrete_process {
     return drained;
   }
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] const alpha_schedule* schedule() const override {
+    return schedule_.get();
+  }
 
   /// Number of (node, round) pairs at which the load was negative.
   [[nodiscard]] std::int64_t negative_load_events() const {

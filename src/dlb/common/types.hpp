@@ -30,9 +30,11 @@ inline constexpr edge_id invalid_edge = -1;
 
 /// Most tokens one experiment cell may be asked to create: its n ×
 /// spike-per-node initial load, its rounds × arrivals-per-round stream, its
-/// burst total, or one replay-trace event. Alg1 keeps every real task as a
-/// weight_t plus its origin node (12 B), so 2^28 tokens fill 3 GiB of task
-/// pools; larger requests are refused before anything is allocated.
+/// burst total, or one replay-trace event. Alg1's task store keeps every
+/// real task as a weight_t plus its origin node (12 B), so 2^28 tokens fill
+/// 3 GiB of task pools, and both of Alg1's stores mirror each arriving
+/// token into the reference one unit at a time; larger requests are
+/// refused before anything is allocated.
 inline constexpr weight_t max_cell_tokens = weight_t{1} << 28;
 
 /// Comparison slack for real-valued flow bookkeeping. Chosen so that

@@ -43,25 +43,42 @@ struct algorithm1_config {
 /// bit-identical to the sequential round (the pool push/pop order per node
 /// is preserved exactly; see core/sharding.hpp). The reference, the ledger,
 /// the loads and the counters live in `flow_imitator`.
+///
+/// Two stores hold the tasks, and the constructor's input picks one. In the
+/// token model every task is an identical unit token, so which one moves
+/// cannot be observed: the *count store* keeps per node the dummy tokens
+/// beside loads(), and per edge the tokens sent and how many of them were
+/// dummies. The *task store* keeps every task's weight and origin
+/// (`task_assignment`), for weights above 1 and for locality analyses; both
+/// evolve the same loads, flows and counters on unit tokens.
 class algorithm1 final : public flow_imitator {
  public:
-  /// `process` is a *fresh* continuous process (it will be reset to the
-  /// total-weight load vector of `initial` and stepped internally).
+  /// Count store: `process` is a *fresh* continuous process (reset to the
+  /// load vector and stepped internally); `tokens[i]` unit tasks start on
+  /// node i, plus `dummy_preload[i]` dummy tokens (the Theorem 3(1) device;
+  /// empty for none), which count toward loads() but not real_loads().
+  algorithm1(std::unique_ptr<linear_process> process,
+             std::vector<weight_t> tokens, algorithm1_config config = {},
+             std::vector<weight_t> dummy_preload = {});
+
+  /// Task store: the process is reset to the total-weight load vector of
+  /// `initial`, whose pools tasks() then exposes.
   algorithm1(std::unique_ptr<linear_process> process, task_assignment initial,
              algorithm1_config config = {});
 
-  [[nodiscard]] std::vector<weight_t> real_loads() const override {
-    return tasks_.real_loads();
-  }
+  [[nodiscard]] std::vector<weight_t> real_loads() const override;
   [[nodiscard]] std::string name() const override {
     return "alg1-flow-imitation(" + reference_->name() + ")";
   }
 
   /// Dynamic arrivals: `count` unit tasks land on node i, mirrored into the
-  /// internal continuous process (additivity keeps the imitation valid).
+  /// internal continuous process (additivity keeps the imitation valid) as
+  /// `count` unit arrivals — one inject_load(i, count) would round x^A_i
+  /// differently.
   void inject_tokens(node_id i, weight_t count) override;
 
-  /// Weighted arrival variant: one task of weight `w`.
+  /// Weighted arrival variant: one task of weight `w` (1 on the count
+  /// store).
   void inject_task(node_id i, weight_t w);
 
   /// Departures: up to `count` real unit tasks on node i complete and leave,
@@ -79,38 +96,52 @@ class algorithm1 final : public flow_imitator {
     return last_sent_[static_cast<size_t>(e)];
   }
 
-  /// Task pools (read-only view).
-  [[nodiscard]] const task_assignment& tasks() const { return tasks_; }
+  /// Task pools (read-only view); the task store only.
+  [[nodiscard]] const task_assignment& tasks() const {
+    DLB_EXPECTS(tasks_ != nullptr);
+    return *tasks_;
+  }
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
                                                node_id end) const override;
 
  private:
-  /// One pending transfer: the task set S_ij in flight over an edge.
+  /// The real tasks of one edge's transfer set S_ij in flight (task store).
   /// Persistent (vectors keep their capacity across rounds) so that a
   /// million-edge round does not churn the allocator.
   struct pending_transfer {
-    node_id to = invalid_node;
     std::vector<weight_t> real_weights;
     std::vector<node_id> real_origins;  // parallel to real_weights
-    weight_t dummy_count = 0;
-    weight_t total = 0;
   };
 
   weight_t imitate_round() override;
 
+  /// The number of unit tokens the task store's transfer loop adds for a
+  /// deficit of `amount` (count store).
+  [[nodiscard]] weight_t units_sent(real_t amount) const;
+
+  /// True when this round's send over `inc`'s edge arrives at node i.
+  [[nodiscard]] bool receives(node_id i, const incidence& inc) const {
+    const weight_t sent = last_sent_[static_cast<size_t>(inc.edge)];
+    return inc.neighbor > i ? sent < 0 : sent > 0;
+  }
+
   // One round's phases; ranges are one shard's slice of edges/nodes. The
   // send phase returns the shard's dummy-token mint count.
   void deficit_phase(const edge_slice& es);
-  [[nodiscard]] weight_t send_phase(node_id i0, node_id i1);
-  void receive_phase(node_id i0, node_id i1);
+  [[nodiscard]] weight_t send_tasks(node_id i0, node_id i1);
+  [[nodiscard]] weight_t send_counts(node_id i0, node_id i1);
+  void receive_tasks(node_id i0, node_id i1);
+  void receive_counts(node_id i0, node_id i1);
 
-  task_assignment tasks_;
+  std::unique_ptr<task_assignment> tasks_;  // the task store, or null
+  std::vector<weight_t> dummies_;  // count store: dummy tokens per node
   algorithm1_config config_;
   weight_t wmax_ = 1;
-  std::vector<weight_t> last_sent_;
-  std::vector<real_t> deficit_;           // per-edge ŷ, oriented u→v (reused)
-  std::vector<pending_transfer> outbox_;  // per-edge transfer sets (reused)
+  std::vector<real_t> deficit_;     // per-edge ŷ, oriented u→v (reused)
+  std::vector<weight_t> last_sent_;     // per-edge |S_ij|, oriented u→v
+  std::vector<weight_t> sent_dummies_;  // per-edge dummies among them
+  std::vector<pending_transfer> outbox_;  // task store: per-edge real tasks
 };
 
 }  // namespace dlb

@@ -6,43 +6,17 @@
 
 namespace dlb {
 
-namespace {
-
-// x^D(0): the tokens plus any dummy preload, both non-negative.
-std::vector<weight_t> with_preload(std::vector<weight_t> tokens,
-                                   const std::vector<weight_t>& dummy_preload) {
-  for (const weight_t c : tokens) DLB_EXPECTS(c >= 0);
-  if (!dummy_preload.empty()) {
-    DLB_EXPECTS(dummy_preload.size() == tokens.size());
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      DLB_EXPECTS(dummy_preload[i] >= 0);
-      tokens[i] += dummy_preload[i];
-    }
-  }
-  return tokens;
-}
-
-}  // namespace
-
 algorithm2::algorithm2(std::unique_ptr<linear_process> process,
                        std::vector<weight_t> tokens, std::uint64_t seed,
                        std::vector<weight_t> dummy_preload)
     : flow_imitator(std::move(process),
-                    with_preload(std::move(tokens), dummy_preload)),
+                    with_dummy_preload(std::move(tokens), dummy_preload)),
       dummies_(dummy_preload.empty() ? std::vector<weight_t>(loads_.size(), 0)
                                      : std::move(dummy_preload)),
       coin_seed_(derive_seed(seed, /*stream=*/0xA19u)) {
   sends_.assign(static_cast<size_t>(topology().num_edges()), edge_send{});
   sent_.assign(loads_.size(), 0);
   dummy_out_.assign(loads_.size(), 0);
-}
-
-std::vector<weight_t> algorithm2::real_loads() const {
-  std::vector<weight_t> x(loads_.size());
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    x[i] = loads_[i] - dummies_[i];
-  }
-  return x;
 }
 
 void algorithm2::inject_tokens(node_id i, weight_t count) {
@@ -61,17 +35,6 @@ weight_t algorithm2::drain_tokens(node_id i, weight_t count) {
   loads_[idx] -= drained;
   reference_->inject_load(i, -static_cast<real_t>(drained));
   return drained;
-}
-
-load_extrema algorithm2::real_load_extrema(node_id begin, node_id end) const {
-  const speed_vector& s = speeds();
-  load_extrema e;
-  for (node_id i = begin; i < end; ++i) {
-    const std::size_t idx = static_cast<size_t>(i);
-    e.add(static_cast<real_t>(loads_[idx] - dummies_[idx]) /
-          static_cast<real_t>(s[idx]));
-  }
-  return e;
 }
 
 // Phase 1 (per edge): the positive-deficit direction decides its rounded

@@ -38,7 +38,9 @@ class algorithm2 final : public flow_imitator {
              std::vector<weight_t> tokens, std::uint64_t seed,
              std::vector<weight_t> dummy_preload = {});
 
-  [[nodiscard]] std::vector<weight_t> real_loads() const override;
+  [[nodiscard]] std::vector<weight_t> real_loads() const override {
+    return loads_without(dummies_);
+  }
   [[nodiscard]] std::string name() const override {
     return "alg2-randomized-imitation(" + reference_->name() + ")";
   }
@@ -58,7 +60,9 @@ class algorithm2 final : public flow_imitator {
   }
 
   [[nodiscard]] load_extrema real_load_extrema(node_id begin,
-                                               node_id end) const override;
+                                               node_id end) const override {
+    return extrema_without(dummies_, begin, end);
+  }
 
  private:
   /// Round-t transfer decision of one edge: `y` tokens from `from_u`'s side

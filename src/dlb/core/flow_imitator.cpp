@@ -31,6 +31,38 @@ flow_imitator::flow_imitator(std::unique_ptr<linear_process> reference,
   reference_->reset(std::move(x0));
 }
 
+std::vector<weight_t> flow_imitator::with_dummy_preload(
+    std::vector<weight_t> tokens, const std::vector<weight_t>& dummy_preload) {
+  for (const weight_t c : tokens) DLB_EXPECTS(c >= 0);
+  if (!dummy_preload.empty()) {
+    DLB_EXPECTS(dummy_preload.size() == tokens.size());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      DLB_EXPECTS(dummy_preload[i] >= 0);
+      tokens[i] += dummy_preload[i];
+    }
+  }
+  return tokens;
+}
+
+std::vector<weight_t> flow_imitator::loads_without(
+    const std::vector<weight_t>& dummies) const {
+  std::vector<weight_t> x(loads_.size());
+  for (std::size_t i = 0; i < loads_.size(); ++i) x[i] = loads_[i] - dummies[i];
+  return x;
+}
+
+load_extrema flow_imitator::extrema_without(
+    const std::vector<weight_t>& dummies, node_id begin, node_id end) const {
+  const speed_vector& s = speeds();
+  load_extrema e;
+  for (node_id i = begin; i < end; ++i) {
+    const std::size_t idx = static_cast<size_t>(i);
+    e.add(static_cast<real_t>(loads_[idx] - dummies[idx]) /
+          static_cast<real_t>(s[idx]));
+  }
+  return e;
+}
+
 void flow_imitator::step() {
   reference_->step();
   dummy_created_ += imitate_round();

@@ -68,6 +68,18 @@ class flow_imitator : public discrete_process {
   }
 
  protected:
+  /// x^D(0) of a token-model imitator: `tokens[i]` plus `dummy_preload[i]`
+  /// dummy tokens (empty = none), all non-negative.
+  [[nodiscard]] static std::vector<weight_t> with_dummy_preload(
+      std::vector<weight_t> tokens, const std::vector<weight_t>& dummy_preload);
+
+  /// real_loads() and real_load_extrema() of a token-model imitator that
+  /// holds `dummies[i]` of node i's loads() as dummy tokens.
+  [[nodiscard]] std::vector<weight_t> loads_without(
+      const std::vector<weight_t>& dummies) const;
+  [[nodiscard]] load_extrema extrema_without(
+      const std::vector<weight_t>& dummies, node_id begin, node_id end) const;
+
   /// The round's deficit ŷ_e(t) = f^A(t) - f^D(t-1), oriented u→v, with a
   /// value within flow_epsilon of an integer snapped to it, so float dust in
   /// f^A cannot move a floor or a coin. Read after the reference stepped;

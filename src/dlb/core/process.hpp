@@ -133,6 +133,13 @@ class discrete_process : public sharded_stepper {
     return nullptr;
   }
 
+  /// The α schedule this process steps on, or nullptr for one that owns
+  /// none. A baseline's T^A template is built over a copy of it, so the
+  /// schedule's set-up (a colouring, for periodic matchings) runs once.
+  [[nodiscard]] virtual const alpha_schedule* schedule() const {
+    return nullptr;
+  }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

@@ -18,6 +18,7 @@
 #include "dlb/events/async_driver.hpp"
 #include "dlb/events/event_source.hpp"
 #include "dlb/graph/spectral.hpp"
+#include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grid_checkpoint.hpp"
 #include "dlb/runtime/wall_timer.hpp"
 #include "dlb/workload/arrival.hpp"
@@ -170,31 +171,44 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     return row;
   }
 
-  const speed_vector s = uniform_speeds(n);
-  const auto tokens = workload::spike_workload(*gc.g, s, spec.spike_per_node);
   // Only the engine call is timed — for a static cell that is the whole T^A
   // loop: the imitator's own rounds, or a baseline's probe rounds beside its
   // own. Process/reference construction (graph coloring etc.) and the shard
-  // pool/plan setup are identical per competitor and would swamp fast cells.
+  // pool/plan setup are identical per competitor and would swamp fast cells;
+  // the profile shows them as the cell's `cell.build` and `cell.teardown`
+  // spans instead.
   const auto timed = [&row](const auto& engine_call) {
     const wall_timer timer;
     const auto result = engine_call();
     row.wall_ns = timer.elapsed_ns();
     return result;
   };
-  const shard_rig rig = make_shard_rig(*gc.g, spec.shard_threads, pb.rec);
-  auto d = comp.build(gc.g, s, tokens, spec.comm_model, cell.seed);
-  if (rig.ctx != nullptr) d->enable_sharded_stepping(rig.ctx);
-  if (pb.active()) d->set_probe(pb);
-  if (spec.kind == grid_kind::static_balancing) {
-    // A flow imitator's T^A comes off its own reference (run_experiment
-    // ignores the template then); only a baseline builds the continuous
-    // process its T^A probe is cloned from.
-    std::unique_ptr<linear_process> reference;
-    if (d->imitated() == nullptr) {
+  shard_rig rig;
+  std::unique_ptr<discrete_process> d;
+  // A static baseline's T^A template; a flow imitator's T^A comes off its
+  // own reference (run_experiment ignores the template then).
+  std::unique_ptr<linear_process> reference;
+  {
+    const obs::scoped_span span(pb.rec, "cell.build", -1, pb.cell);
+    const speed_vector s = uniform_speeds(n);
+    const auto tokens =
+        workload::spike_workload(*gc.g, s, spec.spike_per_node);
+    rig = make_shard_rig(*gc.g, spec.shard_threads, pb.rec);
+    d = comp.build(gc.g, s, tokens, spec.comm_model, cell.seed);
+    if (rig.ctx != nullptr) d->enable_sharded_stepping(rig.ctx);
+    if (pb.active()) d->set_probe(pb);
+    if (spec.kind == grid_kind::static_balancing && d->imitated() == nullptr) {
+      // Over the baseline's own schedule when it has one: a periodic
+      // schedule's colouring then runs once per cell.
+      const alpha_schedule* own = d->schedule();
       reference =
-          workload::make_continuous(spec.comm_model, gc.g, s, cell.seed);
+          own != nullptr
+              ? workload::make_continuous(spec.comm_model, gc.g, s, *own)
+              : workload::make_continuous(spec.comm_model, gc.g, s,
+                                          cell.seed);
     }
+  }
+  if (spec.kind == grid_kind::static_balancing) {
     const linear_process& reference_template =
         reference != nullptr ? *reference : *d->imitated();
     const experiment_result r = timed([&] {
@@ -261,6 +275,14 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     row.mean_max_min = r.mean_max_min;
     row.peak_max_min = r.peak_max_min;
     row.dummy_created = d->dummy_created();
+  }
+  {
+    // The process goes before the pool it steps on.
+    const obs::scoped_span span(pb.rec, "cell.teardown", -1, pb.cell);
+    d.reset();
+    reference.reset();
+    rig.ctx.reset();
+    rig.pool.reset();
   }
   if (spec.annotate) spec.annotate(spec, cell, row);
   return row;

@@ -360,8 +360,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
         for (const weight_t si : sp) total_speed += si;
         const auto tokens = workload::add_speed_multiple(
             workload::point_mass(n, 0, 100 * n), sp, d);
-        algorithm1 alg(make_fos(g, sp, default_alphas(*g)),
-                       task_assignment::tokens(tokens));
+        algorithm1 alg(make_fos(g, sp, default_alphas(*g)), tokens);
         apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"s_max", static_cast<real_t>(v.smax)});
         row.extra.push_back(
@@ -473,8 +472,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
             v.offset;
         const auto tokens = workload::add_speed_multiple(
             workload::point_mass(n, /*at=*/1, 60 * n), sp, ell);
-        algorithm1 alg(make_fos(g, sp, default_alphas(*g)),
-                       task_assignment::tokens(tokens));
+        algorithm1 alg(make_fos(g, sp, default_alphas(*g)), tokens);
         apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"floor", static_cast<real_t>(ell)});
         row.extra.push_back({"threshold", static_cast<real_t>(d)});
@@ -496,9 +494,8 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
         break;
       }
       case kind::sos_beta: {
-        algorithm1 alg(
-            make_sos(g, sp, default_alphas(*g), v.beta),
-            task_assignment::tokens(workload::point_mass(n, 0, 100 * n)));
+        algorithm1 alg(make_sos(g, sp, default_alphas(*g), v.beta),
+                       workload::point_mass(n, 0, 100 * n));
         const auto r = run_imitator(alg, s.round_cap, pb);
         apply_static(row, r);
         row.extra.push_back({"beta", v.beta});
@@ -508,10 +505,11 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
         break;
       }
       case kind::preload: {
-        task_assignment tasks =
-            task_assignment::tokens(workload::point_mass(n, 0, 80 * n));
-        add_dummy_preload(tasks, sp, d);
-        algorithm1 alg(make_fos(g, sp, default_alphas(*g)), std::move(tasks));
+        algorithm1 alg(make_fos(g, sp, default_alphas(*g)),
+                       workload::point_mass(n, 0, 80 * n), {},
+                       workload::add_speed_multiple(
+                           std::vector<weight_t>(static_cast<size_t>(n), 0),
+                           sp, d));
         apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"preload_per_speed", static_cast<real_t>(d)});
         row.extra.push_back({"bound", static_cast<real_t>(2 * d + 2)});
@@ -616,8 +614,7 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
         sample_continuous(make_sos(g, sp, alpha, optimal_sos_beta(lambda)));
         break;
       case trace_kind::alg1: {
-        algorithm1 alg(make_fos(g, sp, alpha),
-                       task_assignment::tokens(tokens));
+        algorithm1 alg(make_fos(g, sp, alpha), tokens);
         sample_discrete(alg);
         break;
       }
@@ -761,10 +758,9 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
     switch (v.k) {
       case kind::removal: {
         // The dummy-minting regime (SOS overshoot) where the policy matters.
-        algorithm1 alg(
-            make_sos(g, sp, default_alphas(*g), 1.95),
-            task_assignment::tokens(workload::point_mass(n, 0, 100 * n)),
-            {.removal = v.policy, .wmax_override = 0});
+        algorithm1 alg(make_sos(g, sp, default_alphas(*g), 1.95),
+                       workload::point_mass(n, 0, 100 * n),
+                       {.removal = v.policy, .wmax_override = 0});
         apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"beta", 1.95});
         push_outcomes(row);
@@ -773,8 +769,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
       case kind::alpha: {
         const auto alpha = make_alphas(*g, v.scheme);
         const auto tokens = workload::spike_workload(*g, sp, 50);
-        algorithm1 alg(make_fos(g, sp, alpha),
-                       task_assignment::tokens(tokens));
+        algorithm1 alg(make_fos(g, sp, alpha), tokens);
         apply_static(row, run_imitator(alg, s.round_cap, pb));
         row.extra.push_back({"lambda", diffusion_lambda(*g, sp, alpha)});
         row.extra.push_back({"T_fos", static_cast<real_t>(row.rounds)});
@@ -861,7 +856,7 @@ grid_spec huge_uniform_grid(const grid_options& opts,
          const edge_coloring c = greedy_edge_coloring(*g);
          return std::make_unique<algorithm1>(
              make_periodic_matching_process(g, s, to_matchings(*g, c)),
-             task_assignment::tokens(tokens));
+             tokens);
        }});
   spec.processes.push_back(
       {"random-walk [19]", true,

@@ -7,7 +7,6 @@
 #include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
-#include "dlb/core/tasks.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/workload/initial_load.hpp"
 
@@ -77,6 +76,14 @@ std::unique_ptr<linear_process> make_continuous(
                                           /*beta=*/1.0, continuous_name(m));
 }
 
+std::unique_ptr<linear_process> make_continuous(
+    model m, std::shared_ptr<const graph> g, const speed_vector& s,
+    const alpha_schedule& schedule) {
+  DLB_EXPECTS(g != nullptr);
+  return std::make_unique<linear_process>(std::move(g), s, schedule.clone(),
+                                          /*beta=*/1.0, continuous_name(m));
+}
+
 std::vector<competitor> standard_competitors(bool diffusion_model) {
   std::vector<competitor> rows;
   rows.push_back(
@@ -122,8 +129,8 @@ std::vector<competitor> standard_competitors(bool diffusion_model) {
       {"Alg1 (this paper)", false,
        [](std::shared_ptr<const graph> g, const speed_vector& s,
           const std::vector<weight_t>& tokens, model m, std::uint64_t seed) {
-         return std::make_unique<algorithm1>(
-             make_continuous(m, g, s, seed), task_assignment::tokens(tokens));
+         return std::make_unique<algorithm1>(make_continuous(m, g, s, seed),
+                                             tokens);
        }});
   rows.push_back(
       {"Alg2 (this paper)", true,

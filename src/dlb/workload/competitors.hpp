@@ -39,6 +39,12 @@ enum class model { diffusion, periodic_matching, random_matching };
     model m, std::shared_ptr<const graph> g, const speed_vector& s,
     std::uint64_t seed);
 
+/// The same reference over a copy of `schedule`, a schedule already built
+/// for (m, g, s) — a baseline's own — so no second colouring runs.
+[[nodiscard]] std::unique_ptr<linear_process> make_continuous(
+    model m, std::shared_ptr<const graph> g, const speed_vector& s,
+    const alpha_schedule& schedule);
+
 /// One competitor row of the comparison tables.
 struct competitor {
   std::string name;  ///< e.g. "Alg1 (this paper)"

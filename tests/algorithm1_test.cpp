@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "dlb/core/diffusion_matrix.hpp"
@@ -236,6 +239,71 @@ TEST(Algorithm1Test, NameIdentifiesProcess) {
   algorithm1 alg(fos_on(g), task_assignment::tokens({1, 0}));
   EXPECT_NE(alg.name().find("alg1"), std::string::npos);
   EXPECT_NE(alg.name().find("FOS"), std::string::npos);
+  algorithm1 counts(fos_on(g), {1, 0});
+  EXPECT_EQ(counts.name(), alg.name());
+}
+
+TEST(Algorithm1Test, CountStoreDummyFirstCirculatesDummies) {
+  // DummyFirstPolicyCirculatesDummies on the count store: the 4 preloaded
+  // dummies go over the edge, so node 1 holds 7 tokens and 3 real ones.
+  auto g = make_g(generators::path(2));
+  algorithm1 alg(fos_on(g), {10, 0},
+                 {.removal = removal_policy::dummy_first, .wmax_override = 0},
+                 {4, 0});
+  alg.step();
+  EXPECT_EQ(alg.loads(), (std::vector<weight_t>{7, 7}));
+  EXPECT_EQ(alg.real_loads(), (std::vector<weight_t>{7, 3}));
+  EXPECT_EQ(alg.wmax(), 1);
+}
+
+TEST(Algorithm1Test, CountStoreHoldsOnlyTokens) {
+  auto g = make_g(generators::path(3));
+  algorithm1 alg(fos_on(g), {10, 0, 0},
+                 {.removal = removal_policy::real_first, .wmax_override = 3});
+  EXPECT_THROW((void)alg.tasks(), contract_violation);
+  EXPECT_THROW(alg.inject_task(0, 3), contract_violation);
+  alg.inject_task(0, 1);  // a unit task is a token
+  EXPECT_EQ(alg.loads()[0], 11);
+}
+
+TEST(Algorithm1Test, CountStoreMirrorsArrivalsOneTokenAtATime) {
+  // inject_tokens(i, k) must reach the reference as k unit arrivals, as on
+  // the task store: once x^A_i crosses a power of two, k additions of 1.0
+  // and one addition of k round differently. Find such an (i, k) after a
+  // few rounds, then inject it into both stores.
+  auto g = make_g(generators::ring_of_cliques(3, 4));
+  const auto tokens = workload::uniform_random(12, 40, /*seed=*/5);
+  algorithm1 counts(fos_on(g), tokens);
+  algorithm1 tasks(fos_on(g), task_assignment::tokens(tokens));
+  node_id node = invalid_node;
+  weight_t k = 0;
+  for (int t = 0; t < 40 && node == invalid_node; ++t) {
+    counts.step();
+    tasks.step();
+    const auto& x = counts.continuous().loads();
+    for (node_id i = 0; i < 12 && node == invalid_node; ++i) {
+      const real_t x0 = x[static_cast<size_t>(i)];
+      for (weight_t c = 1; c <= 64; ++c) {
+        real_t units = x0;
+        for (weight_t u = 0; u < c; ++u) units += 1.0;
+        if (std::floor(std::log2(units)) != std::floor(std::log2(x0)) &&
+            units != x0 + static_cast<real_t>(c)) {
+          node = i;
+          k = c;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_NE(node, invalid_node) << "no rounding-sensitive arrival found";
+  counts.inject_tokens(node, k);
+  tasks.inject_tokens(node, k);
+  const std::size_t idx = static_cast<size_t>(node);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(counts.continuous().loads()[idx]),
+            std::bit_cast<std::uint64_t>(tasks.continuous().loads()[idx]));
+  counts.step();
+  tasks.step();
+  EXPECT_EQ(counts.loads(), tasks.loads());
 }
 
 }  // namespace

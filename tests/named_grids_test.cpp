@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -76,6 +77,47 @@ TEST_P(NamedGridsTest, RowsCarryMetricsAndRoundTrip) {
   // process row.
   const auto table = render_view(spec, rows);
   EXPECT_GT(table.num_rows(), 0u);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The grids whose custom cells construct Algorithm 1 themselves, on either
+// store; no scale-benchmark digest covers them, so their rows are pinned
+// here: FNV-1a of the timing-masked JSON rows at n = 32, one repeat, master
+// seed 7. A change to either store's transfer rule fails here before it
+// moves a published figure.
+TEST(NamedGridsGoldenTest, Alg1CustomCellRowsMatchGoldenHashes) {
+  struct golden {
+    const char* grid;
+    std::uint64_t hash;
+  };
+  const golden table[] = {
+      {"weighted-speeds", 0xd71644e4315d48e7ULL},
+      {"dummy-threshold", 0xbef6a12c5ea27698ULL},
+      {"convergence", 0xeeffe7c05e8e3b88ULL},
+      {"locality", 0xbfb525f9c97445b4ULL},
+      {"ablation", 0x5b53c4ac296a537eULL},
+  };
+  grid_options opts;
+  opts.target_n = 32;
+  opts.repeats = 1;
+  constexpr std::uint64_t seed = 7;
+  for (const golden& want : table) {
+    thread_pool pool(2);
+    const auto rows =
+        run_grid(make_named_grid(want.grid, opts, seed), seed, pool);
+    std::ostringstream os;
+    write_rows(os, rows, sink_format::json, timing::exclude);
+    EXPECT_EQ(fnv1a(os.str()), want.hash)
+        << want.grid << std::hex << " hashes to 0x" << fnv1a(os.str());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

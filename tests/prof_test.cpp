@@ -112,6 +112,34 @@ TEST(ProfRowsTest, HugeStaticByteIdenticalWithProfilerOnAndOff) {
   EXPECT_EQ(plain, run_json("huge-static", 8, &rec8));
 }
 
+// A standard cell's build and teardown sit outside its wall_ns, so its
+// report carries each as one phase of its own; a custom cell times its
+// construction inside wall_ns and has neither.
+TEST(ProfRowsTest, StandardCellsReportOneBuildAndOneTeardownPhase) {
+  const auto phase_calls = [](const obs::prof::cell_profile& cell,
+                              const std::string& name) -> std::uint64_t {
+    for (const obs::prof::phase_profile& p : cell.phases) {
+      if (p.phase == name) return p.calls;
+    }
+    return 0;
+  };
+  for (const char* grid : {"table1", "huge-uniform", "convergence"}) {
+    const bool standard = std::string(grid) != "convergence";
+    const std::string plain = run_json(grid, 2, nullptr);
+    const obs::prof::profiler pf;
+    obs::recorder rec(&pf);
+    EXPECT_EQ(plain, run_json(grid, 2, &rec)) << grid;
+    const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
+    ASSERT_FALSE(report.cells.empty()) << grid;
+    for (const obs::prof::cell_profile& cell : report.cells) {
+      for (const char* name : {"cell.build", "cell.teardown"}) {
+        EXPECT_EQ(phase_calls(cell, name), standard ? 1u : 0u)
+            << grid << " / " << cell.process << " / " << name;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- fallback backend
 
 TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
