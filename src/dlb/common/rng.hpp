@@ -3,6 +3,7 @@
 // whole experiments are reproducible from a single master seed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -49,10 +50,26 @@ class counter_rng {
   std::uint64_t counter_ = 0;
 };
 
-/// Bernoulli draw with success probability p in [0,1].
+/// The double in [0, 1) that libstdc++'s generate_canonical<double, 53>
+/// makes of one 64-bit draw x: x rounded to the nearest double (ties to
+/// even), times 2^-64, clamped to the largest double below 1. The two
+/// 32-bit halves convert exactly and round once when added, as converting x
+/// itself does, but without the conversion's sign branch.
+[[nodiscard]] inline double canonical_double(std::uint64_t x) noexcept {
+  const double u = (static_cast<double>(x >> 32) * 0x1p32 +
+                    static_cast<double>(static_cast<std::uint32_t>(x))) *
+                   0x1p-64;
+  return std::min(u, 0x1.fffffffffffffp-1);  // nextafter(1.0, 0.0)
+}
+
+/// Bernoulli draw with success probability p in [0,1] from a full-range
+/// 64-bit engine: consumes one draw and returns the bit
+/// std::bernoulli_distribution returns on libstdc++, branch-free.
 template <typename Rng>
 [[nodiscard]] bool bernoulli(Rng& rng, double p) {
-  return std::bernoulli_distribution{p}(rng);
+  static_assert(Rng::min() == 0 && Rng::max() == ~std::uint64_t{0},
+                "bernoulli needs a full-range 64-bit engine");
+  return canonical_double(rng()) < p;
 }
 
 /// Uniform integer in [lo, hi] inclusive.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 namespace dlb {
@@ -25,17 +24,11 @@ real_t send_amount(real_t deficit, node_id i, const incidence& inc) {
 
 algorithm1::algorithm1(std::unique_ptr<linear_process> process,
                        std::vector<weight_t> tokens, algorithm1_config config,
-                       std::vector<weight_t> dummy_preload)
-    : flow_imitator(std::move(process),
-                    with_dummy_preload(std::move(tokens), dummy_preload)),
-      dummies_(dummy_preload.empty() ? std::vector<weight_t>(loads_.size(), 0)
-                                     : std::move(dummy_preload)),
+                       const std::vector<weight_t>& dummy_preload)
+    : flow_imitator(std::move(process), std::move(tokens), dummy_preload),
       config_(config),
       wmax_(config.wmax_override > 0 ? config.wmax_override : 1) {
-  const std::size_t m = static_cast<size_t>(topology().num_edges());
-  deficit_.assign(m, 0.0);
-  last_sent_.assign(m, 0);
-  sent_dummies_.assign(m, 0);
+  deficit_.assign(static_cast<size_t>(topology().num_edges()), 0.0);
 }
 
 algorithm1::algorithm1(std::unique_ptr<linear_process> process,
@@ -48,13 +41,11 @@ algorithm1::algorithm1(std::unique_ptr<linear_process> process,
   DLB_EXPECTS(wmax_ >= tasks_->max_task_weight());
   const std::size_t m = static_cast<size_t>(topology().num_edges());
   deficit_.assign(m, 0.0);
-  last_sent_.assign(m, 0);
-  sent_dummies_.assign(m, 0);
   outbox_.resize(m);
 }
 
 std::vector<weight_t> algorithm1::real_loads() const {
-  return tasks_ ? tasks_->real_loads() : loads_without(dummies_);
+  return tasks_ ? tasks_->real_loads() : flow_imitator::real_loads();
 }
 
 void algorithm1::inject_tokens(node_id i, weight_t count) {
@@ -72,13 +63,11 @@ void algorithm1::inject_task(node_id i, weight_t w) {
 }
 
 weight_t algorithm1::drain_tokens(node_id i, weight_t count) {
+  if (!tasks_) return flow_imitator::drain_tokens(i, count);
   DLB_EXPECTS(i >= 0 && i < topology().num_nodes());
   DLB_EXPECTS(count >= 0);
-  const std::size_t idx = static_cast<size_t>(i);
-  const weight_t drained =
-      tasks_ ? tasks_->pool(i).drain_real_units(count)
-             : std::min(count, loads_[idx] - dummies_[idx]);
-  loads_[idx] -= drained;
+  const weight_t drained = tasks_->pool(i).drain_real_units(count);
+  loads_[static_cast<size_t>(i)] -= drained;
   reference_->inject_load(i, -static_cast<real_t>(drained));
   return drained;
 }
@@ -101,14 +90,14 @@ weight_t algorithm1::units_sent(real_t amount) const {
 }
 
 // Phase 1 (per edge): the snapped flow deficit ŷ_{u,v}(t), oriented u→v.
-// Also resets the edge's transfer set and last-sent record for this round.
+// Also resets the edge's transfer set and send for this round (its dummy
+// slot is read only if the edge sends, and then the sender writes it).
 // Reads only pre-round state, so any edge partition computes identical bits.
 void algorithm1::deficit_phase(const edge_slice& es) {
   es.for_each([&](edge_id e) {
     const std::size_t idx = static_cast<size_t>(e);
     deficit_[idx] = snapped_deficit(e);
-    last_sent_[idx] = 0;
-    sent_dummies_[idx] = 0;
+    sent_[idx] = 0;
     if (tasks_) {
       outbox_[idx].real_weights.clear();
       outbox_[idx].real_origins.clear();
@@ -120,7 +109,7 @@ void algorithm1::deficit_phase(const edge_slice& es) {
 // edges on which it is the sender, in ascending edge-id order. The node's
 // pool shrinks as its edges are processed, so tasks committed to one edge
 // are unavailable to the next ("unallocated tasks"). The sender is the
-// single writer of the per-edge slots (transfer set, ledger, last_sent),
+// single writer of the per-edge slots (transfer set, ledger, transfer record),
 // and a node's pool evolves exactly as under the sequential global edge
 // loop.
 weight_t algorithm1::send_tasks(node_id i0, node_id i1) {
@@ -156,8 +145,7 @@ weight_t algorithm1::send_tasks(node_id i0, node_id i1) {
         }
       }
       if (total > 0) {
-        ledger_.record(inc.edge, i, total);
-        last_sent_[e] = inc.neighbor > i ? total : -total;
+        record_send(inc.edge, inc.neighbor > i ? total : -total);
         sent_dummies_[e] = dummies;
       }
     }
@@ -194,8 +182,7 @@ weight_t algorithm1::send_counts(node_id i0, node_id i1) {
       real -= from_real;
       dummies -= from_dummies;
       dummies_minted += k - from_real - from_dummies;
-      ledger_.record(inc.edge, i, k);
-      last_sent_[e] = inc.neighbor > i ? k : -k;
+      record_send(inc.edge, inc.neighbor > i ? k : -k);
       sent_dummies_[e] = k - from_real;
     }
     loads_[idx] = real + dummies;
@@ -204,74 +191,50 @@ weight_t algorithm1::send_counts(node_id i0, node_id i1) {
   return dummies_minted;
 }
 
-// Phase 3 (per node): each node drains its inbound transfer sets in
+// Phase 3 (per node): the count store delivers through the base's receive.
+// On the task store each node drains its inbound transfer sets in
 // ascending edge-id order — the same order the sequential delivery loop
 // pushes into its pool, so the pool's LIFO state is preserved exactly —
 // then refreshes its cached load. Tasks received this round cannot be
 // re-sent this round (delivery is synchronous, after every send).
-void algorithm1::receive_tasks(node_id i0, node_id i1) {
+void algorithm1::receive(node_id i0, node_id i1) {
+  if (!tasks_) {
+    flow_imitator::receive(i0, i1);
+    return;
+  }
   const graph& g = topology();
   weight_t moved = 0;  // weight delivered to this slice's nodes (obs only)
   for (node_id i = i0; i < i1; ++i) {
     task_pool& dest = tasks_->pool(i);
     for (const incidence& inc : g.neighbors(i)) {
-      if (!receives(i, inc)) continue;
+      const weight_t in = -sent_by(i, inc);
+      if (in <= 0) continue;
       const std::size_t e = static_cast<size_t>(inc.edge);
       const pending_transfer& out = outbox_[e];
       for (std::size_t k = 0; k < out.real_weights.size(); ++k) {
         dest.add_real(out.real_weights[k], out.real_origins[k]);
       }
       dest.add_dummies(sent_dummies_[e]);
-      moved += std::abs(last_sent_[e]);
+      moved += in;
     }
     loads_[static_cast<size_t>(i)] = dest.total_weight();
   }
   add_tokens_moved(static_cast<std::uint64_t>(moved));
 }
 
-// Phase 3 on the count store: each node adds its inbound tokens and the
-// dummies among them.
-void algorithm1::receive_counts(node_id i0, node_id i1) {
-  const graph& g = topology();
-  weight_t moved = 0;  // weight delivered to this slice's nodes (obs only)
-  for (node_id i = i0; i < i1; ++i) {
-    const std::size_t idx = static_cast<size_t>(i);
-    weight_t received = 0;
-    weight_t dummies = 0;
-    for (const incidence& inc : g.neighbors(i)) {
-      if (!receives(i, inc)) continue;
-      const std::size_t e = static_cast<size_t>(inc.edge);
-      received += std::abs(last_sent_[e]);
-      dummies += sent_dummies_[e];
-    }
-    loads_[idx] += received;
-    dummies_[idx] += dummies;
-    moved += received;
-  }
-  add_tokens_moved(static_cast<std::uint64_t>(moved));
-}
-
-weight_t algorithm1::imitate_round() {
+weight_t algorithm1::send_round() {
   edge_phase([&](const edge_slice& es) { deficit_phase(es); });
-  const weight_t minted = node_phase_reduce<weight_t>(
+  return node_phase_reduce<weight_t>(
       0,
       [&](node_id i0, node_id i1) {
         return tasks_ ? send_tasks(i0, i1) : send_counts(i0, i1);
       },
       [](weight_t a, weight_t b) { return a + b; });
-  node_phase([&](node_id i0, node_id i1) {
-    if (tasks_) {
-      receive_tasks(i0, i1);
-    } else {
-      receive_counts(i0, i1);
-    }
-  });
-  return minted;
 }
 
 load_extrema algorithm1::real_load_extrema(node_id begin, node_id end) const {
   return tasks_ ? tasks_->real_load_extrema(begin, end, speeds())
-                : extrema_without(dummies_, begin, end);
+                : flow_imitator::real_load_extrema(begin, end);
 }
 
 }  // namespace dlb

@@ -42,7 +42,7 @@ struct algorithm1_config {
 /// `enable_sharded_stepping` runs the phases over a shard plan with results
 /// bit-identical to the sequential round (the pool push/pop order per node
 /// is preserved exactly; see core/sharding.hpp). The reference, the ledger,
-/// the loads and the counters live in `flow_imitator`.
+/// the loads, the counters and the count store live in `flow_imitator`.
 ///
 /// Two stores hold the tasks, and the constructor's input picks one. In the
 /// token model every task is an identical unit token, so which one moves
@@ -59,7 +59,7 @@ class algorithm1 final : public flow_imitator {
   /// empty for none), which count toward loads() but not real_loads().
   algorithm1(std::unique_ptr<linear_process> process,
              std::vector<weight_t> tokens, algorithm1_config config = {},
-             std::vector<weight_t> dummy_preload = {});
+             const std::vector<weight_t>& dummy_preload = {});
 
   /// Task store: the process is reset to the total-weight load vector of
   /// `initial`, whose pools tasks() then exposes.
@@ -89,13 +89,6 @@ class algorithm1 final : public flow_imitator {
   /// w_max used by the transfer loop.
   [[nodiscard]] weight_t wmax() const { return wmax_; }
 
-  /// Weight sent over edge e in the last round, oriented u→v (signed); used
-  /// by tests of Observation 5.
-  [[nodiscard]] weight_t last_sent(edge_id e) const {
-    DLB_EXPECTS(e >= 0 && e < topology().num_edges());
-    return last_sent_[static_cast<size_t>(e)];
-  }
-
   /// Task pools (read-only view); the task store only.
   [[nodiscard]] const task_assignment& tasks() const {
     DLB_EXPECTS(tasks_ != nullptr);
@@ -114,33 +107,23 @@ class algorithm1 final : public flow_imitator {
     std::vector<node_id> real_origins;  // parallel to real_weights
   };
 
-  weight_t imitate_round() override;
+  weight_t send_round() override;
+  void receive(node_id i0, node_id i1) override;
 
   /// The number of unit tokens the task store's transfer loop adds for a
   /// deficit of `amount` (count store).
   [[nodiscard]] weight_t units_sent(real_t amount) const;
-
-  /// True when this round's send over `inc`'s edge arrives at node i.
-  [[nodiscard]] bool receives(node_id i, const incidence& inc) const {
-    const weight_t sent = last_sent_[static_cast<size_t>(inc.edge)];
-    return inc.neighbor > i ? sent < 0 : sent > 0;
-  }
 
   // One round's phases; ranges are one shard's slice of edges/nodes. The
   // send phase returns the shard's dummy-token mint count.
   void deficit_phase(const edge_slice& es);
   [[nodiscard]] weight_t send_tasks(node_id i0, node_id i1);
   [[nodiscard]] weight_t send_counts(node_id i0, node_id i1);
-  void receive_tasks(node_id i0, node_id i1);
-  void receive_counts(node_id i0, node_id i1);
 
   std::unique_ptr<task_assignment> tasks_;  // the task store, or null
-  std::vector<weight_t> dummies_;  // count store: dummy tokens per node
   algorithm1_config config_;
   weight_t wmax_ = 1;
-  std::vector<real_t> deficit_;     // per-edge ŷ, oriented u→v (reused)
-  std::vector<weight_t> last_sent_;     // per-edge |S_ij|, oriented u→v
-  std::vector<weight_t> sent_dummies_;  // per-edge dummies among them
+  std::vector<real_t> deficit_;  // per-edge ŷ, oriented u→v (reused)
   std::vector<pending_transfer> outbox_;  // task store: per-edge real tasks
 };
 

@@ -11,8 +11,8 @@
 // The rounding coin of edge e in round t is a counter-based draw keyed
 // (seed, t, e) — a pure per-edge function, so the round decomposes into the
 // shared sharded-stepper phases (decide per edge; mint and attribute dummies
-// per sender node; apply per node) with bit-identical results at any shard
-// count.
+// per sender node; the base's receive per node) with bit-identical results
+// at any shard count.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,8 @@
 
 namespace dlb {
 
-/// The reference, the ledger, the loads and the counters live in
-/// `flow_imitator`.
+/// The reference, the ledger, the loads, the counters and the count store
+/// live in `flow_imitator`.
 class algorithm2 final : public flow_imitator {
  public:
   /// `process` is a fresh continuous process; `tokens[i]` is the number of
@@ -36,11 +36,8 @@ class algorithm2 final : public flow_imitator {
   /// but not real_loads().
   algorithm2(std::unique_ptr<linear_process> process,
              std::vector<weight_t> tokens, std::uint64_t seed,
-             std::vector<weight_t> dummy_preload = {});
+             const std::vector<weight_t>& dummy_preload = {});
 
-  [[nodiscard]] std::vector<weight_t> real_loads() const override {
-    return loads_without(dummies_);
-  }
   [[nodiscard]] std::string name() const override {
     return "alg2-randomized-imitation(" + reference_->name() + ")";
   }
@@ -49,44 +46,15 @@ class algorithm2 final : public flow_imitator {
   /// internal continuous process.
   void inject_tokens(node_id i, weight_t count) override;
 
-  /// Departures: up to `count` real tokens on node i complete and leave,
-  /// mirrored into the continuous process as negative load.
-  weight_t drain_tokens(node_id i, weight_t count) override;
-
-  /// Dummy tokens currently residing on node i.
-  [[nodiscard]] weight_t dummies_at(node_id i) const {
-    DLB_EXPECTS(i >= 0 && i < topology().num_nodes());
-    return dummies_[static_cast<size_t>(i)];
-  }
-
-  [[nodiscard]] load_extrema real_load_extrema(node_id begin,
-                                               node_id end) const override {
-    return extrema_without(dummies_, begin, end);
-  }
-
  private:
-  /// Round-t transfer decision of one edge: `y` tokens from `from_u`'s side
-  /// (0 = no transfer), of which `dummies` are attributed dummy tokens
-  /// (filled by the mint phase).
-  struct edge_send {
-    weight_t y = 0;
-    weight_t dummies = 0;
-    bool from_u = false;
-  };
-
-  weight_t imitate_round() override;
+  weight_t send_round() override;
 
   // One round's phases; ranges are one shard's slice. The mint phase
   // returns the shard's dummy mint count.
   void decide_phase(const edge_slice& es);
   [[nodiscard]] weight_t mint_phase(node_id i0, node_id i1);
-  void apply_phase(node_id i0, node_id i1);
 
-  std::vector<weight_t> dummies_;  // dummy tokens residing per node
   std::uint64_t coin_seed_;
-  std::vector<edge_send> sends_;      // per-edge decisions (reused)
-  std::vector<weight_t> sent_;        // per-node outgoing totals (reused)
-  std::vector<weight_t> dummy_out_;   // per-node dummy attribution (reused)
 };
 
 }  // namespace dlb

@@ -34,17 +34,8 @@ class discrete_flow_ledger {
     return ed.u == from_node ? forward(e) : -forward(e);
   }
 
-  /// Records a transfer of `amount` >= 0 from `from_node` over edge e.
-  void record(edge_id e, node_id from_node, weight_t amount) {
-    DLB_EXPECTS(amount >= 0);
-    const edge& ed = g_->endpoints(e);
-    DLB_EXPECTS(ed.u == from_node || ed.v == from_node);
-    if (ed.u == from_node) {
-      flow_[static_cast<size_t>(e)] += amount;
-    } else {
-      flow_[static_cast<size_t>(e)] -= amount;
-    }
-  }
+  /// Records a transfer of `sent` over edge e, oriented u→v (signed).
+  void add(edge_id e, weight_t sent) { flow_[static_cast<size_t>(e)] += sent; }
 
  private:
   const graph* g_;

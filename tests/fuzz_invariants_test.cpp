@@ -12,9 +12,11 @@
 // unit tokens, round after round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 
 #include "dlb/core/algorithm1.hpp"
@@ -209,6 +211,55 @@ TEST_P(FuzzInvariantsTest, Algorithm1CountStoreEqualsTaskStore) {
   }
 }
 
+// Algorithm 2's state after 60 rounds, per seed 1..24: FNV-1a over every
+// node's load and dummies_at, then every edge's discrete_flow, each as 8
+// little-endian bytes, and the dummies minted. A coin that flips one bit
+// differently, or a transfer record that attributes one dummy elsewhere,
+// moves a hash.
+struct alg2_golden {
+  std::uint64_t hash;
+  weight_t minted;
+};
+constexpr alg2_golden alg2_goldens[] = {
+    {0x40cc1109d4dd01abULL, 0},    // seed 1
+    {0xb9dd8ce53921e217ULL, 0},    // seed 2
+    {0xc05c8461984599ddULL, 0},    // seed 3
+    {0x7ddd5a8fe12f3d3dULL, 199},  // seed 4
+    {0xa3e9db1d6d8e024eULL, 0},    // seed 5
+    {0x5d87aa971bb12d38ULL, 0},    // seed 6
+    {0x91d6986cf1e47450ULL, 0},    // seed 7
+    {0x8e22b1d8777358f6ULL, 143},  // seed 8
+    {0x2e2ab0fdf6dde5b6ULL, 0},    // seed 9
+    {0x156bafbd0a03e891ULL, 0},    // seed 10
+    {0xb73c724c3fc7b335ULL, 0},    // seed 11
+    {0xa510a54e507a6401ULL, 315},  // seed 12
+    {0x3a284e0ec87ab2c8ULL, 0},    // seed 13
+    {0xbc620e4d0bc9fddcULL, 0},    // seed 14
+    {0x18e61535caa0cea4ULL, 0},    // seed 15
+    {0x4a8bcc7251004069ULL, 219},  // seed 16
+    {0xb9b08e65b48ead8dULL, 0},    // seed 17
+    {0x663145e11f13bcabULL, 0},    // seed 18
+    {0x3120747bad1a3078ULL, 0},    // seed 19
+    {0x970c2ed8444b1270ULL, 363},  // seed 20
+    {0x05b4bc2ebedd79abULL, 0},    // seed 21
+    {0xd03c2b19f4917619ULL, 0},    // seed 22
+    {0x461df753db62bccfULL, 0},    // seed 23
+    {0x03863ac3abd31678ULL, 0},    // seed 24
+};
+
+std::uint64_t fnv1a_mix(std::uint64_t h, std::int64_t value) {
+  const auto v = static_cast<std::uint64_t>(value);
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Algorithm 2 on FOS and both matching models (by seed), sequential and on
+// three serial shards. Every fourth seed imitates SOS with β = 1.95 from a
+// spike, which overdraws senders and mints dummies; every third seed starts
+// with a dummy preload.
 TEST_P(FuzzInvariantsTest, Algorithm2InvariantsHold) {
   const std::uint64_t seed = GetParam();
   rng_t rng = make_rng(seed, 0xF222u);
@@ -218,23 +269,42 @@ TEST_P(FuzzInvariantsTest, Algorithm2InvariantsHold) {
   speed_vector s(static_cast<size_t>(n));
   for (auto& si : s) si = uniform_int<weight_t>(rng, 1, 3);
 
-  const auto tokens = workload::uniform_random(
+  auto tokens = workload::uniform_random(
       n, uniform_int<weight_t>(rng, 0, 80 * n), seed);
+  std::vector<weight_t> preload;
+  if (seed % 3 == 0) {
+    for (node_id i = 0; i < n; ++i) {
+      preload.push_back(uniform_int<weight_t>(rng, 0, 2));
+    }
+  }
+  if (seed % 4 == 0) tokens[0] += 20 * n;
   weight_t initial_total = 0;
   for (const weight_t c : tokens) initial_total += c;
+  weight_t preload_total = 0;
+  for (const weight_t c : preload) preload_total += c;
 
-  algorithm2 alg(random_case_process(g, s, seed + 1000), tokens, seed);
+  const auto reference = [&] {
+    return seed % 4 == 0
+               ? make_sos(g, s, make_alphas(*g, alpha_scheme::half_max_degree),
+                          1.95)
+               : random_case_process(g, s, seed + 1000);
+  };
+  algorithm2 alg(reference(), tokens, seed, preload);
+  algorithm2 sharded(reference(), tokens, seed, preload);
+  sharded.enable_sharded_stepping(serial_shard_context(*g, 3));
 
   for (int t = 0; t < 60; ++t) {
     alg.step();
+    sharded.step();
     weight_t total = 0;
     for (const weight_t x : alg.loads()) {
       ASSERT_GE(x, 0);
       total += x;
     }
-    ASSERT_EQ(total, initial_total + alg.dummy_created());
+    ASSERT_EQ(total, initial_total + preload_total + alg.dummy_created());
     for (edge_id e = 0; e < g->num_edges(); ++e) {
       ASSERT_LT(std::abs(alg.flow_error(e)), 1.0 + 1e-9);
+      ASSERT_EQ(sharded.discrete_flow(e), alg.discrete_flow(e));
     }
     weight_t real_total = 0;
     for (const weight_t x : alg.real_loads()) {
@@ -242,8 +312,31 @@ TEST_P(FuzzInvariantsTest, Algorithm2InvariantsHold) {
       real_total += x;
     }
     ASSERT_EQ(real_total, initial_total);
+    ASSERT_EQ(sharded.loads(), alg.loads()) << "round " << t;
+    for (node_id i = 0; i < n; ++i) {
+      ASSERT_EQ(sharded.dummies_at(i), alg.dummies_at(i)) << "round " << t;
+    }
   }
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (node_id i = 0; i < n; ++i) {
+    h = fnv1a_mix(h, alg.loads()[static_cast<size_t>(i)]);
+    h = fnv1a_mix(h, alg.dummies_at(i));
+  }
+  for (edge_id e = 0; e < g->num_edges(); ++e) {
+    h = fnv1a_mix(h, alg.discrete_flow(e));
+  }
+  ASSERT_LE(seed, std::size(alg2_goldens));
+  const alg2_golden& want = alg2_goldens[seed - 1];
+  EXPECT_EQ(h, want.hash) << std::hex << "hashes to 0x" << h;
+  EXPECT_EQ(alg.dummy_created(), want.minted);
 }
+
+// The hashes above cover dummy attribution only if some seeds mint.
+static_assert(std::count_if(std::begin(alg2_goldens), std::end(alg2_goldens),
+                            [](const alg2_golden& g) {
+                              return g.minted > 0;
+                            }) >= 1);
 
 INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzInvariantsTest,
                          ::testing::Range<std::uint64_t>(1, 25));

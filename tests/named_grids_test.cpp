@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
@@ -88,23 +89,14 @@ std::uint64_t fnv1a(const std::string& text) {
   return h;
 }
 
-// The grids whose custom cells construct Algorithm 1 themselves, on either
-// store; no scale-benchmark digest covers them, so their rows are pinned
-// here: FNV-1a of the timing-masked JSON rows at n = 32, one repeat, master
-// seed 7. A change to either store's transfer rule fails here before it
-// moves a published figure.
-TEST(NamedGridsGoldenTest, Alg1CustomCellRowsMatchGoldenHashes) {
-  struct golden {
-    const char* grid;
-    std::uint64_t hash;
-  };
-  const golden table[] = {
-      {"weighted-speeds", 0xd71644e4315d48e7ULL},
-      {"dummy-threshold", 0xbef6a12c5ea27698ULL},
-      {"convergence", 0xeeffe7c05e8e3b88ULL},
-      {"locality", 0xbfb525f9c97445b4ULL},
-      {"ablation", 0x5b53c4ac296a537eULL},
-  };
+struct golden {
+  const char* grid;
+  std::uint64_t hash;
+};
+
+// FNV-1a of each grid's timing-masked JSON rows at n = 32, one repeat,
+// master seed 7.
+void expect_golden_rows(std::initializer_list<golden> table) {
   grid_options opts;
   opts.target_n = 32;
   opts.repeats = 1;
@@ -118,6 +110,33 @@ TEST(NamedGridsGoldenTest, Alg1CustomCellRowsMatchGoldenHashes) {
     EXPECT_EQ(fnv1a(os.str()), want.hash)
         << want.grid << std::hex << " hashes to 0x" << fnv1a(os.str());
   }
+}
+
+// The grids whose custom cells construct Algorithm 1 themselves, on either
+// store; no scale-benchmark digest covers them, so their rows are pinned
+// here. A change to either store's transfer rule fails here before it
+// moves a published figure.
+TEST(NamedGridsGoldenTest, Alg1CustomCellRowsMatchGoldenHashes) {
+  expect_golden_rows({
+      {"weighted-speeds", 0xd71644e4315d48e7ULL},
+      {"dummy-threshold", 0xbef6a12c5ea27698ULL},
+      {"convergence", 0xeeffe7c05e8e3b88ULL},
+      {"locality", 0xbfb525f9c97445b4ULL},
+      {"ablation", 0x5b53c4ac296a537eULL},
+  });
+}
+
+// The grids whose rows draw counter coins: Algorithm 2's rounding, the
+// randomized-rounding baselines and the random walk's laziness. A coin that
+// flips one bit differently, or a change to Algorithm 2's transfer record,
+// fails here.
+TEST(NamedGridsGoldenTest, CoinRowsMatchGoldenHashes) {
+  expect_golden_rows({
+      {"table1", 0xe539089f5d089342ULL},
+      {"table2-periodic", 0xfec828f893552bc0ULL},
+      {"table2-random", 0xfcf649ff7ea5f897ULL},
+      {"huge-uniform", 0xa8454b42c59fe285ULL},
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
