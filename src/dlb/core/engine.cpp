@@ -88,16 +88,26 @@ balancing_time_result balancing_time_loop(const linear_process& a,
   return {a.rounds_executed(), converged, a.negative_load_detected()};
 }
 
-// One round of a separate T^A probe, in a `tA_round` span of the cell.
-void probe_round(linear_process& a, const obs::probe& pb) {
+template <class Process>
+void counted_round_of(Process& p, const obs::probe& pb, const char* span) {
   {
-    const obs::scoped_span span(pb.rec, "tA_round", -1, pb.cell);
-    a.step();
+    const obs::scoped_span scope(pb.rec, span, -1, pb.cell);
+    p.step();
   }
   if (pb.met != nullptr) pb.met->add_round();
 }
 
 }  // namespace
+
+void counted_round(discrete_process& p, const obs::probe& pb,
+                   const char* span) {
+  counted_round_of(p, pb, span);
+}
+
+void counted_round(linear_process& p, const obs::probe& pb,
+                   const char* span) {
+  counted_round_of(p, pb, span);
+}
 
 bool is_balanced(const linear_process& a, real_t tol) {
   const std::shared_ptr<const shard_context> ctx = a.sharding();
@@ -110,47 +120,35 @@ balancing_time_result measure_balancing_time(linear_process& a,
                                              round_t cap,
                                              const obs::probe& pb) {
   a.reset(std::vector<real_t>(x0));
-  return balancing_time_loop(a, cap, pb, [&] { probe_round(a, pb); });
+  return balancing_time_loop(a, cap, pb,
+                             [&] { counted_round(a, pb, "tA_round"); });
 }
 
 void run_rounds(discrete_process& d, round_t rounds,
                 const round_observer& obs, const obs::probe& pb) {
   DLB_EXPECTS(rounds >= 0);
   for (round_t t = 0; t < rounds; ++t) {
-    {
-      const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-      d.step();
-    }
-    if (pb.met != nullptr) pb.met->add_round();
+    counted_round(d, pb);
     if (obs) obs(d.rounds_executed(), d);
   }
 }
 
-dynamic_result run_dynamic(discrete_process& d,
-                           const workload::arrival_schedule& sched,
+dynamic_result run_dynamic(discrete_process& d, const traffic_step& traffic,
                            round_t rounds, const round_observer& obs,
                            const obs::probe& pb) {
-  DLB_EXPECTS(rounds >= 1);
+  DLB_EXPECTS(rounds >= 1 && traffic != nullptr);
   dynamic_result r;
   r.rounds = rounds;
   const round_t warmup = rounds / 2;
   real_t sum = 0;
   round_t samples = 0;
   for (round_t t = 0; t < rounds; ++t) {
-    weight_t arrived = 0;
-    for (const workload::arrival& a : sched.arrivals(t)) {
-      d.inject_tokens(a.node, a.count);
-      arrived += a.count;
-    }
+    const weight_t arrived = traffic(t, d);
     r.total_arrived += arrived;
     if (pb.met != nullptr) {
       pb.met->add_arrivals(static_cast<std::uint64_t>(arrived));
-      pb.met->add_round();
     }
-    {
-      const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-      d.step();
-    }
+    counted_round(d, pb);
     if (obs) obs(d.rounds_executed(), d);
     if (t >= warmup) {
       const real_t disc = round_discrepancy(d);
@@ -162,6 +160,21 @@ dynamic_result run_dynamic(discrete_process& d,
   r.mean_max_min = samples > 0 ? sum / static_cast<real_t>(samples) : 0;
   r.final_max_min = round_discrepancy(d);
   return r;
+}
+
+dynamic_result run_dynamic(discrete_process& d,
+                           const workload::arrival_schedule& sched,
+                           round_t rounds, const round_observer& obs,
+                           const obs::probe& pb) {
+  const auto lock_step = [&sched](round_t t, discrete_process& p) {
+    weight_t arrived = 0;
+    for (const workload::arrival& a : sched.arrivals(t)) {
+      p.inject_tokens(a.node, a.count);
+      arrived += a.count;
+    }
+    return arrived;
+  };
+  return run_dynamic(d, lock_step, rounds, obs, pb);
 }
 
 experiment_result run_experiment(discrete_process& d,
@@ -186,7 +199,7 @@ experiment_result run_experiment(discrete_process& d,
     a = probe.get();
   }
   const balancing_time_result bt = balancing_time_loop(*a, cap, pb, [&] {
-    if (probe != nullptr) probe_round(*probe, pb);
+    if (probe != nullptr) counted_round(*probe, pb, "tA_round");
     run_rounds(d, 1, obs, pb);
   });
 

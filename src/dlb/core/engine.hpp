@@ -48,15 +48,25 @@ inline constexpr real_t balanced_tolerance = 1.0;
 /// through chunked_reduce (on the shards when `d` steps sharded, on the
 /// caller otherwise) without materializing real_loads(); min/max folds are
 /// exact, so the value equals max_min_discrepancy(d.real_loads(),
-/// d.speeds()) bit for bit. run_dynamic and the event-driven run_async
-/// sample their per-round metrics through this.
+/// d.speeds()) bit for bit. run_dynamic samples its per-round metrics
+/// through this.
 [[nodiscard]] real_t round_discrepancy(const discrete_process& d);
+
+/// One counted round: steps `p` inside a `span` span of the probe's cell,
+/// then counts the round on the probe's metrics. Every engine loop and
+/// every study cell that samples between rounds advances a process through
+/// this, so span names and round counts cannot drift between drivers.
+void counted_round(discrete_process& p, const obs::probe& pb,
+                   const char* span = "round");
+void counted_round(linear_process& p, const obs::probe& pb,
+                   const char* span = "round");
 
 /// Per-round observation hook; `d` has just completed round `t` (1-based
 /// count of executed rounds).
 using round_observer = std::function<void(round_t t, const discrete_process& d)>;
 
-/// Advances `d` by `rounds` rounds, invoking `obs` (if any) after each.
+/// Advances `d` by `rounds` counted rounds, invoking `obs` (if any) after
+/// each.
 void run_rounds(discrete_process& d, round_t rounds,
                 const round_observer& obs = nullptr,
                 const obs::probe& pb = {});
@@ -97,9 +107,24 @@ struct dynamic_result {
   real_t final_max_min = 0;
 };
 
-/// Runs `d` for `rounds` rounds, injecting `sched`'s arrivals at the start
-/// of each round. Steady-state statistics are taken over the second half of
-/// the run (the first half is warm-up).
+/// The traffic of one round: applies round t's arrivals and departures to
+/// `d` (0-based t, before the round steps) and returns the tokens that
+/// arrived.
+using traffic_step = std::function<weight_t(round_t t, discrete_process& d)>;
+
+/// The one loop that interleaves traffic with rounds: for t = 0 .. rounds-1
+/// it applies `traffic(t, d)`, then steps `d` one counted round. The
+/// probe's `arrivals` counter adds what each step returns. Steady-state
+/// statistics are taken over the second half of the run (the first half is
+/// warm-up).
+[[nodiscard]] dynamic_result run_dynamic(discrete_process& d,
+                                         const traffic_step& traffic,
+                                         round_t rounds,
+                                         const round_observer& obs = nullptr,
+                                         const obs::probe& pb = {});
+
+/// Lock-step arrivals: run_dynamic whose traffic injects `sched.arrivals(t)`
+/// at the start of round t.
 [[nodiscard]] dynamic_result run_dynamic(
     discrete_process& d, const workload::arrival_schedule& sched,
     round_t rounds, const round_observer& obs = nullptr,

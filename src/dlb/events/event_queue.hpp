@@ -5,7 +5,7 @@
 // from a wall clock. The queue is a *stable* priority queue: events pop in
 // ascending (time, sequence) order, where the sequence number is assigned at
 // push time. Two events at the same virtual time therefore fire in exactly
-// the order they were scheduled, which is what makes whole async runs
+// the order they were scheduled, which is what makes whole event-driven runs
 // bit-reproducible (docs/ARCHITECTURE.md, "Event-driven runs").
 #pragma once
 
@@ -47,13 +47,13 @@ class event_queue {
   struct entry {
     event ev;
     std::uint64_t seq = 0;     ///< assigned at push, ascending
-    std::size_t source = 0;    ///< caller tag (async_driver: source index)
+    std::size_t source = 0;    ///< caller tag (event_traffic: source index)
 
     friend bool operator==(const entry&, const entry&) = default;
   };
 
   /// Schedules `ev`, tagging it with `source` (an opaque caller id returned
-  /// on pop — the driver uses it to refill from the right event_source).
+  /// on pop — event_traffic uses it to refill from the right event_source).
   void push(const event& ev, std::size_t source = 0);
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }

@@ -1,6 +1,5 @@
 #include "dlb/events/event_source.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -20,21 +19,6 @@ poisson_source::poisson_source(node_id n, real_t total_rate,
   DLB_EXPECTS(n > 0 && total_rate > 0 && std::isfinite(total_rate));
 }
 
-poisson_source::poisson_source(std::vector<real_t> rates, std::uint64_t seed,
-                               event_kind kind)
-    : n_(static_cast<node_id>(rates.size())), kind_(kind), seed_(seed) {
-  DLB_EXPECTS(!rates.empty());
-  cumulative_.reserve(rates.size());
-  real_t sum = 0;
-  for (const real_t r : rates) {
-    DLB_EXPECTS(r >= 0 && std::isfinite(r));
-    sum += r;
-    cumulative_.push_back(sum);
-  }
-  DLB_EXPECTS(sum > 0 && std::isfinite(sum));
-  total_rate_ = sum;
-}
-
 node_id poisson_source::draw_node() {
   // Drawn from the same per-event RNG stream as the interarrival time (the
   // stream id is the event index), so the whole stream is a pure function of
@@ -44,14 +28,7 @@ node_id poisson_source::draw_node() {
   // log never sees 0.
   const real_t u = uniform_real(rng);
   now_ += -std::log(1.0 - u) / total_rate_;
-  if (cumulative_.empty()) {
-    return uniform_int<node_id>(rng, 0, n_ - 1);
-  }
-  const real_t pick = uniform_real(rng, 0.0, total_rate_);
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), pick);
-  return static_cast<node_id>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(), n_ - 1));
+  return uniform_int<node_id>(rng, 0, n_ - 1);
 }
 
 std::optional<event> poisson_source::next() {

@@ -3,9 +3,9 @@
 // A source is a pull-based iterator over events with nondecreasing times.
 // Every stream is a deterministic function of its construction parameters
 // (seed, rates, trace bytes) — `next()` draws from a private RNG stream and
-// never consults clocks or global state, so an async run replays exactly
-// from its seeds. The async driver owns the merge: it pulls one event per
-// source into a stable `event_queue` and refills a source only after its
+// never consults clocks or global state, so an event-driven run replays
+// exactly from its seeds. event_traffic owns the merge: it pulls one event
+// per source into a stable `event_queue` and refills a source only after its
 // previous event fired.
 #pragma once
 
@@ -27,29 +27,24 @@ class event_source {
 
   /// The next event of the stream, or nullopt when exhausted. Successive
   /// calls return nondecreasing times. Infinite streams (Poisson) never
-  /// return nullopt — the driver stops pulling once an event lands at or
-  /// beyond its horizon.
+  /// return nullopt — event_traffic stops pulling once an event lands at
+  /// or beyond its horizon.
   [[nodiscard]] virtual std::optional<event> next() = 0;
 };
 
 /// A seeded Poisson process over the nodes of an n-node network: events fire
 /// with exponential interarrival times at aggregate rate `total_rate` per
-/// unit of virtual time, each carrying one token. With the uniform factory
-/// the firing node is uniform on [0, n); with the per-node factory node i is
-/// chosen with probability rates[i] / Σrates (the classic superposition of n
-/// independent Poisson processes, simulated as one aggregate stream so the
-/// queue holds O(1) pending events regardless of n).
+/// unit of virtual time, each carrying one token on a node drawn uniformly
+/// from [0, n) — the superposition of n independent per-node Poisson
+/// processes, simulated as one aggregate stream so the queue holds O(1)
+/// pending events regardless of n.
 class poisson_source final : public event_source {
  public:
-  /// Uniform rates: `total_rate` (finite, > 0) events per unit time spread
-  /// uniformly over `n` nodes. `kind` selects arrival or service semantics.
-  /// An infinite rate would make every interarrival time 0, so simulated
-  /// time would never advance.
+  /// `total_rate` (finite, > 0) events per unit time spread uniformly over
+  /// `n` nodes. `kind` selects arrival or service semantics. An infinite
+  /// rate would make every interarrival time 0, so simulated time would
+  /// never advance.
   poisson_source(node_id n, real_t total_rate, std::uint64_t seed,
-                 event_kind kind = event_kind::arrival);
-
-  /// Per-node rates (size n, all finite and >= 0, finite sum > 0).
-  poisson_source(std::vector<real_t> rates, std::uint64_t seed,
                  event_kind kind = event_kind::arrival);
 
   [[nodiscard]] std::optional<event> next() override;
@@ -59,7 +54,6 @@ class poisson_source final : public event_source {
 
   node_id n_ = 0;
   real_t total_rate_ = 0;
-  std::vector<real_t> cumulative_;  // empty in uniform mode
   event_kind kind_;
   std::uint64_t draws_ = 0;   ///< events emitted so far (RNG stream id)
   std::uint64_t seed_ = 0;
@@ -92,10 +86,8 @@ class trace_source final : public event_source {
 
   [[nodiscard]] std::size_t size() const noexcept { return events_->size(); }
 
-  /// The parsed events (time-sorted, shared across copies).
-  [[nodiscard]] const std::vector<event>& events() const noexcept {
-    return *events_;
-  }
+  /// The name errors cite: the file path for load_trace.
+  [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
   /// True when the trace carries any service (departure) event (cached).
   /// Callers whose process set cannot drain tokens use this to reject such

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 
 #include "dlb/analysis/stats.hpp"
@@ -15,8 +16,8 @@
 #include "dlb/common/rng.hpp"
 #include "dlb/core/engine.hpp"
 #include "dlb/core/sharding.hpp"
-#include "dlb/events/async_driver.hpp"
 #include "dlb/events/event_source.hpp"
+#include "dlb/events/event_traffic.hpp"
 #include "dlb/graph/spectral.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grid_checkpoint.hpp"
@@ -37,8 +38,7 @@ struct shard_rig {
   std::shared_ptr<const shard_context> ctx;
 };
 
-/// Builds one cell's trace source (from the grid-level pre-parsed events
-/// when available, else straight from the file) and validates it against
+/// Copies the grid's parsed trace for one cell and validates it against
 /// this cell's scenario: no service events on grids without a service model
 /// (mixed drain support would corrupt the cross-process comparison), and
 /// every node id in range — a bad trace must fail here with the file named,
@@ -47,21 +47,50 @@ std::unique_ptr<events::trace_source> make_cell_trace(const grid_spec& spec,
                                                       node_id n) {
   // Copying the prototype is O(1): the parsed events are shared and the
   // service/max-node summaries below are cached at parse time.
-  auto trace = spec.trace_proto != nullptr
-                   ? std::make_unique<events::trace_source>(*spec.trace_proto)
-                   : events::load_trace(spec.trace_path);
+  auto trace = std::make_unique<events::trace_source>(*spec.trace_proto);
   if (spec.service_rate <= 0 && trace->has_service_events()) {
     throw contract_violation(
-        "trace " + spec.trace_path + " carries service events, but grid " +
+        "trace " + trace->label() + " carries service events, but grid " +
         spec.name + " has no service model (use async-service)");
   }
   if (trace->max_node() >= n) {
     throw contract_violation(
-        "trace " + spec.trace_path + " names node " +
+        "trace " + trace->label() + " names node " +
         std::to_string(trace->max_node()) + ", but scenario has only " +
         std::to_string(n) + " nodes");
   }
   return trace;
+}
+
+/// An event-driven cell's traffic. The streams derive from the
+/// competitor-independent traffic_seed (sub-stream 0 = arrivals, 1 =
+/// service): every competitor row of one scenario and repetition faces the
+/// identical event stream, and traffic stays decorrelated from the
+/// process's internal randomness (cell.seed).
+events::event_traffic make_cell_events(const grid_spec& spec,
+                                       const grid_cell& cell, node_id n,
+                                       const obs::probe& pb) {
+  DLB_EXPECTS(spec.arrival_rate > 0);
+  std::vector<std::unique_ptr<events::event_source>> sources;
+  sources.push_back(std::make_unique<events::poisson_source>(
+      n, spec.arrival_rate, derive_seed(cell.traffic_seed, 0),
+      events::event_kind::arrival));
+  if (spec.service_rate > 0) {
+    sources.push_back(std::make_unique<events::poisson_source>(
+        n, spec.service_rate, derive_seed(cell.traffic_seed, 1),
+        events::event_kind::service));
+  }
+  if (spec.trace_proto != nullptr) {
+    sources.push_back(make_cell_trace(spec, n));
+  }
+  return events::event_traffic(std::move(sources), spec.dynamic_rounds, pb);
+}
+
+/// Nearest-rank percentile over a sorted load vector.
+weight_t percentile(const std::vector<weight_t>& sorted, double p) {
+  const auto rank = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(rank, sorted.size() - 1)];
 }
 
 shard_rig make_shard_rig(const graph& g, unsigned shard_threads,
@@ -212,69 +241,56 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     const linear_process& reference_template =
         reference != nullptr ? *reference : *d->imitated();
     const experiment_result r = timed([&] {
-      return run_experiment(*d, reference_template, spec.round_cap, nullptr,
-                            pb);
+      return run_experiment(*d, reference_template, static_round_cap,
+                            nullptr, pb);
     });
     row.rounds = r.rounds;
     row.converged = r.continuous_converged;
     row.final_max_min = r.final_max_min;
     row.final_max_avg = r.final_max_avg;
     row.dummy_created = r.dummy_created;
-  } else if (spec.kind == grid_kind::async_events) {
-    // Traffic streams derive from the competitor-independent traffic_seed
-    // (sub-stream 0 = arrivals, 1 = service): every competitor row of one
-    // scenario/repetition faces the identical event stream, and traffic
-    // stays decorrelated from the process's internal randomness (cell.seed).
-    std::vector<std::unique_ptr<events::event_source>> sources;
-    DLB_EXPECTS(spec.arrival_rate > 0);
-    sources.push_back(std::make_unique<events::poisson_source>(
-        n, spec.arrival_rate, derive_seed(cell.traffic_seed, 0),
-        events::event_kind::arrival));
-    if (spec.service_rate > 0) {
-      sources.push_back(std::make_unique<events::poisson_source>(
-          n, spec.service_rate, derive_seed(cell.traffic_seed, 1),
-          events::event_kind::service));
-    }
-    if (!spec.trace_path.empty()) {
-      sources.push_back(make_cell_trace(spec, n));
-    }
-    const events::async_result r = timed([&] {
-      return events::run_async(*d, std::move(sources),
-                               {.rounds = spec.dynamic_rounds, .probe = pb});
-    });
-    row.rounds = r.rounds;
-    row.converged = false;  // no T^A gate exists for event-driven runs
-    row.final_max_min = r.final_max_min;
-    row.mean_max_min = r.mean_max_min;
-    row.peak_max_min = r.peak_max_min;
-    row.dummy_created = d->dummy_created();
-    row.extra.push_back({"arrived", static_cast<real_t>(r.total_arrived)});
-    row.extra.push_back({"served", static_cast<real_t>(r.tokens_served)});
-    row.extra.push_back(
-        {"service_attempts", static_cast<real_t>(r.service_attempts)});
-    row.extra.push_back({"depth_p50", static_cast<real_t>(r.depth_p50)});
-    row.extra.push_back({"depth_p90", static_cast<real_t>(r.depth_p90)});
-    row.extra.push_back({"depth_p99", static_cast<real_t>(r.depth_p99)});
-    row.extra.push_back({"depth_max", static_cast<real_t>(r.depth_max)});
   } else {
-    // Arrivals get their own stream off the cell seed so the process's
-    // internal randomness and the arrival pattern stay decorrelated.
-    const std::unique_ptr<workload::arrival_schedule> sched =
-        spec.arrivals == arrival_pattern::uniform
-            ? std::unique_ptr<workload::arrival_schedule>(
-                  std::make_unique<workload::uniform_arrivals>(
-                      n, spec.arrivals_per_round, derive_seed(cell.seed, 1)))
-            : std::make_unique<workload::burst_arrivals>(
-                  spec.burst_target, spec.burst_size, spec.burst_period);
+    std::optional<events::event_traffic> traffic;
+    std::unique_ptr<workload::arrival_schedule> sched;
+    if (spec.kind == grid_kind::async_events) {
+      traffic.emplace(make_cell_events(spec, cell, n, pb));
+    } else if (spec.arrivals == arrival_pattern::bursts) {
+      sched = std::make_unique<workload::burst_arrivals>(0, spec.burst_size,
+                                                         spec.burst_period);
+    } else {
+      // Arrivals get their own stream off the cell seed so the process's
+      // internal randomness and the arrival pattern stay decorrelated.
+      sched = std::make_unique<workload::uniform_arrivals>(
+          n, spec.arrivals_per_round, derive_seed(cell.seed, 1));
+    }
     const dynamic_result r = timed([&] {
-      return run_dynamic(*d, *sched, spec.dynamic_rounds, nullptr, pb);
+      return traffic.has_value()
+                 ? run_dynamic(*d, std::ref(*traffic), spec.dynamic_rounds,
+                               nullptr, pb)
+                 : run_dynamic(*d, *sched, spec.dynamic_rounds, nullptr, pb);
     });
     row.rounds = r.rounds;
-    row.converged = false;  // no T^A gate exists for dynamic runs
+    row.converged = false;  // no T^A gate exists for traffic runs
     row.final_max_min = r.final_max_min;
     row.mean_max_min = r.mean_max_min;
     row.peak_max_min = r.peak_max_min;
     row.dummy_created = d->dummy_created();
+    if (traffic.has_value()) {
+      // Queue depths: nearest-rank percentiles over the final real loads.
+      std::vector<weight_t> depth = d->real_loads();
+      std::sort(depth.begin(), depth.end());
+      row.extra.push_back({"arrived", static_cast<real_t>(r.total_arrived)});
+      row.extra.push_back({"served", static_cast<real_t>(traffic->served())});
+      row.extra.push_back({"service_attempts",
+                           static_cast<real_t>(traffic->service_attempts())});
+      row.extra.push_back(
+          {"depth_p50", static_cast<real_t>(percentile(depth, 0.50))});
+      row.extra.push_back(
+          {"depth_p90", static_cast<real_t>(percentile(depth, 0.90))});
+      row.extra.push_back(
+          {"depth_p99", static_cast<real_t>(percentile(depth, 0.99))});
+      row.extra.push_back({"depth_max", static_cast<real_t>(depth.back())});
+    }
   }
   {
     // The process goes before the pool it steps on.

@@ -3,10 +3,11 @@
 // A grid_spec is the cross product (graph case × competitor × repetition)
 // under one communication model, executed either as a static balancing run
 // (engine::run_experiment, gated by the continuous balancing time T^A) or as
-// a dynamic arrivals run (engine::run_dynamic). Expansion assigns every cell
-// a deterministic index; the cell's RNG seed is derive_seed(master, index),
-// so results are bit-identical no matter how many threads execute the grid
-// or in which order the scheduler happens to hand cells out.
+// a traffic run (engine::run_dynamic, with lock-step arrivals or events).
+// Expansion assigns every cell a deterministic index; the cell's RNG seed is
+// derive_seed(master, index), so results are bit-identical no matter how
+// many threads execute the grid or in which order the scheduler happens to
+// hand cells out.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +36,18 @@ namespace dlb::runtime {
 enum class grid_kind {
   static_balancing,  ///< run_experiment to the continuous balancing time
   dynamic_arrivals,  ///< run_dynamic with a seeded arrival schedule
-  async_events,      ///< events::run_async with seeded event sources
+  async_events,      ///< run_dynamic with seeded event sources
 };
 
 /// Arrival schedule shape for dynamic_arrivals grids.
 enum class arrival_pattern {
   uniform,  ///< arrivals_per_round tokens on uniform random nodes
-  bursts,   ///< burst_size tokens on burst_target every burst_period rounds
+  bursts,   ///< burst_size tokens on node 0 every burst_period rounds
 };
+
+/// Round cap of every static cell: a T^A search that has not converged by
+/// then reports the cap with converged = false.
+inline constexpr round_t static_round_cap = 2'000'000;
 
 /// How `dlb_run --table` should pivot a grid's rows into an ascii table.
 enum class table_view {
@@ -68,7 +73,6 @@ struct grid_spec {
   std::vector<workload::competitor> processes;
   int repeats = 1;
   weight_t spike_per_node = 50;  ///< initial point-mass spike per node
-  round_t round_cap = 2'000'000;
   table_view view = table_view::discrepancy;
 
   /// Intra-cell parallelism: threads stepping a single graph's shards
@@ -133,22 +137,19 @@ struct grid_spec {
   round_t dynamic_rounds = 0;        ///< total rounds to simulate (also the
                                      ///< async virtual-time horizon)
   weight_t arrivals_per_round = 0;   ///< uniform arrival rate
-  node_id burst_target = 0;          ///< bursts: hotspot node
   weight_t burst_size = 0;           ///< bursts: tokens per burst
   round_t burst_period = 0;          ///< bursts: rounds between bursts
 
-  // async_events only (events::run_async over dynamic_rounds rounds):
+  // async_events only (run_dynamic over dynamic_rounds rounds):
   real_t arrival_rate = 0;  ///< Poisson arrivals per unit of virtual time
                             ///< (whole network, uniform over nodes)
   real_t service_rate = 0;  ///< Poisson service completions per unit time
                             ///< (whole network; 0 = no departures)
-  std::string trace_path;   ///< replay `(time, node, count)` events from
-                            ///< this file as an extra source (empty = none)
-  /// Pre-parsed trace prototype. make_named_grid fills this once from
-  /// trace_path, so a malformed file fails before any cell runs; each cell
-  /// then takes an O(1) copy (the parsed events are immutable and shared)
-  /// instead of re-opening and re-parsing the file. run_cell falls back to
-  /// loading from trace_path when unset (hand-built specs).
+  /// Replayed `(time, node, count)` events, an extra source beside the
+  /// Poisson streams (null = none). make_named_grid parses `--replay-trace`
+  /// into it once, so a malformed file fails before any cell runs; each
+  /// cell then takes an O(1) copy (the parsed events are immutable and
+  /// shared) and replays it from the start.
   std::shared_ptr<const events::trace_source> trace_proto;
 };
 

@@ -22,8 +22,6 @@
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
 #include "dlb/graph/spectral.hpp"
-#include "dlb/obs/metrics.hpp"
-#include "dlb/obs/recorder.hpp"
 #include "dlb/workload/initial_load.hpp"
 
 namespace dlb::runtime {
@@ -69,22 +67,9 @@ workload::graph_case ring_of_cliques_case(node_id target, node_id clique) {
 
 /// run_experiment for a study cell's flow imitator, reporting to the cell's
 /// probe: T^A comes off the imitator's own reference.
-experiment_result run_imitator(flow_imitator& alg, round_t cap,
-                               const obs::probe& pb) {
+experiment_result run_imitator(flow_imitator& alg, const obs::probe& pb) {
   alg.set_probe(pb);
-  return run_experiment(alg, alg.continuous(), cap, nullptr, pb);
-}
-
-/// One round of a study cell's process in a `round` span of the cell,
-/// counted as run_rounds counts one — for loops that sample state between
-/// rounds, continuous processes included.
-template <class Process>
-void observed_round(Process& p, const obs::probe& pb) {
-  {
-    const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-    p.step();
-  }
-  if (pb.met != nullptr) pb.met->add_round();
+  return run_experiment(alg, alg.continuous(), static_round_cap, nullptr, pb);
 }
 
 /// Copies the standard experiment_result fields into a row.
@@ -182,7 +167,6 @@ grid_spec dynamic_bursts_grid(const grid_options& opts,
   spec.view = table_view::mean_discrepancy;
   spec.arrivals = arrival_pattern::bursts;
   spec.dynamic_rounds = opts.dynamic_rounds;
-  spec.burst_target = 0;
   spec.burst_size = opts.burst_size;
   spec.burst_period = opts.burst_period;
   return spec;
@@ -202,7 +186,6 @@ grid_spec async_poisson_grid(const grid_options& opts, std::uint64_t master) {
   spec.view = table_view::mean_discrepancy;
   spec.dynamic_rounds = opts.dynamic_rounds;
   spec.arrival_rate = opts.arrival_rate;
-  spec.trace_path = opts.trace_path;
   return spec;
 }
 
@@ -221,7 +204,6 @@ grid_spec async_service_grid(const grid_options& opts, std::uint64_t master) {
   spec.dynamic_rounds = opts.dynamic_rounds;
   spec.arrival_rate = opts.arrival_rate;
   spec.service_rate = opts.service_rate;
-  spec.trace_path = opts.trace_path;
   return spec;
 }
 
@@ -346,7 +328,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
                            loads, v.wmax, derive_seed(cell.seed, 3)),
                        {.removal = removal_policy::real_first,
                         .wmax_override = v.wmax});
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"w_max", static_cast<real_t>(v.wmax)});
         row.extra.push_back(
             {"bound", static_cast<real_t>(2 * d * v.wmax + 2)});
@@ -361,7 +343,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
         const auto tokens = workload::add_speed_multiple(
             workload::point_mass(n, 0, 100 * n), sp, d);
         algorithm1 alg(make_fos(g, sp, default_alphas(*g)), tokens);
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"s_max", static_cast<real_t>(v.smax)});
         row.extra.push_back(
             {"total_speed", static_cast<real_t>(total_speed)});
@@ -381,7 +363,7 @@ grid_spec weighted_speeds_grid(const grid_options& opts,
                                                 derive_seed(cell.seed, 5)),
             {.removal = removal_policy::real_first,
              .wmax_override = v.wmax});
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.model = workload::model_name(v.m);
         row.extra.push_back({"w_max", static_cast<real_t>(v.wmax)});
         row.extra.push_back({"s_max", static_cast<real_t>(v.smax)});
@@ -473,7 +455,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
         const auto tokens = workload::add_speed_multiple(
             workload::point_mass(n, /*at=*/1, 60 * n), sp, ell);
         algorithm1 alg(make_fos(g, sp, default_alphas(*g)), tokens);
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"floor", static_cast<real_t>(ell)});
         row.extra.push_back({"threshold", static_cast<real_t>(d)});
         push_outcomes(row);
@@ -484,7 +466,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
             workload::point_mass(n, 0, 60 * n), sp, v.offset);
         algorithm2 alg(make_fos(g, sp, default_alphas(*g)), tokens,
                        cell.seed);
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         const real_t dr = static_cast<real_t>(d);
         row.extra.push_back({"floor", static_cast<real_t>(v.offset)});
         row.extra.push_back(
@@ -496,7 +478,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
       case kind::sos_beta: {
         algorithm1 alg(make_sos(g, sp, default_alphas(*g), v.beta),
                        workload::point_mass(n, 0, 100 * n));
-        const auto r = run_imitator(alg, s.round_cap, pb);
+        const auto r = run_imitator(alg, pb);
         apply_static(row, r);
         row.extra.push_back({"beta", v.beta});
         row.extra.push_back(
@@ -510,7 +492,7 @@ grid_spec dummy_threshold_grid(const grid_options& opts,
                        workload::add_speed_multiple(
                            std::vector<weight_t>(static_cast<size_t>(n), 0),
                            sp, d));
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"preload_per_speed", static_cast<real_t>(d)});
         row.extra.push_back({"bound", static_cast<real_t>(2 * d + 2)});
         push_outcomes(row);
@@ -562,7 +544,7 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
         workload::spike_workload(*gc.g, sp, spec.spike_per_node);
     const std::vector<real_t> x0(tokens.begin(), tokens.end());
     auto probe = make_fos(gc.g, sp, alpha);
-    const auto bt = measure_balancing_time(*probe, x0, spec.round_cap);
+    const auto bt = measure_balancing_time(*probe, x0, static_round_cap);
     anchors.push_back(
         {diffusion_lambda(*gc.g, sp, alpha), bt.rounds, bt.converged});
   }
@@ -594,7 +576,7 @@ grid_spec convergence_grid(const grid_options& opts, std::uint64_t /*master*/) {
           series.push_back(max_min_discrepancy(loads_of(p), sp));
           ++next;
         }
-        if (t < T) observed_round(p, pb);
+        if (t < T) counted_round(p, pb);
       }
     };
     const auto sample_continuous = [&](std::unique_ptr<linear_process> p) {
@@ -673,7 +655,7 @@ grid_spec locality_grid(const grid_options& opts, std::uint64_t /*master*/) {
         workload::make_continuous(workload::model::diffusion, g, sp,
                                   cell.seed),
         task_assignment::tokens(loads));
-    apply_static(row, run_imitator(alg, s.round_cap, pb));
+    apply_static(row, run_imitator(alg, pb));
     const auto stats = analysis::task_locality(*g, alg.tasks());
     row.extra.push_back({"T_A", static_cast<real_t>(row.rounds)});
     row.extra.push_back({"max_min", row.final_max_min});
@@ -761,7 +743,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
         algorithm1 alg(make_sos(g, sp, default_alphas(*g), 1.95),
                        workload::point_mass(n, 0, 100 * n),
                        {.removal = v.policy, .wmax_override = 0});
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"beta", 1.95});
         push_outcomes(row);
         break;
@@ -770,7 +752,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
         const auto alpha = make_alphas(*g, v.scheme);
         const auto tokens = workload::spike_workload(*g, sp, 50);
         algorithm1 alg(make_fos(g, sp, alpha), tokens);
-        apply_static(row, run_imitator(alg, s.round_cap, pb));
+        apply_static(row, run_imitator(alg, pb));
         row.extra.push_back({"lambda", diffusion_lambda(*g, sp, alpha)});
         row.extra.push_back({"T_fos", static_cast<real_t>(row.rounds)});
         row.extra.push_back({"max_min", row.final_max_min});
@@ -784,7 +766,7 @@ grid_spec ablation_grid(const grid_options& opts, std::uint64_t master) {
         p->set_probe(pb);
         std::vector<real_t> x0(static_cast<std::size_t>(n), 0.0);
         x0[0] = static_cast<real_t>(100 * n);
-        const auto bt = measure_balancing_time(*p, x0, s.round_cap, pb);
+        const auto bt = measure_balancing_time(*p, x0, static_round_cap, pb);
         row.rounds = bt.rounds;
         row.converged = bt.converged;
         row.model = workload::model_name(workload::model::periodic_matching);
@@ -979,7 +961,7 @@ grid_spec balancing_time_grid(const grid_options& opts,
         break;
     }
     p->set_probe(pb);
-    const auto bt = measure_balancing_time(*p, x0, s.round_cap, pb);
+    const auto bt = measure_balancing_time(*p, x0, static_round_cap, pb);
     row.rounds = bt.rounds;
     row.converged = bt.converged;
     row.extra.push_back({"lambda", lambda});
@@ -1107,8 +1089,8 @@ grid_spec make_named_grid(const std::string& name, const grid_options& opts,
       spec.description = e.description;
       DLB_ENSURES(!spec.graphs.empty() && !spec.processes.empty());
       check_cell_tokens(spec);
-      if (spec.kind == grid_kind::async_events && !spec.trace_path.empty()) {
-        spec.trace_proto = events::load_trace(spec.trace_path);
+      if (spec.kind == grid_kind::async_events && !opts.trace_path.empty()) {
+        spec.trace_proto = events::load_trace(opts.trace_path);
       }
       return spec;
     }

@@ -1,6 +1,5 @@
 #include "dlb/snapshot/snapshot.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -15,13 +14,8 @@ namespace {
 
 std::string tag_name(field_tag t) {
   switch (t) {
-    case field_tag::u8: return "u8";
     case field_tag::u64: return "u64";
-    case field_tag::i64: return "i64";
-    case field_tag::f64: return "f64";
     case field_tag::str: return "str";
-    case field_tag::vec_i64: return "vec_i64";
-    case field_tag::vec_f64: return "vec_f64";
     case field_tag::section: return "section";
   }
   return "tag(" + std::to_string(static_cast<int>(t)) + ")";
@@ -46,21 +40,10 @@ void writer::tag(field_tag t) {
   buf_.push_back(static_cast<std::uint8_t>(t));
 }
 
-void writer::raw_u32(std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
 void writer::raw_u64(std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     buf_.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
   }
-}
-
-void writer::begin_vec(field_tag t, std::size_t count) {
-  tag(t);
-  raw_u64(static_cast<std::uint64_t>(count));
 }
 
 void writer::section(std::string_view name) {
@@ -69,35 +52,15 @@ void writer::section(std::string_view name) {
   buf_.insert(buf_.end(), name.begin(), name.end());
 }
 
-void writer::u8(std::uint8_t v) {
-  tag(field_tag::u8);
-  buf_.push_back(v);
-}
-
 void writer::u64(std::uint64_t v) {
   tag(field_tag::u64);
   raw_u64(v);
-}
-
-void writer::i64(std::int64_t v) {
-  tag(field_tag::i64);
-  raw_u64(static_cast<std::uint64_t>(v));
-}
-
-void writer::f64(double v) {
-  tag(field_tag::f64);
-  raw_u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void writer::str(std::string_view s) {
   tag(field_tag::str);
   raw_u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void writer::vec_f64(const std::vector<double>& v) {
-  begin_vec(field_tag::vec_f64, v.size());
-  for (const double x : v) raw_u64(std::bit_cast<std::uint64_t>(x));
 }
 
 std::vector<std::uint8_t> writer::framed() const {
@@ -220,20 +183,6 @@ std::uint64_t reader::raw_u64() {
   return v;
 }
 
-std::uint64_t reader::begin_vec(field_tag t) {
-  expect_tag(t);
-  const std::uint64_t count = raw_u64();
-  // Every element is 8 payload bytes: a count the rest of the payload
-  // cannot hold is corrupt, and must fail before anything is sized by it.
-  const std::size_t left = buf_.size() - pos_;
-  if (count > left / 8) {
-    fail("vector of " + std::to_string(count) + " elements at offset " +
-         std::to_string(pos_) + " exceeds the " + std::to_string(left) +
-         " payload bytes left");
-  }
-  return count;
-}
-
 void reader::expect_section(std::string_view name) {
   expect_tag(field_tag::section);
   const std::uint64_t len = raw_u64();
@@ -248,25 +197,9 @@ void reader::expect_section(std::string_view name) {
   }
 }
 
-std::uint8_t reader::u8() {
-  expect_tag(field_tag::u8);
-  need(1);
-  return buf_[pos_++];
-}
-
 std::uint64_t reader::u64() {
   expect_tag(field_tag::u64);
   return raw_u64();
-}
-
-std::int64_t reader::i64() {
-  expect_tag(field_tag::i64);
-  return static_cast<std::int64_t>(raw_u64());
-}
-
-double reader::f64() {
-  expect_tag(field_tag::f64);
-  return std::bit_cast<double>(raw_u64());
 }
 
 std::string reader::str() {
@@ -277,33 +210,6 @@ std::string reader::str() {
                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
   pos_ += len;
   return s;
-}
-
-std::vector<double> reader::vec_f64() {
-  const std::uint64_t count = begin_vec(field_tag::vec_f64);
-  std::vector<double> v;
-  v.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    v.push_back(std::bit_cast<double>(raw_u64()));
-  }
-  return v;
-}
-
-void reader::expect_u64(std::uint64_t expected, std::string_view what) {
-  const std::uint64_t found = u64();
-  if (found != expected) {
-    fail(std::string(what) + " mismatch: snapshot has " +
-         std::to_string(found) + ", this object has " +
-         std::to_string(expected));
-  }
-}
-
-void reader::expect_str(std::string_view expected, std::string_view what) {
-  const std::string found = str();
-  if (found != expected) {
-    fail(std::string(what) + " mismatch: snapshot has '" + found +
-         "', this object has '" + std::string(expected) + "'");
-  }
 }
 
 }  // namespace dlb::snapshot

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "dlb/common/contracts.hpp"
@@ -28,15 +27,12 @@ inline constexpr char magic[8] = {'D', 'L', 'B', 'S', 'N', 'A', 'P', '\0'};
 /// versions with a one-line error (tests pin it).
 inline constexpr std::uint32_t format_version = 1;
 
-/// Field type tags (1 byte before every payload value).
+/// Field type tags (1 byte before every payload value). The values are
+/// part of format v1; tags 1, 3, 4, 6 and 7 belonged to field types no
+/// writer uses any more and stay unassigned.
 enum class field_tag : std::uint8_t {
-  u8 = 1,
   u64 = 2,
-  i64 = 3,
-  f64 = 4,
   str = 5,
-  vec_i64 = 6,
-  vec_f64 = 7,
   section = 8,
 };
 
@@ -48,22 +44,8 @@ class writer {
   /// a writer/reader schema mismatch reports *which* component drifted.
   void section(std::string_view name);
 
-  void u8(std::uint8_t v);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  /// Doubles are stored as their IEEE-754 bit pattern, so reads are bit-exact.
-  void f64(double v);
   void str(std::string_view s);
-  void vec_f64(const std::vector<double>& v);
-
-  /// Any integral vector, stored as i64 elements (node ids, weights, rounds).
-  template <typename T>
-  void vec_int(const std::vector<T>& v) {
-    static_assert(std::is_integral_v<T>);
-    begin_vec(field_tag::vec_i64, v.size());
-    for (const T x : v) raw_u64(static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(x)));
-  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& payload() const {
     return buf_;
@@ -80,9 +62,7 @@ class writer {
 
  private:
   void tag(field_tag t);
-  void raw_u32(std::uint32_t v);
   void raw_u64(std::uint64_t v);
-  void begin_vec(field_tag t, std::size_t count);
 
   std::vector<std::uint8_t> buf_;
 };
@@ -107,39 +87,12 @@ class reader {
   /// Consumes a section marker; throws unless its name is `name`.
   void expect_section(std::string_view name);
 
-  [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64();
-  [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
-  [[nodiscard]] std::vector<double> vec_f64();
-
-  template <typename T>
-  [[nodiscard]] std::vector<T> vec_int() {
-    static_assert(std::is_integral_v<T>);
-    const std::uint64_t count = begin_vec(field_tag::vec_i64);
-    std::vector<T> v;
-    v.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      v.push_back(static_cast<T>(static_cast<std::int64_t>(raw_u64())));
-    }
-    return v;
-  }
-
-  /// Guard helper: reads a u64 and throws unless it equals `expected`
-  /// (`what` names the field in the error).
-  void expect_u64(std::uint64_t expected, std::string_view what);
-
-  /// Guard helper: reads a string and throws unless it equals `expected`.
-  void expect_str(std::string_view expected, std::string_view what);
-
-  /// True once every payload byte has been consumed.
-  [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
 
  private:
   void expect_tag(field_tag t);
   std::uint64_t raw_u64();
-  std::uint64_t begin_vec(field_tag t);
   void need(std::size_t bytes) const;
 
   std::vector<std::uint8_t> buf_;

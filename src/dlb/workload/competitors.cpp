@@ -14,8 +14,8 @@ namespace dlb::workload {
 
 namespace {
 
-// The reference process's name per model. Snapshots fingerprint it, so it
-// keeps the names of the make_fos / make_*_matching_process factories.
+// The reference process's name per model, as the make_fos /
+// make_*_matching_process factories name it.
 const char* continuous_name(model m) {
   switch (m) {
     case model::diffusion:

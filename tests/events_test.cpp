@@ -1,11 +1,11 @@
 // The dlb::events subsystem: stable event-queue ordering, deterministic
-// seeded sources, departures (drain_tokens), and the async driver's two
-// headline contracts — a lock-step schedule run through run_async
-// reproduces run_dynamic bit-for-bit, and async grids are byte-identical at
-// any runtime thread or shard-thread count.
+// seeded sources, departures (drain_tokens), event traffic stepped by
+// run_dynamic, and async grids byte-identical at any runtime thread or
+// shard-thread count.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,25 +18,22 @@
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
+#include "dlb/core/engine.hpp"
 #include "dlb/core/linear_process.hpp"
-#include "dlb/events/async_driver.hpp"
 #include "dlb/events/event_queue.hpp"
 #include "dlb/events/event_source.hpp"
-#include "dlb/events/schedule_source.hpp"
+#include "dlb/events/event_traffic.hpp"
 #include "dlb/graph/generators.hpp"
 #include "dlb/runtime/grids.hpp"
-#include "dlb/workload/arrival.hpp"
 #include "dlb/workload/initial_load.hpp"
 
 namespace dlb {
 namespace {
 
-using events::async_options;
-using events::async_result;
 using events::event;
 using events::event_kind;
 using events::event_queue;
-using events::run_async;
+using events::event_traffic;
 using events::sim_time;
 
 std::shared_ptr<const graph> make_g(graph g) {
@@ -109,20 +106,6 @@ TEST(PoissonSourceTest, StreamIsDeterministicAndTimeOrdered) {
   }
 }
 
-TEST(PoissonSourceTest, PerNodeRatesConcentrateWhereTheMassIs) {
-  // Node 3 carries 90% of the rate; it must dominate the stream.
-  std::vector<real_t> rates(8, 0.25);
-  rates[3] = 15.75;  // total 17.5
-  events::poisson_source src(rates, /*seed=*/5);
-  int on_hot = 0;
-  for (int k = 0; k < 500; ++k) {
-    const auto ev = src.next();
-    ASSERT_TRUE(ev.has_value());
-    if (ev->node == 3) ++on_hot;
-  }
-  EXPECT_GT(on_hot, 350);
-}
-
 // An infinite rate makes every interarrival time 0, so simulated time never
 // advances; a NaN rate fails every comparison. Both are refused.
 TEST(PoissonSourceTest, RejectsNonFiniteRates) {
@@ -130,13 +113,6 @@ TEST(PoissonSourceTest, RejectsNonFiniteRates) {
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
   EXPECT_THROW(events::poisson_source(4, inf, 1), contract_violation);
   EXPECT_THROW(events::poisson_source(4, nan, 1), contract_violation);
-  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1.0, inf}, 1),
-               contract_violation);
-  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1.0, nan}, 1),
-               contract_violation);
-  // Finite rates whose sum overflows would be an infinite aggregate rate.
-  EXPECT_THROW(events::poisson_source(std::vector<real_t>{1e308, 1e308}, 1),
-               contract_violation);
 }
 
 TEST(PoissonSourceTest, MeanInterarrivalTracksRate) {
@@ -241,47 +217,9 @@ TEST(DrainTest, Algorithm2DrainRespectsRealLoad) {
   EXPECT_EQ(alg.real_loads()[4], 0);
 }
 
-// ----------------------------------------------------- adapter equivalence
+// ----------------------------------------------------------- event traffic
 
-// The acceptance contract: a lock-step arrival_schedule run through the
-// async driver reproduces run_dynamic's metrics bit-for-bit (same injection
-// order, same per-round sampling, same floating-point operation sequence).
-TEST(AsyncDriverTest, LockStepAdapterReproducesRunDynamicBitForBit) {
-  const node_id n = 16;
-  const round_t rounds = 120;
-  auto g = make_g(generators::torus_2d(4));
-  const auto tokens = workload::balanced_plus_spike(n, 10, 0, 40);
-
-  algorithm1 lockstep(fos_on(g), task_assignment::tokens(tokens));
-  workload::uniform_arrivals sched(n, 6, /*seed=*/13);
-  const dynamic_result want = run_dynamic(lockstep, sched, rounds);
-
-  algorithm1 eventdriven(fos_on(g), task_assignment::tokens(tokens));
-  std::vector<std::unique_ptr<events::event_source>> sources;
-  sources.push_back(std::make_unique<events::schedule_source>(
-      std::make_unique<workload::uniform_arrivals>(n, 6, /*seed=*/13),
-      rounds));
-  const async_result got =
-      run_async(eventdriven, std::move(sources), {.rounds = rounds, .warmup = -1, .probe = {}});
-
-  EXPECT_EQ(got.rounds, want.rounds);
-  EXPECT_EQ(got.total_arrived, want.total_arrived);
-  // Bit-for-bit: EXPECT_EQ on doubles, not EXPECT_NEAR.
-  EXPECT_EQ(got.mean_max_min, want.mean_max_min);
-  EXPECT_EQ(got.peak_max_min, want.peak_max_min);
-  EXPECT_EQ(got.final_max_min, want.final_max_min);
-  const dynamic_result slice = got.dynamics();
-  EXPECT_EQ(slice.mean_max_min, want.mean_max_min);
-  EXPECT_EQ(slice.peak_max_min, want.peak_max_min);
-  EXPECT_EQ(slice.final_max_min, want.final_max_min);
-  EXPECT_EQ(slice.total_arrived, want.total_arrived);
-  // And the processes themselves marched in lock step.
-  EXPECT_EQ(eventdriven.loads(), lockstep.loads());
-}
-
-// ----------------------------------------------------------- async driver
-
-TEST(AsyncDriverTest, OpenServiceModelConservesTokens) {
+TEST(EventTrafficTest, OpenServiceModelConservesTokens) {
   const node_id n = 16;
   auto g = make_g(generators::hypercube(4));
   const auto tokens = workload::add_speed_multiple(
@@ -295,21 +233,18 @@ TEST(AsyncDriverTest, OpenServiceModelConservesTokens) {
       n, /*total_rate=*/8.0, /*seed=*/3, event_kind::arrival));
   sources.push_back(std::make_unique<events::poisson_source>(
       n, /*total_rate=*/6.0, /*seed=*/4, event_kind::service));
-  const async_result r = run_async(alg, std::move(sources), {.rounds = 200, .warmup = -1, .probe = {}});
+  event_traffic traffic(std::move(sources), 200);
+  const dynamic_result r = run_dynamic(alg, std::ref(traffic), 200);
 
   EXPECT_GT(r.total_arrived, 0);
-  EXPECT_GT(r.tokens_served, 0);
-  EXPECT_LE(r.tokens_served, r.service_attempts);
+  EXPECT_GT(traffic.served(), 0);
+  EXPECT_LE(traffic.served(), traffic.service_attempts());
   weight_t final_real = 0;
   for (const weight_t w : alg.real_loads()) final_real += w;
-  EXPECT_EQ(final_real, initial + r.total_arrived - r.tokens_served);
-  // Depth percentiles are a nondecreasing ladder capped by the max.
-  EXPECT_LE(r.depth_p50, r.depth_p90);
-  EXPECT_LE(r.depth_p90, r.depth_p99);
-  EXPECT_LE(r.depth_p99, r.depth_max);
+  EXPECT_EQ(final_real, initial + r.total_arrived - traffic.served());
 }
 
-TEST(AsyncDriverTest, TraceEventsLandInTheirRoundInterval) {
+TEST(EventTrafficTest, TraceEventsLandInTheirRoundInterval) {
   auto g = make_g(generators::path(4));
   algorithm1 alg(fos_on(g),
                  task_assignment::tokens({8, 8, 8, 8}));
@@ -317,13 +252,14 @@ TEST(AsyncDriverTest, TraceEventsLandInTheirRoundInterval) {
       {0.25, event_kind::arrival, 0, 5},
       {2.0, event_kind::arrival, 1, 7},   // integer time → round 2's interval
       {3.75, event_kind::arrival, 2, 11},
+      {5.0, event_kind::arrival, 3, 13},  // at the horizon: never fires
   };
   std::vector<weight_t> seen_at_round;  // total load after each round
   std::vector<std::unique_ptr<events::event_source>> sources;
   sources.push_back(std::make_unique<events::trace_source>(evs));
-  const async_result r = run_async(
-      alg, std::move(sources), {.rounds = 5, .warmup = -1, .probe = {}},
-      [&](round_t, const discrete_process& d) {
+  event_traffic traffic(std::move(sources), 5);
+  const dynamic_result r = run_dynamic(
+      alg, std::ref(traffic), 5, [&](round_t, const discrete_process& d) {
         weight_t total = 0;
         for (const weight_t w : d.loads()) total += w;
         seen_at_round.push_back(total);
@@ -351,7 +287,7 @@ std::string serialized_grid(const std::string& name,
   return os.str();
 }
 
-runtime::grid_options tiny_async_options() {
+runtime::grid_options tiny_event_options() {
   runtime::grid_options opts;
   opts.target_n = 32;
   opts.repeats = 2;
@@ -363,14 +299,14 @@ runtime::grid_options tiny_async_options() {
 }
 
 TEST(AsyncGridTest, PoissonGridByteIdenticalAtOneAndEightThreads) {
-  const auto opts = tiny_async_options();
+  const auto opts = tiny_event_options();
   const std::string one = serialized_grid("async-poisson", opts, 1);
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, serialized_grid("async-poisson", opts, 8));
 }
 
 TEST(AsyncGridTest, ServiceGridByteIdenticalAtOneAndEightThreads) {
-  const auto opts = tiny_async_options();
+  const auto opts = tiny_event_options();
   EXPECT_EQ(serialized_grid("async-service", opts, 1),
             serialized_grid("async-service", opts, 8));
 }
@@ -378,7 +314,7 @@ TEST(AsyncGridTest, ServiceGridByteIdenticalAtOneAndEightThreads) {
 TEST(AsyncGridTest, PoissonGridByteIdenticalAcrossShardThreads) {
   // The acceptance contract's second half: sharded stepping is an execution
   // strategy, so async rows cannot depend on --shard-threads either.
-  auto opts = tiny_async_options();
+  auto opts = tiny_event_options();
   opts.shard_threads = 1;
   const std::string sequential = serialized_grid("async-poisson", opts, 1);
   opts.shard_threads = 8;
@@ -394,7 +330,7 @@ TEST(AsyncGridTest, PoissonGridRejectsServiceBearingTraces) {
     std::ofstream out(path);
     out << "0.5 0 3\n1.5 1 2 s\n";
   }
-  auto opts = tiny_async_options();
+  auto opts = tiny_event_options();
   opts.trace_path = path;
   const runtime::grid_spec poisson =
       runtime::make_named_grid("async-poisson", opts, 77);
@@ -413,7 +349,7 @@ TEST(AsyncGridTest, CompetitorsInOneScenarioShareTheTrafficStream) {
   // competitor — so every row of one pivot column faces identical traffic
   // and the mean-discrepancy comparison ranks algorithms, not arrival luck.
   const runtime::grid_spec spec =
-      runtime::make_named_grid("async-poisson", tiny_async_options(), 77);
+      runtime::make_named_grid("async-poisson", tiny_event_options(), 77);
   runtime::thread_pool pool(2);
   const auto rows = runtime::run_grid(spec, 77, pool);
   const auto cells = runtime::expand_grid(spec, 77);
@@ -438,7 +374,7 @@ TEST(AsyncGridTest, TraceNodesAreValidatedAgainstTheScenario) {
     std::ofstream out(path);
     out << "0.5 900 1\n";  // node 900 >= any tiny-grid n
   }
-  auto opts = tiny_async_options();
+  auto opts = tiny_event_options();
   opts.trace_path = path;
   const runtime::grid_spec spec =
       runtime::make_named_grid("async-poisson", opts, 77);
@@ -451,33 +387,40 @@ TEST(AsyncGridTest, TraceNodesAreValidatedAgainstTheScenario) {
   }
 }
 
-TEST(AsyncGridTest, PreParsedTraceMatchesPerCellLoading) {
-  // make_named_grid parses the trace file once and cells take in-memory
-  // copies; the rows must be identical to per-cell file loading (run_cell's
-  // fallback for a spec without a prototype).
+TEST(AsyncGridTest, PreParsedTraceReplaysWholeInEveryCell) {
+  // make_named_grid parses the trace file once and every cell copies the
+  // parsed prototype: a cell run on its own after the whole grid, and one
+  // run from an in-memory trace of the same events, must both replay the
+  // trace from its first event and reproduce the grid's row.
   const std::string path = ::testing::TempDir() + "shared_trace.txt";
   {
     std::ofstream out(path);
     out << "0.5 0 3\n5.25 1 7\n20 2 2\n";
   }
-  auto opts = tiny_async_options();
+  auto opts = tiny_event_options();
   opts.trace_path = path;
   runtime::grid_spec spec =
       runtime::make_named_grid("async-poisson", opts, 77);
   ASSERT_NE(spec.trace_proto, nullptr);
   runtime::thread_pool pool(2);
-  const auto rows = runtime::run_grid(spec, 77, pool);  // pre-parsed path
+  const auto rows = runtime::run_grid(spec, 77, pool);
   const auto cells = runtime::expand_grid(spec, 77);
   ASSERT_EQ(rows.size(), cells.size());
-  spec.trace_proto = nullptr;
-  auto direct = runtime::run_cell(spec, cells[3]);  // per-cell file load
-  direct.wall_ns = rows[3].wall_ns;
-  EXPECT_EQ(direct, rows[3]);
+  auto again = runtime::run_cell(spec, cells[3]);
+  again.wall_ns = rows[3].wall_ns;
+  EXPECT_EQ(again, rows[3]);
+  spec.trace_proto = std::make_shared<const events::trace_source>(
+      std::vector<event>{{0.5, event_kind::arrival, 0, 3},
+                         {5.25, event_kind::arrival, 1, 7},
+                         {20, event_kind::arrival, 2, 2}});
+  auto in_memory = runtime::run_cell(spec, cells[3]);
+  in_memory.wall_ns = rows[3].wall_ns;
+  EXPECT_EQ(in_memory, rows[3]);
 }
 
 TEST(AsyncGridTest, ServiceGridServesTokens) {
   const runtime::grid_spec spec =
-      runtime::make_named_grid("async-service", tiny_async_options(), 77);
+      runtime::make_named_grid("async-service", tiny_event_options(), 77);
   runtime::thread_pool pool(2);
   const auto rows = runtime::run_grid(spec, 77, pool);
   ASSERT_FALSE(rows.empty());
@@ -485,7 +428,10 @@ TEST(AsyncGridTest, ServiceGridServesTokens) {
     EXPECT_GT(row.extra_value("arrived"), 0) << row.process;
     EXPECT_GT(row.extra_value("served"), 0) << row.process;
     EXPECT_LE(row.extra_value("served"), row.extra_value("service_attempts"));
-    EXPECT_LE(row.extra_value("depth_p50"), row.extra_value("depth_max"));
+    // Depth percentiles are a nondecreasing ladder capped by the max.
+    EXPECT_LE(row.extra_value("depth_p50"), row.extra_value("depth_p90"));
+    EXPECT_LE(row.extra_value("depth_p90"), row.extra_value("depth_p99"));
+    EXPECT_LE(row.extra_value("depth_p99"), row.extra_value("depth_max"));
   }
 }
 

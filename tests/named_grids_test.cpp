@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -95,9 +96,9 @@ struct golden {
 };
 
 // FNV-1a of each grid's timing-masked JSON rows at n = 32, one repeat,
-// master seed 7.
-void expect_golden_rows(std::initializer_list<golden> table) {
-  grid_options opts;
+// master seed 7; the other knobs keep `opts`' values.
+void expect_golden_rows(std::initializer_list<golden> table,
+                        grid_options opts = {}) {
   opts.target_n = 32;
   opts.repeats = 1;
   constexpr std::uint64_t seed = 7;
@@ -137,6 +138,31 @@ TEST(NamedGridsGoldenTest, CoinRowsMatchGoldenHashes) {
       {"table2-random", 0xfcf649ff7ea5f897ULL},
       {"huge-uniform", 0xa8454b42c59fe285ULL},
   });
+}
+
+// The grids that interleave traffic with rounds: lock-step arrivals and
+// Poisson arrival and service events. A reordered event, a moved warm-up
+// or a changed sample fails here.
+TEST(NamedGridsGoldenTest, TrafficRowsMatchGoldenHashes) {
+  expect_golden_rows({
+      {"dynamic-uniform", 0x005684d03b9969dcULL},
+      {"dynamic-bursts", 0x960818a5c581fc2fULL},
+      {"async-poisson", 0xe4d1d6b15d418ff3ULL},
+      {"async-service", 0xe4a776365bd2e3d6ULL},
+  });
+  // A replayed trace whose arrivals and services share integer and
+  // fractional times with each other and with the Poisson streams: events
+  // at one time fire in source order, trace last.
+  const std::string path = ::testing::TempDir() + "golden_mixed_trace.txt";
+  {
+    std::ofstream out(path);
+    out << "0 3 5\n0 3 2 s\n0.5 7 4 s\n0.5 1 6\n2 0 9\n2 0 4 s\n"
+           "2 15 3 s\n7.25 9 8\n7.25 9 8 s\n31 12 20\n31 2 1 s\n"
+           "200 5 30\n200 5 10 s\n399.5 11 2\n";
+  }
+  grid_options opts;
+  opts.trace_path = path;
+  expect_golden_rows({{"async-service", 0xd347dd61023c4e9cULL}}, opts);
 }
 
 INSTANTIATE_TEST_SUITE_P(
