@@ -1,6 +1,7 @@
 // Per-phase kernel microbenchmarks: the cost of one edge-phase stream, one
 // node-phase fold, and one sharded α-schedule fill, measured in isolation
-// under real shard contexts at shard-threads 1 and 8. Not a paper artifact —
+// under real shard contexts at shard-threads 1 and 8, plus one whole
+// flow-imitator round of Algorithm 1 and of Algorithm 2. Not a paper artifact —
 // this is the engineering view of the round kernels the steal runner
 // chunks: BENCH_micro.json carries `micro-kernels-s1` / `micro-kernels-s8`
 // twin rows, so bench/check_regression.py gates both the absolute kernel
@@ -16,8 +17,17 @@
 // steps sequentially (no context), the s8 instance on an 8-thread pool with
 // the work-stealing runner; after timing, the two instances' output buffers
 // are compared bit-for-bit, so the bench doubles as a large-n determinism
-// smoke. Edge-stream rows also print the bytes they touch per edge and the
-// rate that implies, to read against the host's memory bandwidth.
+// smoke. Edge-stream rows also print the bytes a 40 B/item model says they
+// touch per edge and the rate computed from it; the model counts cache hits
+// as memory traffic, so the computed rate can exceed the host's memory
+// bandwidth when the state fits the last-level cache.
+//
+// The imitator rows (cells 5 and 6) time one round of Algorithm 1 and of
+// Algorithm 2 on the count store, imitating FOS on hypercube(dim 18) from
+// a 2-per-node spike under 1000 uniform arrivals per round — the stream
+// cells of the scale benchmark — and compare the s8 instance's loads with
+// the s1 instance's bit for bit. The committed baseline has no such cells,
+// so bench/check_regression.py skips them.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "dlb/core/algorithm1.hpp"
+#include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
@@ -38,6 +50,8 @@
 #include "dlb/runtime/experiment_grid.hpp"
 #include "dlb/runtime/result_sink.hpp"
 #include "dlb/runtime/thread_pool.hpp"
+#include "dlb/workload/arrival.hpp"
+#include "dlb/workload/competitors.hpp"
 
 namespace {
 
@@ -47,10 +61,12 @@ constexpr std::uint64_t kMasterSeed = 7;
 constexpr node_id kTorusSide = 512;  // n = 262144, m = 524288
 constexpr int kCubeDim = 18;         // n = 262144, m = 2359296
 constexpr int kRounds = 30;          // timed rounds per kernel
+constexpr weight_t kArrivals = 1000;  // imitator rows: tokens per round
 
-/// Bytes the edge stream touches per edge, each operand counted once: the
-/// endpoints (2 × 4 B), α and the flow it writes (8 B each), and x_u, x_v
-/// (2 × 8 B). Node reads that hit cache make the memory traffic smaller.
+/// Bytes the edge stream touches per edge in the 40 B/item model, each
+/// operand counted once: the endpoints (2 × 4 B), α and the flow it writes
+/// (8 B each), and x_u, x_v (2 × 8 B). Reads that hit cache make the
+/// memory traffic smaller than the model, and the computed rate larger.
 constexpr auto kEdgeStreamBytes =
     static_cast<double>(2 * sizeof(node_id) + 4 * sizeof(real_t));
 
@@ -176,6 +192,46 @@ struct kernel_row {
       run;
 };
 
+/// A flow imitator built on a fresh FOS reference from the initial tokens.
+using imitator_factory = std::function<std::unique_ptr<flow_imitator>(
+    std::unique_ptr<linear_process>, std::vector<weight_t>)>;
+
+struct imitator_row {
+  std::uint64_t cell;
+  std::string name;
+  imitator_factory make;
+};
+
+/// Prints one timed cell (per-item cost over m edges per round, plus the
+/// model rate when `bytes_per_item` > 0) and appends its row.
+void add_row(std::vector<runtime::result_row>& rows, std::uint64_t cell,
+             const std::string& grid, const std::string& scenario,
+             const std::string& name, const graph& g, std::int64_t wall,
+             double bytes_per_item) {
+  runtime::result_row row;
+  row.cell = cell;
+  row.grid = grid;
+  row.scenario = scenario;
+  row.process = name;
+  row.model = "kernel";
+  row.n = g.num_nodes();
+  row.seed = kMasterSeed;
+  row.rounds = kRounds;
+  row.wall_ns = wall;
+  const double items =
+      static_cast<double>(kRounds) * static_cast<double>(g.num_edges());
+  const double ns_per_item = static_cast<double>(wall) / items;
+  std::printf("  %-20s %-14s %10.3f ms  (%7.2f ns/item/round", name.c_str(),
+              scenario.c_str(), static_cast<double>(wall) / 1e6, ns_per_item);
+  if (bytes_per_item > 0) {
+    // B/ns == GB/s, computed from the model, not measured.
+    std::printf(", %.0f B/item model, %6.2f GB/s computed", bytes_per_item,
+                bytes_per_item / ns_per_item);
+  }
+  std::printf(")\n");
+  rows.push_back(std::move(row));
+}
+
 }  // namespace
 
 int main() {
@@ -207,9 +263,34 @@ int main() {
           int t) { k.alpha_fill_round(r, t < 0 ? 0 : t); }},
       {4, "edge-stream", &cube, kEdgeStreamBytes, edge_stream},
   };
+  const std::vector<imitator_row> imitators = {
+      {5, "alg1-round",
+       [](std::unique_ptr<linear_process> fos, std::vector<weight_t> tokens)
+           -> std::unique_ptr<flow_imitator> {
+         return std::make_unique<algorithm1>(std::move(fos),
+                                             std::move(tokens));
+       }},
+      {6, "alg2-round",
+       [](std::unique_ptr<linear_process> fos, std::vector<weight_t> tokens)
+           -> std::unique_ptr<flow_imitator> {
+         return std::make_unique<algorithm2>(std::move(fos),
+                                             std::move(tokens), kMasterSeed);
+       }},
+  };
+  const graph& cg = *cube.g;
+  const speed_vector cube_speeds = uniform_speeds(cg.num_nodes());
+  const std::vector<weight_t> cube_tokens =
+      workload::spike_workload(cg, cube_speeds, 2);
+  // Round t's arrivals, drawn before timing (the warm-up round takes
+  // round 0's batch).
+  const workload::uniform_arrivals stream(cg.num_nodes(), kArrivals,
+                                          kMasterSeed);
+  std::vector<std::vector<workload::arrival>> batches;
+  for (int t = 0; t < kRounds; ++t) batches.push_back(stream.arrivals(t));
 
   std::vector<runtime::result_row> rows;
   std::vector<std::unique_ptr<kernel_bench>> witnesses;  // s1 state, per kernel
+  std::vector<std::vector<weight_t>> imitator_loads;  // s1 loads, per row
 
   for (const unsigned shards : {1u, 8u}) {
     const std::string grid = "micro-kernels-s" + std::to_string(shards);
@@ -240,29 +321,30 @@ int main() {
         }
       }
 
-      runtime::result_row row;
-      row.cell = kernel.cell;
-      row.grid = grid;
-      row.scenario = kernel.on->scenario;
-      row.process = kernel.name;
-      row.model = "kernel";
-      row.n = g.num_nodes();
-      row.seed = kMasterSeed;
-      row.rounds = kRounds;
-      row.wall_ns = wall;
-      const double items =
-          static_cast<double>(kRounds) * static_cast<double>(g.num_edges());
-      const double ns_per_item = static_cast<double>(wall) / items;
-      std::printf("  %-20s %-14s %10.3f ms  (%7.2f ns/item/round",
-                  kernel.name.c_str(), kernel.on->scenario.c_str(),
-                  static_cast<double>(wall) / 1e6, ns_per_item);
-      if (kernel.bytes_per_item > 0) {
-        // B/ns == GB/s.
-        std::printf(", %.0f B/item, %6.2f GB/s", kernel.bytes_per_item,
-                    kernel.bytes_per_item / ns_per_item);
+      add_row(rows, kernel.cell, grid, kernel.on->scenario, kernel.name, g,
+              wall, kernel.bytes_per_item);
+    }
+    for (const imitator_row& imitator : imitators) {
+      auto p = imitator.make(make_fos(cube.g, cube_speeds, cube.alpha),
+                             cube_tokens);
+      if (shards > 1) p->enable_sharded_stepping(steal_context(cg, shards));
+      const std::int64_t wall = time_rounds([&](int t) {
+        for (const workload::arrival& a : batches[t < 0 ? 0 : t]) {
+          p->inject_tokens(a.node, a.count);
+        }
+        p->step();
+      });
+      if (shards == 1) {
+        imitator_loads.push_back(p->loads());
+      } else if (p->loads() !=
+                 imitator_loads[imitator.cell - imitators[0].cell]) {
+        std::cerr << "FATAL: '" << imitator.name << "' on " << cube.scenario
+                  << " at s" << shards
+                  << " diverged from the sequential reference\n";
+        return 1;
       }
-      std::printf(")\n");
-      rows.push_back(std::move(row));
+      add_row(rows, imitator.cell, grid, cube.scenario, imitator.name, cg,
+              wall, 0);
     }
   }
 

@@ -9,10 +9,11 @@ namespace dlb {
 namespace {
 
 // The deficit node i must make up over edge `inc` this round, or 0 when i
-// does not send on it. Endpoints are normalized u < v: i is the edge's u
-// iff the neighbor is larger. Positive deficit sends u→v, negative v→u;
-// only the direction with positive deficit sends (Observation 4's
-// argument), so exactly one endpoint of an edge is its sender.
+// does not send on it (task store). Endpoints are normalized u < v: i is
+// the edge's u iff the neighbor is larger. Positive deficit sends u→v,
+// negative v→u; only the direction with positive deficit sends
+// (Observation 4's argument), so exactly one endpoint of an edge is its
+// sender.
 real_t send_amount(real_t deficit, node_id i, const incidence& inc) {
   const bool is_u = inc.neighbor > i;
   if (deficit > 0 && is_u) return deficit;
@@ -27,9 +28,7 @@ algorithm1::algorithm1(std::unique_ptr<linear_process> process,
                        const std::vector<weight_t>& dummy_preload)
     : flow_imitator(std::move(process), std::move(tokens), dummy_preload),
       config_(config),
-      wmax_(config.wmax_override > 0 ? config.wmax_override : 1) {
-  deficit_.assign(static_cast<size_t>(topology().num_edges()), 0.0);
-}
+      wmax_(config.wmax_override > 0 ? config.wmax_override : 1) {}
 
 algorithm1::algorithm1(std::unique_ptr<linear_process> process,
                        task_assignment initial, algorithm1_config config)
@@ -89,29 +88,42 @@ weight_t algorithm1::units_sent(real_t amount) const {
   return k;
 }
 
-// Phase 1 (per edge): the snapped flow deficit ŷ_{u,v}(t), oriented u→v.
-// Also resets the edge's transfer set and send for this round (its dummy
-// slot is read only if the edge sends, and then the sender writes it).
-// Reads only pre-round state, so any edge partition computes identical bits.
-void algorithm1::deficit_phase(const edge_slice& es) {
+// The edge step, inside the reference's edge phase: the snapped flow
+// deficit ŷ_{u,v}(t), oriented u→v, of edges whose f^A(t) the reference has
+// just written. The count store sends k = units_sent(|ŷ|) tokens in ŷ's
+// direction at once; the task store keeps ŷ for its send step and resets
+// the edge's send and transfer set. An edge's dummy slot is read only if
+// the edge sends, and then its sender writes it. Reads only pre-round state
+// and the chunk's own f^A, so any edge partition computes identical bits.
+void algorithm1::edge_round(const edge_slice& es) {
+  if (!tasks_) {
+    es.for_each([&](edge_id e) {
+      const real_t deficit = snapped_deficit(e);
+      const weight_t k = units_sent(std::abs(deficit));
+      record_send(e, deficit > 0 ? k : -k);
+    });
+    return;
+  }
   es.for_each([&](edge_id e) {
     const std::size_t idx = static_cast<size_t>(e);
     deficit_[idx] = snapped_deficit(e);
     sent_[idx] = 0;
-    if (tasks_) {
-      outbox_[idx].real_weights.clear();
-      outbox_[idx].real_origins.clear();
-    }
+    outbox_[idx].real_weights.clear();
+    outbox_[idx].real_origins.clear();
   });
 }
 
-// Phase 2 (per node): each node allocates tasks to the transfer sets of the
-// edges on which it is the sender, in ascending edge-id order. The node's
-// pool shrinks as its edges are processed, so tasks committed to one edge
-// are unavailable to the next ("unallocated tasks"). The sender is the
-// single writer of the per-edge slots (transfer set, ledger, transfer record),
-// and a node's pool evolves exactly as under the sequential global edge
-// loop.
+weight_t algorithm1::node_round(node_id i0, node_id i1) {
+  return tasks_ ? send_tasks(i0, i1) : send_counts(i0, i1);
+}
+
+// The send step on the task store, inside the reference's node phase: each
+// node allocates tasks to the transfer sets of the edges on which it is the
+// sender, in ascending edge-id order. The node's pool shrinks as its edges
+// are processed, so tasks committed to one edge are unavailable to the next
+// ("unallocated tasks"). The sender is the single writer of the per-edge
+// slots (transfer set, ledger, transfer record), and a node's pool evolves
+// exactly as under the sequential global edge loop.
 weight_t algorithm1::send_tasks(node_id i0, node_id i1) {
   const graph& g = topology();
   weight_t dummies_minted = 0;
@@ -153,11 +165,12 @@ weight_t algorithm1::send_tasks(node_id i0, node_id i1) {
   return dummies_minted;
 }
 
-// Phase 2 on the count store: the same loop over unit tokens, in counts.
-// A send of k tokens takes real tokens first under real_first (then the
-// node's dummies, then minted ones), the node's dummies first under
-// dummy_first (then real tokens, then minted ones); every token sent that
-// was not real is a dummy.
+// The send step on the count store: the same loop over unit tokens, in
+// counts. The edge step recorded each edge's k tokens; the sender splits
+// them. A send takes real tokens first under real_first (then the node's
+// dummies, then minted ones), the node's dummies first under dummy_first
+// (then real tokens, then minted ones); every token sent that was not real
+// is a dummy.
 weight_t algorithm1::send_counts(node_id i0, node_id i1) {
   const graph& g = topology();
   const bool real_first = config_.removal == removal_policy::real_first;
@@ -167,9 +180,8 @@ weight_t algorithm1::send_counts(node_id i0, node_id i1) {
     weight_t dummies = dummies_[idx];
     weight_t real = loads_[idx] - dummies;
     for (const incidence& inc : g.neighbors(i)) {
-      const std::size_t e = static_cast<size_t>(inc.edge);
-      const weight_t k = units_sent(send_amount(deficit_[e], i, inc));
-      if (k == 0) continue;
+      const weight_t k = sent_by(i, inc);
+      if (k <= 0) continue;
       weight_t from_real = 0;
       weight_t from_dummies = 0;
       if (real_first) {
@@ -182,8 +194,7 @@ weight_t algorithm1::send_counts(node_id i0, node_id i1) {
       real -= from_real;
       dummies -= from_dummies;
       dummies_minted += k - from_real - from_dummies;
-      record_send(inc.edge, inc.neighbor > i ? k : -k);
-      sent_dummies_[e] = k - from_real;
+      sent_dummies_[static_cast<size_t>(inc.edge)] = k - from_real;
     }
     loads_[idx] = real + dummies;
     dummies_[idx] = dummies;
@@ -191,8 +202,8 @@ weight_t algorithm1::send_counts(node_id i0, node_id i1) {
   return dummies_minted;
 }
 
-// Phase 3 (per node): the count store delivers through the base's receive.
-// On the task store each node drains its inbound transfer sets in
+// The receive phase (per node): the count store delivers through the base's
+// receive. On the task store each node drains its inbound transfer sets in
 // ascending edge-id order — the same order the sequential delivery loop
 // pushes into its pool, so the pool's LIFO state is preserved exactly —
 // then refreshes its cached load. Tasks received this round cannot be
@@ -220,16 +231,6 @@ void algorithm1::receive(node_id i0, node_id i1) {
     loads_[static_cast<size_t>(i)] = dest.total_weight();
   }
   add_tokens_moved(static_cast<std::uint64_t>(moved));
-}
-
-weight_t algorithm1::send_round() {
-  edge_phase([&](const edge_slice& es) { deficit_phase(es); });
-  return node_phase_reduce<weight_t>(
-      0,
-      [&](node_id i0, node_id i1) {
-        return tasks_ ? send_tasks(i0, i1) : send_counts(i0, i1);
-      },
-      [](weight_t a, weight_t b) { return a + b; });
 }
 
 load_extrema algorithm1::real_load_extrema(node_id begin, node_id end) const {

@@ -34,11 +34,13 @@ struct algorithm1_config {
   weight_t wmax_override = 0;
 };
 
-/// Each round decomposes into a deficit phase (per edge), a send phase (each
+/// Each round runs a per-edge step (the deficit and, on the count store, the
+/// tokens sent) inside the reference's edge phase, a per-node send step (each
 /// node allocates tasks to its positive-deficit edges in ascending edge-id
-/// order — only the sender's own pool shrinks, so nodes are independent), and
-/// a receive phase (each node drains its inbound transfer sets, again in
-/// ascending edge-id order) — the shared `sharded_stepper` protocol.
+/// order — only the sender's own pool shrinks, so nodes are independent)
+/// inside the reference's node phase, and a receive phase (each node drains
+/// its inbound transfer sets, again in ascending edge-id order) — the shared
+/// `sharded_stepper` protocol.
 /// `enable_sharded_stepping` runs the phases over a shard plan with results
 /// bit-identical to the sequential round (the pool push/pop order per node
 /// is preserved exactly; see core/sharding.hpp). The reference, the ledger,
@@ -107,24 +109,27 @@ class algorithm1 final : public flow_imitator {
     std::vector<node_id> real_origins;  // parallel to real_weights
   };
 
-  weight_t send_round() override;
+  void edge_round(const edge_slice& es) override;
+  [[nodiscard]] weight_t node_round(node_id i0, node_id i1) override;
   void receive(node_id i0, node_id i1) override;
 
   /// The number of unit tokens the task store's transfer loop adds for a
   /// deficit of `amount` (count store).
   [[nodiscard]] weight_t units_sent(real_t amount) const;
 
-  // One round's phases; ranges are one shard's slice of edges/nodes. The
-  // send phase returns the shard's dummy-token mint count.
-  void deficit_phase(const edge_slice& es);
+  // The send step per store, on one chunk of nodes; each returns the
+  // chunk's dummy-token mint count.
   [[nodiscard]] weight_t send_tasks(node_id i0, node_id i1);
   [[nodiscard]] weight_t send_counts(node_id i0, node_id i1);
 
   std::unique_ptr<task_assignment> tasks_;  // the task store, or null
   algorithm1_config config_;
   weight_t wmax_ = 1;
-  std::vector<real_t> deficit_;  // per-edge ŷ, oriented u→v (reused)
-  std::vector<pending_transfer> outbox_;  // task store: per-edge real tasks
+  // Task store: per-edge ŷ, oriented u→v, and the per-edge real tasks in
+  // flight (reused). The count store sends k = units_sent(|ŷ|) straight
+  // from its edge step and keeps neither.
+  std::vector<real_t> deficit_;
+  std::vector<pending_transfer> outbox_;
 };
 
 }  // namespace dlb

@@ -19,15 +19,16 @@ void algorithm2::inject_tokens(node_id i, weight_t count) {
   reference_->inject_load(i, static_cast<real_t>(count));
 }
 
-// Phase 1 (per edge): the positive-deficit direction decides its rounded
-// send Y = ⌊|Ŷ|⌋ + Bernoulli({|Ŷ|}), recorded with Ŷ's sign. The coin is a
-// counter-based draw keyed (seed, t, e) — a pure function of the edge and
-// round, independent of visit order — drawn on every edge, since a coin of
-// probability 0 never lands; the per-edge writes have exactly one writer.
-// Transfers are synchronous: decisions see only round-start state. The
-// dummy slot is cleared here because the mint fills only the first sending
-// edges' slots.
-void algorithm2::decide_phase(const edge_slice& es) {
+// The decide step (per edge), inside the reference's edge phase, on edges
+// whose f^A(t) it has just written: the positive-deficit direction decides
+// its rounded send Y = ⌊|Ŷ|⌋ + Bernoulli({|Ŷ|}), recorded with Ŷ's sign.
+// The coin is a counter-based draw keyed (seed, t, e) — a pure function of
+// the edge and round, independent of visit order — drawn on every edge,
+// since a coin of probability 0 never lands; the per-edge writes have
+// exactly one writer. Transfers are synchronous: decisions see only
+// round-start state and the edge's own f^A(t). The dummy slot is cleared
+// here because the mint fills only the first sending edges' slots.
+void algorithm2::edge_round(const edge_slice& es) {
   const std::uint64_t round_seed =
       derive_seed(coin_seed_, static_cast<std::uint64_t>(t_));
   es.for_each([&](edge_id e) {
@@ -42,15 +43,15 @@ void algorithm2::decide_phase(const edge_slice& es) {
   });
 }
 
-// Phase 2 (per sender node): resolve each sender's real/dummy token
-// composition and debit it in place — real tokens ship first; when the
-// pool is short, dummies ship, minted from the infinite source if the node
-// holds none — then attribute the shipped dummies to the node's first
-// sending edges in ascending edge-id order (the order the sequential loop
-// fills them). Writes: the node's own loads/dummies, plus the dummies slot
-// of edges the node sends on (single writer — each edge has exactly one
-// sender).
-weight_t algorithm2::mint_phase(node_id i0, node_id i1) {
+// The mint step (per sender node), inside the reference's node phase:
+// resolve each sender's real/dummy token composition and debit it in
+// place — real tokens ship first; when the pool is short, dummies ship,
+// minted from the infinite source if the node holds none — then attribute
+// the shipped dummies to the node's first sending edges in ascending
+// edge-id order (the order the sequential loop fills them). Writes: the
+// node's own loads/dummies, plus the dummies slot of edges the node sends
+// on (single writer — each edge has exactly one sender).
+weight_t algorithm2::node_round(node_id i0, node_id i1) {
   const graph& g = topology();
   weight_t minted_total = 0;
   for (node_id i = i0; i < i1; ++i) {
@@ -81,13 +82,6 @@ weight_t algorithm2::mint_phase(node_id i0, node_id i1) {
     DLB_ASSERT(remaining == 0);
   }
   return minted_total;
-}
-
-weight_t algorithm2::send_round() {
-  edge_phase([&](const edge_slice& es) { decide_phase(es); });
-  return node_phase_reduce<weight_t>(
-      0, [&](node_id i0, node_id i1) { return mint_phase(i0, i1); },
-      [](weight_t a, weight_t b) { return a + b; });
 }
 
 }  // namespace dlb

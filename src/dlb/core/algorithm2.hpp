@@ -10,9 +10,10 @@
 //
 // The rounding coin of edge e in round t is a counter-based draw keyed
 // (seed, t, e) — a pure per-edge function, so the round decomposes into the
-// shared sharded-stepper phases (decide per edge; mint and attribute dummies
-// per sender node; the base's receive per node) with bit-identical results
-// at any shard count.
+// shared sharded-stepper phases (decide per edge, inside the reference's
+// edge phase; mint and attribute dummies per sender node, inside its node
+// phase; the base's receive per node) with bit-identical results at any
+// shard count.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +48,10 @@ class algorithm2 final : public flow_imitator {
   void inject_tokens(node_id i, weight_t count) override;
 
  private:
-  weight_t send_round() override;
-
-  // One round's phases; ranges are one shard's slice. The mint phase
-  // returns the shard's dummy mint count.
-  void decide_phase(const edge_slice& es);
-  [[nodiscard]] weight_t mint_phase(node_id i0, node_id i1);
+  // The decide step (per edge) and the mint step (per sender node), run
+  // as the reference's tails; the mint returns the chunk's dummy mint count.
+  void edge_round(const edge_slice& es) override;
+  [[nodiscard]] weight_t node_round(node_id i0, node_id i1) override;
 
   std::uint64_t coin_seed_;
 };

@@ -116,8 +116,9 @@ void flow_imitator::receive(node_id i0, node_id i1) {
 }
 
 void flow_imitator::step() {
-  reference_->step();
-  dummy_created_ += send_round();
+  dummy_created_ += reference_->step(
+      [this](const edge_slice& es) { edge_round(es); },
+      [this](node_id i0, node_id i1) { return node_round(i0, i1); });
   node_phase([&](node_id i0, node_id i1) { receive(i0, i1); });
   ++t_;
 }

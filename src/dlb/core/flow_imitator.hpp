@@ -33,9 +33,11 @@ class flow_imitator : public discrete_process {
                 std::vector<weight_t> tokens,
                 const std::vector<weight_t>& dummy_preload);
 
-  /// Advances the reference to round t, making f^A(t) known (sharded when
-  /// this process is), runs the algorithm's sending phases for the round,
-  /// then the receive phase.
+  /// One round in three phases: the reference's edge phase, which runs
+  /// edge_round() on each chunk right after computing its f^A(t); the
+  /// reference's node phase, which runs node_round() on each chunk right
+  /// after applying its flows; then the receive phase. Sharded when this
+  /// process is.
   void step() final;
 
   [[nodiscard]] const std::vector<weight_t>& loads() const final {
@@ -128,13 +130,13 @@ class flow_imitator : public discrete_process {
 
   /// Records this round's send over edge e, `sent` weight oriented u→v,
   /// and adds it to the ledger's f^D. The sender writes the dummies among
-  /// it into sent_dummies_ itself.
+  /// it into sent_dummies_ in node_round().
   void record_send(edge_id e, weight_t sent) {
     sent_[static_cast<size_t>(e)] = sent;
     ledger_.add(e, sent);
   }
 
-  /// The receive phase step() runs after send_round(), on one node range.
+  /// The receive phase step() runs after node_round(), on one node range.
   /// On the count store each node adds the tokens sent to it this round and
   /// the dummies among them; a store that holds tasks overrides it.
   virtual void receive(node_id i0, node_id i1);
@@ -156,11 +158,18 @@ class flow_imitator : public discrete_process {
   round_t t_ = 0;
 
  private:
-  /// The algorithm's phases for one round up to delivery, against f^A(t):
-  /// each sender records its sends with record_send() and the dummies among
-  /// them, and debits its own loads (and dummies). Returns the dummy weight
-  /// minted.
-  virtual weight_t send_round() = 0;
+  /// The algorithm's per-edge work of one round, run as the reference's edge
+  /// tail: each edge of `es`, whose f^A(t) the reference has just written,
+  /// rounds its snapped_deficit() and writes only its own slots — the send,
+  /// through record_send(), or what node_round() needs to decide it.
+  virtual void edge_round(const edge_slice& es) = 0;
+
+  /// The algorithm's per-node work of one round, run as the reference's
+  /// node tail on [i0, i1): each sender splits its sends into real tokens
+  /// and dummies (recording them with record_send() where edge_round() did
+  /// not), writes the dummies into the slots of the edges it sends on, and
+  /// debits its own loads (and dummies). Returns the dummy weight minted.
+  [[nodiscard]] virtual weight_t node_round(node_id i0, node_id i1) = 0;
 };
 
 }  // namespace dlb

@@ -161,47 +161,71 @@ void linear_process::flow_phase(const edge_slice& es) {
 // Phase 2 (per node): negative-load detection (Definition 1 — a node's
 // outgoing demand must not exceed its current load; only SOS can violate
 // this, paper §3) against the pre-transfer load, then the transfer
-// application. Each node folds its incident edges in ascending edge-id order
-// (the adjacency build order), which is exactly the contribution order the
-// sequential per-edge loop applies to that node's accumulator — so the
-// floating-point result is bit-identical for any node partition.
+// application, in one walk of the node's incident edges. Each node folds
+// them in ascending edge-id order (the adjacency build order), which is
+// exactly the contribution order the sequential per-edge loop applies to
+// that node's accumulators — so the floating-point result is bit-identical
+// for any node partition.
 bool linear_process::apply_phase(node_id i0, node_id i1) {
   const graph& g = *g_;
   bool negative = false;
   for (node_id i = i0; i < i1; ++i) {
+    const real_t before = x_[static_cast<size_t>(i)];
     real_t outgoing = 0;
+    real_t after = before;
     for (const incidence& inc : g.neighbors(i)) {
       const directed_flow& y = y_next_[static_cast<size_t>(inc.edge)];
       // Endpoints are normalized u < v, so i is the edge's u iff the
       // neighbor is the larger endpoint.
-      outgoing += inc.neighbor > i ? y.forward : y.backward;
-    }
-    if (x_[static_cast<size_t>(i)] - outgoing < -flow_epsilon) {
-      negative = true;
-    }
-    for (const incidence& inc : g.neighbors(i)) {
-      const directed_flow& y = y_next_[static_cast<size_t>(inc.edge)];
+      const bool is_u = inc.neighbor > i;
+      outgoing += is_u ? y.forward : y.backward;
       const real_t net = y.forward - y.backward;
-      x_[static_cast<size_t>(i)] += inc.neighbor > i ? -net : net;
+      after += is_u ? -net : net;
     }
+    if (before - outgoing < -flow_epsilon) negative = true;
+    x_[static_cast<size_t>(i)] = after;
   }
   return negative;
 }
 
-void linear_process::step() {
+namespace {
+
+// One node chunk's fold: whether it saw a Definition-1 violation, and the
+// sum of the node tail's returns. Both folds are exact.
+struct node_fold {
+  int negative = 0;
+  weight_t tail = 0;
+
+  [[nodiscard]] static node_fold merge(const node_fold& a,
+                                       const node_fold& b) {
+    return {a.negative | b.negative, a.tail + b.tail};
+  }
+};
+
+}  // namespace
+
+weight_t linear_process::step(const edge_tail& edge, const node_tail& node) {
   DLB_EXPECTS(started_);
   fill_round_alphas(*schedule_, t_, alpha_buf_, alphas_cached_);
   y_next_.resize(static_cast<size_t>(g_->num_edges()));
 
-  edge_phase([&](const edge_slice& es) { flow_phase(es); });
-  const int negative = node_phase_reduce<int>(
-      0,
-      [&](node_id i0, node_id i1) { return apply_phase(i0, i1) ? 1 : 0; },
-      [](int a, int b) { return a | b; });
-  if (negative != 0) negative_load_ = true;
+  edge_phase([&](const edge_slice& es) {
+    flow_phase(es);
+    if (edge) edge(es);
+  });
+  const node_fold acc = node_phase_reduce<node_fold>(
+      {},
+      [&](node_id i0, node_id i1) {
+        node_fold f{apply_phase(i0, i1) ? 1 : 0, 0};
+        if (node) f.tail = node(i0, i1);
+        return f;
+      },
+      &node_fold::merge);
+  if (acc.negative != 0) negative_load_ = true;
 
   y_prev_.swap(y_next_);
   ++t_;
+  return acc.tail;
 }
 
 std::unique_ptr<linear_process> linear_process::clone_fresh() const {

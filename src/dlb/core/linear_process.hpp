@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,9 +121,17 @@ class random_matching_schedule final : public alpha_schedule {
 /// node, incident edges in ascending id order) — through the shared
 /// `sharded_stepper` protocol, so the round can be sharded over a thread
 /// pool via `enable_sharded_stepping` with bit-identical results at any
-/// shard count (see core/sharding.hpp).
+/// shard count (see core/sharding.hpp). A flow imitator runs its own round
+/// inside those two phases, as tails (see step(edge_tail, node_tail)).
 class linear_process final : public sharded_stepper {
  public:
+  /// Per-chunk work a caller runs inside step()'s edge phase, on the chunk's
+  /// edge slice.
+  using edge_tail = std::function<void(const edge_slice&)>;
+  /// Per-chunk work a caller runs inside step()'s node phase, on the chunk's
+  /// node range [i0, i1); returns an integer that step() sums.
+  using node_tail = std::function<weight_t(node_id, node_id)>;
+
   linear_process(std::shared_ptr<const graph> g, speed_vector s,
                  std::unique_ptr<alpha_schedule> schedule, real_t beta,
                  std::string process_name);
@@ -131,7 +140,19 @@ class linear_process final : public sharded_stepper {
   void reset(std::vector<real_t> x0);
 
   /// Executes one synchronous round. Requires reset() first.
-  void step();
+  void step() { (void)step(nullptr, nullptr); }
+
+  /// Executes one round that also runs the caller's tails: `edge` on each
+  /// edge chunk right after that chunk's flow update, `node` on each node
+  /// chunk right after that chunk's apply (a null tail is skipped). Returns
+  /// the sum of `node`'s returns, folded beside the Definition-1 check.
+  /// Tails keep the phase purity rules (core/sharding.hpp): an edge tail
+  /// reads f^A of its own chunk's edges, which the chunk has just written,
+  /// plus pre-round state, and writes only its own edges' slots; a node
+  /// tail writes its own nodes' state and the slots of the edges its nodes
+  /// send on. The sum is an integer fold, so the round stays bit-identical
+  /// at any shard count.
+  weight_t step(const edge_tail& edge, const node_tail& node);
 
   [[nodiscard]] const graph& topology() const override { return *g_; }
   [[nodiscard]] const speed_vector& speeds() const { return s_; }

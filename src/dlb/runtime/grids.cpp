@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <utility>
 
 #include "dlb/analysis/locality.hpp"
@@ -1035,12 +1036,33 @@ constexpr grid_entry registry[] = {
      async_service_grid},
 };
 
+/// Refuses a Poisson `rate` (events per unit of virtual time) whose
+/// expected event count over `rounds` exceeds max_cell_tokens, naming the
+/// flag: an event-driven cell fires every event its source draws, so the
+/// rate bounds its traffic as a count bounds a lock-step cell's.
+void require_cell_rate(const char* flag, real_t rate, round_t rounds) {
+  if (rate * static_cast<real_t>(rounds) <=
+      static_cast<real_t>(max_cell_tokens)) {
+    return;
+  }
+  std::ostringstream os;
+  os << "argument '" << flag << "': rate " << rate << " × " << rounds
+     << " rounds exceeds the cap of " << max_cell_tokens
+     << " tokens per cell";
+  throw contract_violation(os.str());
+}
+
 /// Refuses a grid whose cells would be asked to create more than
 /// max_cell_tokens tokens, naming the flag that sets the count.
 void check_cell_tokens(const grid_spec& spec) {
   for (const workload::graph_case& gc : spec.graphs) {
     require_cell_tokens("spike-per-node", spec.spike_per_node,
                         {gc.g->num_nodes()}, "nodes of " + gc.name);
+  }
+  if (spec.kind == grid_kind::async_events) {
+    require_cell_rate("arrival-rate", spec.arrival_rate, spec.dynamic_rounds);
+    require_cell_rate("service-rate", spec.service_rate, spec.dynamic_rounds);
+    return;
   }
   if (spec.kind != grid_kind::dynamic_arrivals) return;
   const round_t rounds = spec.dynamic_rounds;

@@ -28,6 +28,7 @@
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/thread_pool.hpp"
 #include "dlb/workload/initial_load.hpp"
+#include "pool_context.hpp"
 
 namespace dlb {
 namespace {
@@ -39,25 +40,6 @@ std::shared_ptr<const graph> make_g(graph g) {
 std::unique_ptr<linear_process> fos_on(std::shared_ptr<const graph> g) {
   return make_fos(g, uniform_speeds(g->num_nodes()),
                   make_alphas(*g, alpha_scheme::half_max_degree));
-}
-
-/// A shard_context running its shards on `pool` — the same adapter
-/// runtime/experiment_grid builds per cell.
-std::shared_ptr<const shard_context> pool_context(const graph& g,
-                                                  std::size_t shards,
-                                                  runtime::thread_pool& pool) {
-  return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards),
-      [&pool](std::size_t count,
-              const std::function<void(std::size_t)>& body) {
-        pool.parallel_for_each(count, body);
-      },
-      shard_exec::work_stealing,
-      [&pool](std::size_t groups, std::size_t chunks,
-              const std::function<void(
-                  std::size_t, const std::function<std::size_t()>&)>& body) {
-        pool.steal_loop(groups, chunks, body);
-      }});
 }
 
 // ------------------------------------------------------------- thread_pool

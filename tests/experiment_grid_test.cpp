@@ -132,6 +132,21 @@ TEST(ExperimentGridTest, TokenCountsAboveTheCellCapNameTheirFlag) {
             std::string::npos);
   bursts.burst_size = max_cell_tokens / 5;
   EXPECT_EQ(error_of("dynamic-bursts", bursts), "");
+
+  // An event-driven cell fires every event its Poisson sources draw, about
+  // rate × rounds of them.
+  grid_options traffic = tiny_options();  // 50 rounds
+  traffic.arrival_rate = static_cast<real_t>(max_cell_tokens) / 50 * 1.01;
+  EXPECT_NE(error_of("async-poisson", traffic).find("argument 'arrival-rate'"),
+            std::string::npos);
+  traffic.arrival_rate = static_cast<real_t>(max_cell_tokens) / 50;
+  EXPECT_EQ(error_of("async-poisson", traffic), "");
+  traffic.arrival_rate = 8;
+  traffic.service_rate = static_cast<real_t>(max_cell_tokens) / 50 * 1.01;
+  EXPECT_NE(error_of("async-service", traffic).find("argument 'service-rate'"),
+            std::string::npos);
+  traffic.service_rate = static_cast<real_t>(max_cell_tokens) / 50;
+  EXPECT_EQ(error_of("async-service", traffic), "");
 }
 
 TEST(ExperimentGridTest, StaticCellProducesConsistentRow) {

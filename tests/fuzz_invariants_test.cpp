@@ -16,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 
@@ -26,7 +27,9 @@
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/runtime/thread_pool.hpp"
 #include "dlb/workload/initial_load.hpp"
+#include "pool_context.hpp"
 
 namespace dlb {
 namespace {
@@ -137,6 +140,57 @@ TEST_P(FuzzInvariantsTest, Algorithm1InvariantsHold) {
 
 std::uint64_t bits(real_t x) { return std::bit_cast<std::uint64_t>(x); }
 
+// Steps Algorithm 1's task store and two count stores, one sequential and
+// one on `ctx`, from the same unit tokens and `preload` for `rounds`
+// rounds, with the same arrivals and departures (drawn from `rng`) before
+// each round, and asserts after every round that the count stores agree
+// with the task store bit for bit and keep I1-I5. `reference` makes a
+// fresh copy of the imitated process.
+void expect_stores_agree(
+    const graph& g, const std::vector<weight_t>& tokens,
+    const std::vector<weight_t>& preload, const algorithm1_config& config,
+    const std::function<std::unique_ptr<linear_process>()>& reference,
+    std::shared_ptr<const shard_context> ctx, int rounds, rng_t& rng) {
+  const node_id n = g.num_nodes();
+  task_assignment task_start = task_assignment::tokens(tokens);
+  for (node_id i = 0; i < n && !preload.empty(); ++i) {
+    task_start.pool(i).add_dummies(preload[static_cast<size_t>(i)]);
+  }
+  weight_t expected_total = task_start.total_weight();
+  algorithm1 tasks(reference(), std::move(task_start), config);
+  algorithm1 counts(reference(), tokens, config, preload);
+  algorithm1 sharded(reference(), tokens, config, preload);
+  sharded.enable_sharded_stepping(std::move(ctx));
+
+  for (int t = 0; t < rounds; ++t) {
+    const node_id to = uniform_int<node_id>(rng, 0, n - 1);
+    const weight_t arriving = uniform_int<weight_t>(rng, 0, 5);
+    const node_id from = uniform_int<node_id>(rng, 0, n - 1);
+    const weight_t leaving = uniform_int<weight_t>(rng, 0, 4);
+    tasks.inject_tokens(to, arriving);
+    const weight_t drained = tasks.drain_tokens(from, leaving);
+    expected_total += arriving - drained;
+    for (algorithm1* alg : {&counts, &sharded}) {
+      alg->inject_tokens(to, arriving);
+      ASSERT_EQ(alg->drain_tokens(from, leaving), drained);
+    }
+    tasks.step();
+    counts.step();
+    sharded.step();
+    for (const algorithm1* alg : {&counts, &sharded}) {
+      ASSERT_EQ(alg->loads(), tasks.loads()) << "round " << t;
+      ASSERT_EQ(alg->real_loads(), tasks.real_loads()) << "round " << t;
+      ASSERT_EQ(alg->dummy_created(), tasks.dummy_created());
+      for (edge_id e = 0; e < g.num_edges(); ++e) {
+        ASSERT_EQ(alg->discrete_flow(e), tasks.discrete_flow(e));
+        ASSERT_EQ(alg->last_sent(e), tasks.last_sent(e));
+        ASSERT_EQ(bits(alg->flow_error(e)), bits(tasks.flow_error(e)));
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_alg1_invariants(*alg, expected_total));
+    }
+  }
+}
+
 // Both stores of Algorithm 1 on the same unit tokens: FOS and both matching
 // models (by seed), sequential and on three serial shards, arrivals and
 // departures between rounds, a dummy preload on every third seed, and a
@@ -161,12 +215,6 @@ TEST_P(FuzzInvariantsTest, Algorithm1CountStoreEqualsTaskStore) {
       preload.push_back(uniform_int<weight_t>(rng, 0, 2));
     }
   }
-  task_assignment task_start = task_assignment::tokens(tokens);
-  for (node_id i = 0; i < n && !preload.empty(); ++i) {
-    task_start.pool(i).add_dummies(preload[static_cast<size_t>(i)]);
-  }
-  weight_t expected_total = task_start.total_weight();
-
   const algorithm1_config config{
       .removal = (seed / 4 % 2 == 0) ? removal_policy::real_first
                                      : removal_policy::dummy_first,
@@ -177,38 +225,35 @@ TEST_P(FuzzInvariantsTest, Algorithm1CountStoreEqualsTaskStore) {
                           1.95)
                : random_case_process(g, s, seed);
   };
-  algorithm1 tasks(reference(), std::move(task_start), config);
-  algorithm1 counts(reference(), tokens, config, preload);
-  algorithm1 sharded(reference(), tokens, config, preload);
-  sharded.enable_sharded_stepping(serial_shard_context(*g, 3));
+  expect_stores_agree(*g, tokens, preload, config, reference,
+                      serial_shard_context(*g, 3), 60, rng);
+}
 
-  for (int t = 0; t < 60; ++t) {
-    const node_id to = uniform_int<node_id>(rng, 0, n - 1);
-    const weight_t arriving = uniform_int<weight_t>(rng, 0, 5);
-    const node_id from = uniform_int<node_id>(rng, 0, n - 1);
-    const weight_t leaving = uniform_int<weight_t>(rng, 0, 4);
-    tasks.inject_tokens(to, arriving);
-    const weight_t drained = tasks.drain_tokens(from, leaving);
-    expected_total += arriving - drained;
-    for (algorithm1* alg : {&counts, &sharded}) {
-      alg->inject_tokens(to, arriving);
-      ASSERT_EQ(alg->drain_tokens(from, leaving), drained);
-    }
-    tasks.step();
-    counts.step();
-    sharded.step();
-    for (const algorithm1* alg : {&counts, &sharded}) {
-      ASSERT_EQ(alg->loads(), tasks.loads()) << "round " << t;
-      ASSERT_EQ(alg->real_loads(), tasks.real_loads()) << "round " << t;
-      ASSERT_EQ(alg->dummy_created(), tasks.dummy_created());
-      for (edge_id e = 0; e < g->num_edges(); ++e) {
-        ASSERT_EQ(alg->discrete_flow(e), tasks.discrete_flow(e));
-        ASSERT_EQ(alg->last_sent(e), tasks.last_sent(e));
-        ASSERT_EQ(bits(alg->flow_error(e)), bits(tasks.flow_error(e)));
-      }
-      ASSERT_NO_FATAL_FAILURE(expect_alg1_invariants(*alg, expected_total));
-    }
-  }
+// The same agreement where every phase runs many chunks: hypercube(15)
+// cuts each edge phase into 15 chunks and each node phase into 2, and the
+// sharded count store runs them on a real 4-thread pool, each chunk beside
+// its neighbours. FOS under real_first moves tokens only; SOS with
+// β = 1.95 under dummy_first, from a dummy preload, also mints dummies.
+TEST(FuzzInvariantsMultiChunkTest, Algorithm1CountStoreEqualsTaskStore) {
+  const auto g = std::make_shared<const graph>(generators::hypercube(15));
+  const node_id n = g->num_nodes();
+  const speed_vector s = uniform_speeds(n);
+  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
+  runtime::thread_pool pool(4);
+  rng_t rng = make_rng(15, 0xF334u);
+  auto tokens = workload::uniform_random(n, 4 * n, 15);
+  tokens[0] += 20 * n;
+  std::vector<weight_t> preload(static_cast<size_t>(n));
+  for (weight_t& p : preload) p = uniform_int<weight_t>(rng, 0, 2);
+
+  expect_stores_agree(
+      *g, tokens, {}, {.removal = removal_policy::real_first},
+      [&] { return make_fos(g, s, alpha); }, pool_context(*g, 4, pool), 10,
+      rng);
+  expect_stores_agree(
+      *g, tokens, preload, {.removal = removal_policy::dummy_first},
+      [&] { return make_sos(g, s, alpha, 1.95); }, pool_context(*g, 4, pool),
+      10, rng);
 }
 
 // Algorithm 2's state after 60 rounds, per seed 1..24: FNV-1a over every

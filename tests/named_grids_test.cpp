@@ -95,11 +95,11 @@ struct golden {
   std::uint64_t hash;
 };
 
-// FNV-1a of each grid's timing-masked JSON rows at n = 32, one repeat,
-// master seed 7; the other knobs keep `opts`' values.
+// FNV-1a of each grid's timing-masked JSON rows at n = `target_n`, one
+// repeat, master seed 7; the other knobs keep `opts`' values.
 void expect_golden_rows(std::initializer_list<golden> table,
-                        grid_options opts = {}) {
-  opts.target_n = 32;
+                        grid_options opts = {}, node_id target_n = 32) {
+  opts.target_n = target_n;
   opts.repeats = 1;
   constexpr std::uint64_t seed = 7;
   for (const golden& want : table) {
@@ -163,6 +163,20 @@ TEST(NamedGridsGoldenTest, TrafficRowsMatchGoldenHashes) {
   grid_options opts;
   opts.trace_path = path;
   expect_golden_rows({{"async-service", 0xd347dd61023c4e9cULL}}, opts);
+}
+
+// At n = 32 every phase is one chunk, so a per-chunk step that read or
+// wrote a neighbouring chunk's slots would pass every case above. At
+// n = 2^15, hypercube(15)'s edge phases run 15 chunks and its node phases
+// 2, on one shard thread and on four.
+TEST(NamedGridsGoldenTest, MultiChunkRowsMatchGoldenHash) {
+  grid_options opts;
+  opts.dynamic_rounds = 8;
+  for (const unsigned shard_threads : {1u, 4u}) {
+    opts.shard_threads = shard_threads;
+    expect_golden_rows({{"huge-uniform", 0x84c4ae44af42b410ULL}}, opts,
+                       node_id{1} << 15);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,6 +17,7 @@
 
 #include "dlb/baselines/local_rounding.hpp"
 #include "dlb/core/algorithm1.hpp"
+#include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/engine.hpp"
 #include "dlb/core/linear_process.hpp"
@@ -436,6 +437,41 @@ TEST(ObsCountersTest, CountersAreShardCountIndependent) {
               sequential.counter("edges_touched"));
     EXPECT_EQ(sharded.counter("nodes_touched"),
               sequential.counter("nodes_touched"));
+  }
+}
+
+// A flow-imitator round is three passes: the reference's edge phase, which
+// runs the imitator's edge step on each chunk after its flow update; the
+// reference's node phase, which runs the send step after each chunk's
+// apply; and the receive phase. So each round touches every edge once and
+// every node twice. The first round also fills diffusion's time-invariant
+// α (one more edge phase), so it runs before the probe is attached.
+TEST(ObsCountersTest, ImitatorRoundIsThreePasses) {
+  const auto g = make_g(generators::hypercube(6));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::spike_workload(*g, s, 25);
+  const auto fos = [&] {
+    return make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree));
+  };
+  std::vector<std::unique_ptr<discrete_process>> imitators;
+  imitators.push_back(std::make_unique<algorithm1>(fos(), tokens));
+  imitators.push_back(
+      std::make_unique<algorithm1>(fos(), task_assignment::tokens(tokens)));
+  imitators.push_back(std::make_unique<algorithm2>(fos(), tokens, 7));
+
+  constexpr std::uint64_t k = 5;
+  const auto m = static_cast<std::uint64_t>(g->num_edges());
+  const auto n = static_cast<std::uint64_t>(g->num_nodes());
+  for (const auto& p : imitators) {
+    p->step();
+    obs::metrics met;
+    p->set_probe(obs::probe{nullptr, &met, obs::no_cell});
+    for (std::uint64_t t = 0; t < k; ++t) p->step();
+    const obs::metrics_snapshot snap = met.take();
+    EXPECT_GT(snap.counter("tokens_moved"), 0u) << p->name();
+    EXPECT_EQ(snap.counter("phases"), 3 * k) << p->name();
+    EXPECT_EQ(snap.counter("edges_touched"), k * m) << p->name();
+    EXPECT_EQ(snap.counter("nodes_touched"), 2 * k * n) << p->name();
   }
 }
 
